@@ -25,4 +25,22 @@ from .spectrum import SpectrumResult, classify, eigs_lowest, legendre_validation
 from .stationary import (Branch, BranchPoint, NewtonConfig, NewtonError,
                          continue_branch, newton_solve)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "EnergyParams", "TridiagonalOperator", "assemble_second_variation",
+    "el_residual", "full_energy", "reduced_energy", "residual_supnorm",
+    "second_variation_form", "wedge_certificates",
+    "FlowConfig", "FlowResult", "FlowStatus", "comparison_trial",
+    "detect_blowup", "run", "step",
+    "Grid", "make_grid", "quad_sin",
+    "Profile", "W1", "W2", "WedgeSpec", "antipodal_reflect", "builtin_profile",
+    "degree", "degree_integral", "hemispheric_deviation", "is_hemispheric",
+    "make_initial_first_type", "make_initial_second_type", "make_profile",
+    "node_derivative", "perturbation_direction", "read_profile_csv",
+    "wedge_check", "write_profile_csv",
+    "FIRST", "SECOND", "BlowupError", "ContinuationError", "SaddleReport",
+    "SaddleValidationError", "SweepResult", "find_first_type",
+    "find_second_type", "probe_second_branch_floor", "sweep",
+    "SpectrumResult", "classify", "eigs_lowest", "legendre_validation",
+    "Branch", "BranchPoint", "NewtonConfig", "NewtonError", "continue_branch",
+    "newton_solve",
+]

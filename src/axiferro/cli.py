@@ -131,9 +131,9 @@ def cmd_saddle(args):
     out = _outdir(args)
     grid = make_grid(args.n) if args.n else None
     if args.type == FIRST:
-        report = find_first_type(args.kappa, grid=grid, seed=args.seed)
+        report = find_first_type(args.kappa, grid=grid)
     else:
-        report = find_second_type(args.kappa, grid=grid, seed=args.seed)
+        report = find_second_type(args.kappa, grid=grid)
     payload = _report_payload(report, h, config)
     _write_json(os.path.join(out, "report.json"), payload)
     write_profile_csv(report.profile, os.path.join(out, "profile.csv"),
@@ -156,7 +156,7 @@ def cmd_sweep(args):
     _write_json(os.path.join(out, "config.json"),
                 {"config_hash": h, "config": config, "tool_version": __version__})
     grid = make_grid(args.n) if args.n else None
-    result = sweep(kappas, types=tuple(args.type), grid=grid, seed=args.seed,
+    result = sweep(kappas, types=tuple(args.type), grid=grid,
                    estimate_kappa1=args.kappa1_probe)
     lines = [f"# config_hash={h}"]
     k0 = result.kappa0_estimate
@@ -186,7 +186,7 @@ def cmd_spectrum(args):
     grid = make_grid(args.n)
     p = _load_initial(args.profile, grid, args.kappa)
     op = assemble_second_variation(p, EnergyParams(args.kappa))
-    result = eigs_lowest(op, args.k, seed=args.seed)
+    result = eigs_lowest(op, args.k)
     lines = [f"# config_hash={h}", "index,lambda"]
     for i, lam in enumerate(result.eigenvalues):
         lines.append(f"{i + 1},{float(lam)!r}")
@@ -227,7 +227,7 @@ def _validate_properties(n, seed):
            f"max rel err {max(errs):.3g}")
 
     # Legendre spectrum of the singular operator
-    rep = legendre_validation(grid, 5, seed=seed)
+    rep = legendre_validation(grid, 5)
     ok = rep.max_deviation_coarse < 1e-2 and 3.0 < rep.refinement_ratio < 5.0
     yield ("legendre-table", ok,
            f"max dev {rep.max_deviation_coarse:.3g}, ratio {rep.refinement_ratio:.2f}")

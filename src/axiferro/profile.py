@@ -30,10 +30,6 @@ class Profile:
     m: int
     n_end: int
 
-    def with_values(self, values):
-        """Same grid and boundary class, new interior values."""
-        return make_profile(self.grid, values, self.m, self.n_end)
-
 
 @dataclass(frozen=True)
 class WedgeSpec:

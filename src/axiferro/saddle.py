@@ -108,11 +108,11 @@ def _pipeline_newton_cfg(grid):
 
 
 def _polish_and_report(profile, kappa, saddle_type, provenance, wedge_kind,
-                       newton_cfg, k_eigs, seed):
+                       newton_cfg, k_eigs):
     params = EnergyParams(kappa)
     newton_cfg = newton_cfg or _pipeline_newton_cfg(profile.grid)
     profile = newton_solve(profile, params, newton_cfg)
-    spectrum = classify(profile, params, k=k_eigs, seed=seed)
+    spectrum = classify(profile, params, k=k_eigs)
     dev = hemispheric_deviation(profile)
     verdict = wedge_check(profile, WedgeSpec(wedge_kind, SYMMETRY_TOL))
     res_sup = residual_supnorm(profile, params)
@@ -137,7 +137,7 @@ def _polish_and_report(profile, kappa, saddle_type, provenance, wedge_kind,
 
 
 def find_first_type(kappa, grid=None, newton_cfg=None, flow_cfg=None,
-                    k_eigs=4, seed=0):
+                    k_eigs=4):
     """First-type saddle pipeline: sawtooth initial data, flow, polish, classify."""
     if kappa < 4:
         raise ValueError(f"first-type pipeline requires kappa >= 4, got {kappa}")
@@ -151,11 +151,11 @@ def find_first_type(kappa, grid=None, newton_cfg=None, flow_cfg=None,
                           f"{kappa} reported blowup; theory rules this out, so "
                           "this is a discretization failure to investigate")
     return _polish_and_report(result.final, kappa, FIRST, "flow_then_newton",
-                              W1, newton_cfg, k_eigs, seed)
+                              W1, newton_cfg, k_eigs)
 
 
 def find_second_type(kappa, grid=None, newton_cfg=None, flow_cfg=None,
-                     k_eigs=4, seed=0, continuation_dk=0.05):
+                     k_eigs=4, continuation_dk=0.05):
     """Second-type saddle pipeline.
 
     kappa > 4: flow from 2*theta.  kappa = 4: the exact solution, treated as
@@ -174,19 +174,19 @@ def find_second_type(kappa, grid=None, newton_cfg=None, flow_cfg=None,
             raise BlowupError(f"flow from 2*theta at kappa={kappa} reported "
                               "blowup; theory rules this out for kappa >= 4")
         return _polish_and_report(result.final, kappa, SECOND,
-                                  "flow_then_newton", W2, newton_cfg, k_eigs, seed)
+                                  "flow_then_newton", W2, newton_cfg, k_eigs)
     if kappa == 4.0:
         return _polish_and_report(start, kappa, SECOND, "continuation",
-                                  W2, newton_cfg, k_eigs, seed)
+                                  W2, newton_cfg, k_eigs)
     branch = continue_branch(4.0, start, kappa, -abs(continuation_dk),
-                             newton_cfg, seed=seed)
+                             newton_cfg)
     if abs(branch.reached - kappa) > 1e-12:
         raise ContinuationError(
             f"continuation from (4, 2*theta) failed at kappa="
             f"{branch.suspected_fold[1]:.6g}; last solved kappa="
             f"{branch.reached:.6g}", last_kappa=branch.reached)
     return _polish_and_report(branch.points[-1].profile, kappa, SECOND,
-                              "continuation", W2, newton_cfg, k_eigs, seed)
+                              "continuation", W2, newton_cfg, k_eigs)
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,7 @@ def _bisect_kappa0(lo, hi, val_lo, runner, width):
     return (lo, hi)
 
 
-def probe_second_branch_floor(grid=None, newton_cfg=None, floor=1.0, dk=0.05,
-                              seed=0):
+def probe_second_branch_floor(grid=None, newton_cfg=None, floor=1.0, dk=0.05):
     """Walk the second-type branch down from kappa = 4 until it ends.
 
     Returns (lo, hi) bracketing either a Newton failure or the loss of the
@@ -251,7 +250,7 @@ def probe_second_branch_floor(grid=None, newton_cfg=None, floor=1.0, dk=0.05,
     grid = grid or make_grid(1024)
     start = make_initial_second_type(grid)
     branch = continue_branch(4.0, start, floor, -abs(dk),
-                             newton_cfg or NewtonConfig(), seed=seed)
+                             newton_cfg or NewtonConfig())
     prev = 4.0
     for pt in branch.points:
         tol = 1e-8
@@ -265,7 +264,7 @@ def probe_second_branch_floor(grid=None, newton_cfg=None, floor=1.0, dk=0.05,
 
 
 def sweep(kappa_values, types=(FIRST, SECOND), grid=None, newton_cfg=None,
-          seed=0, kappa0_width=0.05, estimate_kappa1=True):
+          kappa0_width=0.05, estimate_kappa1=True):
     """Run the requested pipelines per kappa and locate the threshold brackets.
 
     kappa0: bracket (width <= kappa0_width) where the first-type
@@ -285,7 +284,7 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, newton_cfg=None,
     first_reports = {}
 
     def run_first(kappa):
-        report = find_first_type(kappa, grid=grid, newton_cfg=newton_cfg, seed=seed)
+        report = find_first_type(kappa, grid=grid, newton_cfg=newton_cfg)
         first_reports[kappa] = report
         return report
 
@@ -300,8 +299,7 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, newton_cfg=None,
                     rows.append(_failed_row(kappa, FIRST, exc))
         if SECOND in types:
             try:
-                report = find_second_type(kappa, grid=grid,
-                                          newton_cfg=newton_cfg, seed=seed)
+                report = find_second_type(kappa, grid=grid, newton_cfg=newton_cfg)
                 reports.append(report)
                 rows.append(_row_from_report(report))
             except Exception as exc:
@@ -321,8 +319,7 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, newton_cfg=None,
 
     kappa1 = None
     if SECOND in types and estimate_kappa1:
-        kappa1 = probe_second_branch_floor(grid=grid, newton_cfg=newton_cfg,
-                                           seed=seed)
+        kappa1 = probe_second_branch_floor(grid=grid, newton_cfg=newton_cfg)
 
     extra = [_row_from_report(r) for k, r in sorted(first_reports.items())
              if k not in kappa_values]

@@ -1,23 +1,23 @@
 """Lowest eigenpairs of the second-variation operator and saddle classification.
 
-The eigenvalues come from Sturm-sequence bisection on the symmetrized
-tridiagonal matrix; eigenvectors from shifted inverse iteration with
-re-orthogonalization.  No library eigensolver is used on this path, so the
-dense eigensolve in the test suite stays an independent oracle.
+The lowest eigenpairs of the symmetrized tridiagonal matrix come from
+LAPACK's bisection (stebz) and inverse iteration (stein) through
+``scipy.linalg.eigh_tridiagonal``.  The Morse index read off those
+eigenvalues is certified independently by an LDL^T pivot count (Sylvester's
+law of inertia), and a disagreement is an error.  The dense eigensolve in
+the test suite (``numpy.linalg.eigvalsh``, LAPACK syevd) is a separate LAPACK
+path and stays an independent oracle.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigh_tridiagonal
 
 from .energy import (EnergyParams, assemble_second_variation,
                      residual_supnorm, second_variation_form)
 from .grid import make_grid
 from .profile import make_initial_second_type, perturbation_direction
-
-_BISECTION_STEPS = 64
-_INVERSE_ITERATIONS = 3
 
 
 @dataclass(frozen=True)
@@ -30,84 +30,42 @@ class SpectrumResult:
     operator_scale: float
     explicit_direction_value: float | None = None
 
-    @property
-    def has_marginal(self):
-        """True when some computed eigenvalue sits within tol of zero."""
-        return bool(np.any(np.abs(self.eigenvalues) <= self.tol))
 
+def _negative_count(diag, off, shift):
+    """Number of eigenvalues below shift, from the pivots of T - shift = L D L^T.
 
-def _sturm_count(diag, off2, shifts, pivmin):
-    """Number of eigenvalues strictly below each shift (vectorized in shifts)."""
-    shifts = np.asarray(shifts, dtype=float)
-    q = diag[0] - shifts
-    count = (q < 0).astype(int)
-    for i in range(1, diag.size):
-        np.copyto(q, np.where(np.abs(q) < pivmin, -pivmin, q))
-        q = diag[i] - shifts - off2[i - 1] / q
-        count += q < 0
+    By Sylvester's law of inertia the count of negative pivots is the count
+    of negative eigenvalues.  One scalar pass over plain floats; tiny pivots
+    are replaced by -pivmin as in LAPACK's dlaebz.
+    """
+    off2 = (np.asarray(off, dtype=float) ** 2).tolist()
+    pivmin = np.finfo(float).tiny * max(1.0, max(off2, default=0.0))
+    count = 0
+    q = 1.0
+    for d, e2 in zip(np.asarray(diag, dtype=float).tolist(), [0.0] + off2):
+        q = d - shift - e2 / q
+        if abs(q) < pivmin:
+            q = -pivmin
+        if q <= 0.0:
+            count += 1
     return count
 
 
-def _bisect_lowest(diag, off, k):
-    """Brackets of width ~2^-64 * span around the k lowest eigenvalues."""
-    m = diag.size
-    radius = np.zeros(m)
-    if m > 1:
-        radius[:-1] += np.abs(off)
-        radius[1:] += np.abs(off)
-    lo = np.full(k, np.min(diag - radius))
-    hi = np.full(k, np.max(diag + radius))
-    off2 = off ** 2
-    pivmin = max(np.max(off2) if off.size else 1.0, 1.0) * 1e-30
-    targets = np.arange(1, k + 1)
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        counts = _sturm_count(diag, off2, mid, pivmin)
-        take_hi = counts >= targets
-        hi = np.where(take_hi, mid, hi)
-        lo = np.where(take_hi, lo, mid)
-    return 0.5 * (lo + hi)
+def _certified_morse(op, eigenvalues, tol):
+    """Morse index below -tol, certified by the pivot count at shift -tol.
 
-
-def _solve_shifted(diag, off, shift, rhs):
-    m = diag.size
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off
-    ab[1, :] = diag - shift
-    ab[2, :-1] = off
-    return solve_banded((1, 1), ab, rhs)
-
-
-def _inverse_iterate(diag, off, shift, found, rng, scale):
-    """One eigenvector of the symmetric tridiagonal near the given shift."""
-    m = diag.size
-    y = rng.standard_normal(m)
-    for attempt in range(4):
-        try:
-            for _ in range(_INVERSE_ITERATIONS):
-                for prev in found:
-                    y -= np.dot(prev, y) * prev
-                for prev in found:
-                    y -= np.dot(prev, y) * prev
-                norm = np.linalg.norm(y)
-                if norm == 0.0 or not np.isfinite(norm):
-                    y = rng.standard_normal(m)
-                    norm = np.linalg.norm(y)
-                y = _solve_shifted(diag, off, shift, y / norm)
-                if not np.all(np.isfinite(y)):
-                    raise FloatingPointError("inverse iteration overflow")
-            break
-        except (np.linalg.LinAlgError, FloatingPointError, ValueError):
-            shift = shift + (10.0 ** attempt) * 1e-12 * scale
-            y = rng.standard_normal(m)
-    for prev in found:
-        y -= np.dot(prev, y) * prev
-    y /= np.linalg.norm(y)
-    # deterministic sign: largest-magnitude component positive
-    j = int(np.argmax(np.abs(y)))
-    if y[j] < 0:
-        y = -y
-    return y
+    ``eigenvalues`` are the k lowest.  With fewer than k of them below -tol
+    the pivot count must equal that number; with all k below, it must be at
+    least k.  Any disagreement raises rather than being corrected.
+    """
+    morse = int(np.sum(eigenvalues < -tol))
+    count = _negative_count(op.diag, op.offdiag, -tol)
+    certified = count == morse if morse < eigenvalues.size else count >= morse
+    if not certified:
+        raise np.linalg.LinAlgError(
+            f"Morse index {morse} from the {eigenvalues.size} lowest eigenvalues "
+            f"disagrees with the inertia count {count} at shift {-tol:.3g}")
+    return morse
 
 
 def _tridiag_apply(diag, off, y):
@@ -117,43 +75,37 @@ def _tridiag_apply(diag, off, y):
     return out
 
 
-def eigs_lowest(op, k, seed=0, tol=None):
+def eigs_lowest(op, k, tol=None):
     """Lowest k eigenpairs of a TridiagonalOperator.
 
-    Eigenvalues by Sturm bisection refined with a final Rayleigh quotient;
-    eigenvectors by inverse iteration, returned on the full node range
-    (zero at the Dirichlet endpoints) and orthonormal in the sin-weighted
-    inner product.
+    Eigenpairs of the symmetrized matrix from LAPACK stebz/stein; each
+    eigenvector's largest-magnitude component is made positive, then it is
+    returned on the full node range (zero at the Dirichlet endpoints) and
+    orthonormal in the sin-weighted inner product.  The Morse index counts
+    eigenvalues below -tol and is certified by an inertia count.
     """
     if not 1 <= k <= op.dimension:
         raise ValueError(f"k = {k} out of range 1..{op.dimension}")
     diag = np.asarray(op.diag, dtype=float)
     off = np.asarray(op.offdiag, dtype=float)
     scale = op.norm_estimate()
-    approx = _bisect_lowest(diag, off, k)
-    rng = np.random.default_rng(seed)
-    ys = []
-    eigenvalues = np.empty(k)
-    residuals = np.empty(k)
-    for j in range(k):
-        y = _inverse_iterate(diag, off, approx[j], ys, rng, scale)
-        lam = float(np.dot(y, _tridiag_apply(diag, off, y)))
-        residuals[j] = float(np.linalg.norm(_tridiag_apply(diag, off, y) - lam * y))
-        eigenvalues[j] = lam
-        ys.append(y)
-    order = np.argsort(eigenvalues)
-    eigenvalues = eigenvalues[order]
-    residuals = residuals[order]
-    sqrt_w = np.sqrt(op.weight)
+    eigenvalues, ys = eigh_tridiagonal(diag, off, select="i",
+                                       select_range=(0, k - 1))
+    # deterministic sign: largest-magnitude component positive (stein returns
+    # this sign already; enforced here so the contract does not rest on it)
+    ys = ys.T
+    peaks = ys[np.arange(k), np.argmax(np.abs(ys), axis=1)]
+    ys[peaks < 0] *= -1.0
+    residuals = np.array([np.linalg.norm(_tridiag_apply(diag, off, y) - lam * y)
+                          for lam, y in zip(eigenvalues, ys)])
     vectors = np.zeros((k, op.dimension + 2))
-    for row, j in enumerate(order):
-        vectors[row, 1:-1] = ys[j] / sqrt_w
+    vectors[:, 1:-1] = ys / np.sqrt(op.weight)
     if tol is None:
         tol = 1e-12 * scale
-    morse = int(np.sum(eigenvalues < -tol))
     return SpectrumResult(eigenvalues=eigenvalues, eigenvectors=vectors,
-                          morse_index=morse, tol=float(tol),
-                          residuals=residuals, operator_scale=scale)
+                          morse_index=_certified_morse(op, eigenvalues, tol),
+                          tol=float(tol), residuals=residuals,
+                          operator_scale=scale)
 
 
 @dataclass(frozen=True)
@@ -169,7 +121,7 @@ class LegendreReport:
     endpoints_zero: bool
 
 
-def legendre_validation(grid, l_max, seed=0):
+def legendre_validation(grid, l_max):
     """Check the singular Sturm-Liouville operator against its exact spectrum.
 
     At the profile h = 2*theta with kappa = 4 the assembled operator equals
@@ -184,7 +136,7 @@ def legendre_validation(grid, l_max, seed=0):
     def deviations(g):
         saddle_profile = make_initial_second_type(g)
         op = assemble_second_variation(saddle_profile, EnergyParams(4.0))
-        res = eigs_lowest(op, l_max, seed=seed)
+        res = eigs_lowest(op, l_max)
         ls = np.arange(1, l_max + 1)
         exact = ls * (ls + 1.0) - 4.0
         return res, exact, np.abs(res.eigenvalues - exact)
@@ -205,7 +157,7 @@ def legendre_validation(grid, l_max, seed=0):
                           endpoints_zero=endpoints_zero)
 
 
-def classify(p, params, k=4, seed=0, residual_tol=1e-6):
+def classify(p, params, k=4, residual_tol=1e-6):
     """Spectrum of the second variation at an (approximately) stationary profile.
 
     Rejects non-stationary input: off critical points the Morse data is
@@ -218,11 +170,12 @@ def classify(p, params, k=4, seed=0, residual_tol=1e-6):
         raise ValueError(f"profile is not stationary: sup residual {res_sup:.3g} "
                          f">= {residual_tol:.3g}")
     op = assemble_second_variation(p, params)
-    result = eigs_lowest(op, k, seed=seed)
+    result = eigs_lowest(op, k)
     # zero-classification slack on the scale of the low spectrum itself, not
     # of the operator norm (which grows like 1/dtheta^2)
     tol = 1e-6 * max(1.0, float(np.max(np.abs(result.eigenvalues))))
     direction = perturbation_direction(p)
     value = second_variation_form(p, params, direction)
     return replace(result, explicit_direction_value=value,
-                   morse_index=int(np.sum(result.eigenvalues < -tol)), tol=tol)
+                   morse_index=_certified_morse(op, result.eigenvalues, tol),
+                   tol=tol)

@@ -126,14 +126,14 @@ class Branch:
         return self.points[-1].kappa
 
 
-def _two_lowest(profile, kappa, seed=0):
+def _two_lowest(profile, kappa):
     from .spectrum import eigs_lowest
     op = assemble_second_variation(profile, EnergyParams(kappa))
-    res = eigs_lowest(op, 2, seed=seed)
+    res = eigs_lowest(op, 2)
     return float(res.eigenvalues[0]), float(res.eigenvalues[1])
 
 
-def continue_branch(start_kappa, start, target_kappa, dk, cfg=None, seed=0):
+def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
     """Natural-parameter continuation of a solution family in kappa.
 
     Each accepted point seeds Newton at the next kappa and records the two
@@ -151,7 +151,7 @@ def continue_branch(start_kappa, start, target_kappa, dk, cfg=None, seed=0):
     if (target_kappa - start_kappa) * dk < 0:
         raise ValueError(f"dk={dk} points away from target {target_kappa}")
 
-    lam1, lam2 = _two_lowest(start, start_kappa, seed)
+    lam1, lam2 = _two_lowest(start, start_kappa)
     points = [BranchPoint(kappa=start_kappa, profile=start,
                           lambda1=lam1, lambda2=lam2)]
     direction = int(np.sign(target_kappa - start_kappa))
@@ -173,7 +173,7 @@ def continue_branch(start_kappa, start, target_kappa, dk, cfg=None, seed=0):
                 raise
             fold = (kappa, nxt)
             break
-        lam1, lam2 = _two_lowest(profile, nxt, seed)
+        lam1, lam2 = _two_lowest(profile, nxt)
         points.append(BranchPoint(kappa=nxt, profile=profile,
                                   lambda1=lam1, lambda2=lam2))
         kappa = nxt

@@ -3,8 +3,9 @@ import pytest
 
 from axiferro.energy import EnergyParams, assemble_second_variation
 from axiferro.grid import make_grid
-from axiferro.profile import (builtin_profile, make_initial_second_type,
-                              make_profile)
+from axiferro import spectrum
+from axiferro.profile import (builtin_profile, make_initial_first_type,
+                              make_initial_second_type, make_profile)
 from axiferro.spectrum import classify, eigs_lowest, legendre_validation
 from oracles import dense_spectrum
 
@@ -19,6 +20,18 @@ def saddle_operator(n, kappa=4.0):
     g = make_grid(n)
     return assemble_second_variation(make_initial_second_type(g),
                                      EnergyParams(kappa)), g
+
+
+def oracle_fixture_operators():
+    """The five n = 64 operator fixtures of acceptance criterion 13."""
+    g = make_grid(64)
+    return [assemble_second_variation(p, EnergyParams(kappa)) for p, kappa in (
+        (make_initial_second_type(g), 4.0),
+        (builtin_profile("theta", g), 0.0),
+        (builtin_profile("theta", g), 10.0),
+        (builtin_profile("pi", g), 5.0),
+        (make_initial_first_type(g, 9.0), 9.0),
+    )]
 
 
 class TestEigsLowest:
@@ -62,10 +75,31 @@ class TestEigsLowest:
             assert rq == pytest.approx(lam, rel=1e-8, abs=1e-10)
 
     def test_matches_dense_oracle(self):
-        op, _ = saddle_operator(64)
-        mine = eigs_lowest(op, 6).eigenvalues
-        ref = dense_spectrum(op, 6)
-        assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-8
+        for n in (64, 1024):
+            op, _ = saddle_operator(n)
+            mine = eigs_lowest(op, 6).eigenvalues
+            ref = dense_spectrum(op, 6)
+            assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-8, n
+
+    @pytest.mark.parametrize("negate", [False, True])
+    def test_sign_rule_largest_component_positive(self, negate, monkeypatch):
+        # the rule holds for the symmetrized vector sqrt(w) v, where the
+        # eigensolver works; the returned v is that vector over sqrt(w).
+        # LAPACK stein already returns that sign, so the negated run checks
+        # that eigs_lowest enforces it whatever sign the driver returns.
+        if negate:
+            real = spectrum.eigh_tridiagonal
+
+            def negated(*args, **kwargs):
+                vals, vecs = real(*args, **kwargs)
+                return vals, -vecs
+
+            monkeypatch.setattr(spectrum, "eigh_tridiagonal", negated)
+        for op in oracle_fixture_operators() + [saddle_operator(512)[0]]:
+            res = eigs_lowest(op, 4)
+            for vec in res.eigenvectors:
+                y = vec[1:-1] * np.sqrt(op.weight)
+                assert y[np.argmax(np.abs(y))] > 0
 
     def test_constant_shift_moves_spectrum(self, grid256):
         import dataclasses
@@ -101,6 +135,42 @@ class TestEigsLowest:
             op = assemble_second_variation(th, EnergyParams(kappa))
             got = eigs_lowest(op, 3).eigenvalues
             assert np.max(np.abs(got - np.array(frozen))) < 1e-8
+
+
+class TestInertiaCertificate:
+    def test_pivot_count_matches_dense_oracle(self):
+        for op in oracle_fixture_operators():
+            ref = dense_spectrum(op)
+            # midpoints between the low eigenvalues, plus shifts below and
+            # above the whole spectrum
+            shifts = list(0.5 * (ref[:8] + ref[1:9])) + [ref[0] - 1.0,
+                                                          ref[-1] + 1.0]
+            for shift in shifts:
+                expected = int(np.sum(ref < shift))
+                assert spectrum._negative_count(op.diag, op.offdiag,
+                                                shift) == expected
+
+    def test_disagreement_raises(self, monkeypatch):
+        op, _ = saddle_operator(256)
+        real = spectrum.eigh_tridiagonal
+
+        def shifted(*args, **kwargs):
+            vals, vecs = real(*args, **kwargs)
+            return vals + 10.0, vecs
+
+        monkeypatch.setattr(spectrum, "eigh_tridiagonal", shifted)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="Morse index 0 .* inertia count 1"):
+            eigs_lowest(op, 3)
+
+    def test_count_may_exceed_morse_when_all_k_negative(self):
+        # shifted saddle spectrum about -7, -3, 3: with k = 1 the only
+        # computed eigenvalue is negative, and the certificate asks for a
+        # count of at least 1, not exactly 1
+        import dataclasses
+        op, _ = saddle_operator(128)
+        op = dataclasses.replace(op, diag=np.asarray(op.diag) - 5.0)
+        assert [eigs_lowest(op, k).morse_index for k in (1, 2, 3)] == [1, 2, 2]
 
 
 class TestLegendreValidation:
@@ -142,6 +212,21 @@ class TestClassify:
         res = classify(p, EnergyParams(10.0), k=3)
         assert res.morse_index == 0
         assert np.all(res.eigenvalues > 0)
+
+    def test_morse_index_certified_at_classify_tol(self, grid256, monkeypatch):
+        # the inertia count is wrong only at shifts below eigs_lowest's own
+        # -tol, so only classify's recomputed index can catch it
+        p = make_initial_second_type(grid256)
+        params = EnergyParams(4.0)
+        eigs_tol = eigs_lowest(assemble_second_variation(p, params), 3).tol
+        real = spectrum._negative_count
+
+        def off_by_one_below(diag, off, shift):
+            return real(diag, off, shift) + (shift < -10.0 * eigs_tol)
+
+        monkeypatch.setattr(spectrum, "_negative_count", off_by_one_below)
+        with pytest.raises(np.linalg.LinAlgError, match="inertia count 2"):
+            classify(p, params, k=3)
 
     def test_rejects_nonstationary(self, grid256):
         p = builtin_profile("pi", grid256)
