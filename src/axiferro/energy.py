@@ -77,12 +77,10 @@ class TridiagonalOperator:
 
 def reduced_energy(p, params):
     """E(h) by sin-weighted trapezoid quadrature."""
-    th = p.grid.nodes
     v = p.values
     hp = node_derivative(p)
-    integrand = hp ** 2 + params.kappa * np.sin(v - th) ** 2
-    s_int = np.sin(th[1:-1])
-    integrand[1:-1] += (np.sin(v[1:-1]) / s_int) ** 2
+    integrand = hp ** 2 + params.kappa * np.sin(v - p.grid.nodes) ** 2
+    integrand[1:-1] += (np.sin(v[1:-1]) / p.grid.stencil.sin) ** 2
     return 0.5 * quad_sin(p.grid, integrand)
 
 
@@ -97,17 +95,7 @@ def el_residual(p, params):
     Endpoints carry Dirichlet data and are excluded.  A profile is discretely
     stationary exactly when this vector vanishes.
     """
-    th = p.grid.nodes
-    h = p.values
-    dth = p.grid.dtheta
-    hi = h[1:-1]
-    ti = th[1:-1]
-    d2 = (h[2:] - 2.0 * hi + h[:-2]) / dth ** 2
-    d1 = (h[2:] - h[:-2]) / (2.0 * dth)
-    s = np.sin(ti)
-    return (d2 + (np.cos(ti) / s) * d1
-            - np.sin(2.0 * hi) / (2.0 * s ** 2)
-            - 0.5 * params.kappa * np.sin(2.0 * (hi - ti)))
+    return p.grid.stencil.residual(p.values, params.kappa)
 
 
 def residual_supnorm(p, params):
@@ -141,12 +129,10 @@ def _zeroed_direction(grid, g):
 def second_variation_form(p, params, g):
     """Quadratic form d2E[h](g) for a direction g vanishing at the poles."""
     g = _zeroed_direction(p.grid, g)
-    th = p.grid.nodes
     v = p.values
     gp = np.gradient(g, p.grid.dtheta, edge_order=2)
-    integrand = gp ** 2 + params.kappa * np.cos(2.0 * (v - th)) * g ** 2
-    s_int = np.sin(th[1:-1])
-    integrand[1:-1] += np.cos(2.0 * v[1:-1]) / s_int ** 2 * g[1:-1] ** 2
+    integrand = gp ** 2 + params.kappa * np.cos(2.0 * (v - p.grid.nodes)) * g ** 2
+    integrand[1:-1] += np.cos(2.0 * v[1:-1]) / p.grid.stencil.sin2 * g[1:-1] ** 2
     return quad_sin(p.grid, integrand)
 
 
@@ -161,19 +147,13 @@ def assemble_second_variation(p, params):
     self-adjointness in the sin-weighted inner product exact.
     """
     grid = p.grid
-    th = grid.nodes[1:-1]
-    h = p.values[1:-1]
-    dth2 = grid.dtheta ** 2
-    s = np.sin(th)
-    s_half = np.sin(grid.half_nodes)  # length n: edges (i, i+1)
-    potential = np.cos(2.0 * h) / s ** 2 + params.kappa * np.cos(2.0 * (h - th))
-    diag = (s_half[1:] + s_half[:-1]) / (s * dth2) + potential
-    offdiag = -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:]))
-    weight = s * grid.dtheta
-    for a in (diag, offdiag, weight):
+    st = grid.stencil
+    diag = st.divergence_bands[1] + st.potential(p.values[1:-1], params.kappa)
+    weight = st.sin * grid.dtheta
+    for a in (diag, weight):
         a.setflags(write=False)
     return TridiagonalOperator(dimension=grid.n - 1, diag=diag,
-                               offdiag=offdiag, weight=weight)
+                               offdiag=st.symmetric_offdiag, weight=weight)
 
 
 @dataclass(frozen=True)

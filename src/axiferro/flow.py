@@ -6,11 +6,11 @@ Laplacian L h = (1/sin)(sin h')' plus the damping (positive) part of the
 diagonal reaction Jacobian are treated implicitly (tridiagonal M-matrix
 solve), the rest explicitly.  The update is
 
-    (I - dt L + dt D) (h_new - h) = dt R(h),
-    D = diag(max(cos(2h)/sin^2 t + kappa cos(2h - 2t), 0)),
+    (I - dt L + dt D) (h_new - h) = dt R(h),    D = diag(max(V, 0)),
 
-whose fixed points satisfy R(h) = 0 for exactly the same interior stencil
-the stationarity test uses.  Without D the explicit pole potential
+with R, L and V as in ``axiferro.stencil``.  R is the residual the
+stationarity test has just computed, so the fixed points satisfy R(h) = 0
+for exactly that stencil.  Without D the explicit pole potential
 -cos(2h)/sin^2(t), of size 1/dtheta^2 at the first interior node, imposes a
 dt = O(dtheta^2) stability ceiling; with it the step limit is set by the
 physical growth rates alone (dt of order 1/kappa).  Dirichlet endpoints are
@@ -52,12 +52,12 @@ class FlowConfig:
     blowup_grad_threshold: float = 1e3
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
-        if self.stationary_tol <= 0:
-            raise ValueError("stationary_tol must be positive")
+        for name in ("dt", "t_max", "stationary_tol"):
+            value = getattr(self, name)
+            if name == "dt" and value is None:
+                continue
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -97,59 +97,42 @@ class FlowResult:
         return all(r.wedge_ok for r in self.records if r.wedge_ok is not None)
 
 
-def _implicit_banded(grid, dt, i0, i1):
-    """Banded form of I - dt*L on interior nodes i0..i1 (Dirichlet outside)."""
-    s = np.sin(grid.nodes[i0:i1 + 1])
-    s_lo = np.sin(grid.half_nodes[i0 - 1:i1])   # edge (i-1, i)
-    s_hi = np.sin(grid.half_nodes[i0:i1 + 1])   # edge (i, i+1)
-    dth2 = grid.dtheta ** 2
-    m = i1 - i0 + 1
-    ab = np.zeros((3, m))
-    ab[1, :] = 1.0 + dt * (s_hi + s_lo) / (s * dth2)
-    ab[0, 1:] = -dt * s_hi[:-1] / (s[:-1] * dth2)
-    ab[2, :-1] = -dt * s_lo[1:] / (s[1:] * dth2)
+def _implicit_banded(grid, dt, m):
+    """Banded form of I - dt*L on interior nodes 1..m (Dirichlet outside)."""
+    ab = dt * grid.stencil.divergence_bands[:, :m]
+    ab[1] += 1.0
     return ab
 
 
-def _damping_diagonal(grid, values, kappa, i0, i1):
-    """Positive part of the diagonal reaction Jacobian, taken implicitly."""
-    th = grid.nodes[i0:i1 + 1]
-    h = values[i0:i1 + 1]
-    v = np.cos(2.0 * h) / np.sin(th) ** 2 + kappa * np.cos(2.0 * (h - th))
-    return np.maximum(v, 0.0)
+def _advance(p, kappa, dt, ab, r):
+    """One stabilized IMEX update of nodes 1..m, m = ab.shape[1]; returns a profile.
 
-
-def _advance(values, grid, params, dt, ab, i0, i1):
-    """One stabilized IMEX update of values[i0..i1]; returns the new array."""
-    th = grid.nodes[i0 - 1:i1 + 2]
-    h = values[i0 - 1:i1 + 2]
-    dth = grid.dtheta
-    s = np.sin(th[1:-1])
-    r = ((h[2:] - 2.0 * h[1:-1] + h[:-2]) / dth ** 2
-         + (np.cos(th[1:-1]) / s) * (h[2:] - h[:-2]) / (2.0 * dth)
-         - np.sin(2.0 * h[1:-1]) / (2.0 * s ** 2)
-         - 0.5 * params.kappa * np.sin(2.0 * (h[1:-1] - th[1:-1])))
+    ``r`` is the interior residual of ``p``.  When m = n/2 - 1 the update is
+    a half-interval one: the midpoint is pinned at k*pi and the right half
+    is the reflection of the left.
+    """
+    m = ab.shape[1]
     ab = ab.copy()
-    ab[1, :] += dt * _damping_diagonal(grid, values, params.kappa, i0, i1)
-    delta = solve_banded((1, 1), ab, dt * r)
-    out = values.copy()
-    out[i0:i1 + 1] += delta
-    return out
+    # the positive part of the potential V is the implicit damping D
+    ab[1] += dt * np.maximum(p.grid.stencil.potential(p.values[1:m + 1], kappa), 0.0)
+    values = p.values.copy()
+    values[1:m + 1] += solve_banded((1, 1), ab, dt * r[:m])
+    mid = p.grid.midpoint_index
+    if m == mid - 1:
+        k = (p.m + p.n_end) // 2
+        values[mid] = k * np.pi
+        values[mid + 1:-1] = 2.0 * np.pi * k - values[mid - 1:0:-1]
+    values.setflags(write=False)
+    # endpoints were never touched: reuse the class without re-validating
+    return type(p)(grid=p.grid, values=values, m=p.m, n_end=p.n_end)
 
 
 def step(p, params, dt):
     """One stabilized IMEX step of the profile heat flow."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ab = _implicit_banded(p.grid, dt, 1, p.grid.n - 1)
-    values = _advance(p.values, p.grid, params, dt, ab, 1, p.grid.n - 1)
-    values.setflags(write=False)
-    return _raw_profile(p, values)
-
-
-def _raw_profile(p, values):
-    # endpoints were never touched: reuse the class without re-validating
-    return type(p)(grid=p.grid, values=values, m=p.m, n_end=p.n_end)
+    ab = _implicit_banded(p.grid, dt, p.grid.n - 1)
+    return _advance(p, params.kappa, dt, ab, el_residual(p, params))
 
 
 def detect_blowup(p, cfg):
@@ -162,10 +145,13 @@ def detect_blowup(p, cfg):
     v = p.values
     if not np.all(np.isfinite(v)):
         return True
-    hp = np.gradient(v, p.grid.dtheta, edge_order=2)
-    window = 6  # nodes with theta < 5*dtheta, inclusive of the pole node
-    pole_slopes = np.concatenate((hp[:window], hp[-window:]))
-    return bool(np.max(np.abs(pole_slopes)) > cfg.blowup_grad_threshold)
+    # the second-order slopes of np.gradient at the 6 nodes with theta < 5*dtheta
+    # at each pole, pole node included: central inside, one-sided at the pole
+    diffs = np.concatenate((v[2:7] - v[:5], v[-5:] - v[-7:-2],
+                            (4.0 * v[1] - 3.0 * v[0] - v[2],
+                             3.0 * v[-1] - 4.0 * v[-2] + v[-3])))
+    steepest = np.max(np.abs(diffs)) / (2.0 * p.grid.dtheta)
+    return bool(steepest > cfg.blowup_grad_threshold)
 
 
 def _monitor(p, cfg, track_hemispheric):
@@ -186,17 +172,12 @@ def run(p0, params, cfg=None, half_interval=False):
     """
     cfg = cfg or FlowConfig()
     dt = cfg.effective_dt(params.kappa)
-    grid = p0.grid
     track_hemi = is_hemispheric(p0, 1e-12)
-    if half_interval:
-        if not track_hemi:
-            raise ValueError("half-interval runs need hemispheric initial data "
-                             f"(deviation {hemispheric_deviation(p0):.3g})")
-        k = (p0.m + p0.n_end) // 2
-        mid = grid.midpoint_index
-        ab = _implicit_banded(grid, dt, 1, mid - 1)
-    else:
-        ab = _implicit_banded(grid, dt, 1, grid.n - 1)
+    if half_interval and not track_hemi:
+        raise ValueError("half-interval runs need hemispheric initial data "
+                         f"(deviation {hemispheric_deviation(p0):.3g})")
+    m = p0.grid.midpoint_index - 1 if half_interval else p0.grid.n - 1
+    ab = _implicit_banded(p0.grid, dt, m)
 
     p = p0
     t = 0.0
@@ -218,7 +199,10 @@ def run(p0, params, cfg=None, half_interval=False):
         steps_since_record = 0
 
     status = FlowStatus.HORIZON_REACHED
-    sup_res = float(np.max(np.abs(el_residual(p, params))))
+    # one full-grid residual per step: the stationarity test's, reused by
+    # the next update
+    r = el_residual(p, params)
+    sup_res = float(np.max(np.abs(r)))
     record(sup_res)
     while t < cfg.t_max:
         if detect_blowup(p, cfg):
@@ -227,18 +211,12 @@ def run(p0, params, cfg=None, half_interval=False):
         if sup_res < cfg.stationary_tol:
             status = FlowStatus.STATIONARY
             break
-        if half_interval:
-            values = _advance(p.values, grid, params, dt, ab, 1, mid - 1)
-            values[mid] = k * np.pi
-            values[mid + 1:-1] = 2.0 * np.pi * k - values[mid - 1:0:-1]
-        else:
-            values = _advance(p.values, grid, params, dt, ab, 1, grid.n - 1)
-        values.setflags(write=False)
-        p = _raw_profile(p, values)
+        p = _advance(p, params.kappa, dt, ab, r)
         t += dt
         steps += 1
         steps_since_record += 1
-        sup_res = float(np.max(np.abs(el_residual(p, params))))
+        r = el_residual(p, params)
+        sup_res = float(np.max(np.abs(r)))
         if steps_since_record >= cfg.record_every or sup_res < cfg.stationary_tol:
             record(sup_res)
     if records[-1].t < t:
@@ -270,8 +248,7 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
     if p_lower.grid is not p_upper.grid and p_lower.grid.n != p_upper.grid.n:
         raise ValueError("profiles must share a grid")
     dt = cfg.effective_dt(params.kappa)
-    grid = p_lower.grid
-    ab = _implicit_banded(grid, dt, 1, grid.n - 1)
+    ab = _implicit_banded(p_lower.grid, dt, p_lower.grid.n - 1)
     lo, up = p_lower, p_upper
     t = 0.0
     steps = 0
@@ -282,12 +259,8 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
         if (np.max(np.abs(r_lo)) < cfg.stationary_tol
                 and np.max(np.abs(r_up)) < cfg.stationary_tol):
             break
-        new = []
-        for p in (lo, up):
-            values = _advance(p.values, grid, params, dt, ab, 1, grid.n - 1)
-            values.setflags(write=False)
-            new.append(_raw_profile(p, values))
-        lo, up = new
+        lo = _advance(lo, params.kappa, dt, ab, r_lo)
+        up = _advance(up, params.kappa, dt, ab, r_up)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0:

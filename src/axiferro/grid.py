@@ -1,8 +1,11 @@
 """Uniform angular grid on [0, pi] and sin-weighted trapezoid quadrature."""
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+from .stencil import Stencil
 
 MIN_SUBDIVISIONS = 16
 
@@ -36,6 +39,11 @@ class Grid:
     def interior(self):
         """View of the interior nodes (endpoints excluded)."""
         return self.nodes[1:-1]
+
+    @cached_property
+    def stencil(self):
+        """Theta factors and bands of the discrete operator, built on first use."""
+        return Stencil(self)
 
 
 def make_grid(n):

@@ -220,12 +220,16 @@ def read_profile_csv(path, grid=None):
     """
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty profile file")
     match = re.match(r"#\s*m=(-?\d+)\s+n=(-?\d+)(?:\s+kappa=([^\s]+))?", lines[0])
     if match is None:
         raise ValueError(f"{path}: missing '# m=<m> n=<n>' header")
     m, n_end = int(match.group(1)), int(match.group(2))
     kappa = float(match.group(3)) if match.group(3) else None
     rows = [ln for ln in lines[1:] if not ln.startswith("#") and ln != "theta,h"]
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     data = np.array([[float(x) for x in ln.split(",")] for ln in rows])
     if grid is None:
         grid = make_grid(data.shape[0] - 1)

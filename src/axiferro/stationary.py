@@ -11,8 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
-from .energy import EnergyParams, assemble_second_variation, el_residual, reduced_energy
-from .profile import write_profile_csv
+from .energy import EnergyParams, assemble_second_variation, el_residual
 
 MIN_DAMPING = 2.0 ** -20
 
@@ -45,19 +44,7 @@ class NewtonConfig:
 
 def _jacobian_banded(grid, values, kappa):
     """Banded exact Jacobian of el_residual with respect to interior values."""
-    th = grid.nodes[1:-1]
-    h = values[1:-1]
-    dth = grid.dtheta
-    s = np.sin(th)
-    cot = np.cos(th) / s
-    m = grid.n - 1
-    ab = np.zeros((3, m))
-    ab[1, :] = (-2.0 / dth ** 2 - np.cos(2.0 * h) / s ** 2
-                - kappa * np.cos(2.0 * (h - th)))
-    # row i couples to i+1 (upper) and i-1 (lower)
-    ab[0, 1:] = 1.0 / dth ** 2 + cot[:-1] / (2.0 * dth)
-    ab[2, :-1] = 1.0 / dth ** 2 - cot[1:] / (2.0 * dth)
-    return ab
+    return grid.stencil.jacobian_bands(values, kappa)
 
 
 def newton_solve(p0, params, cfg=None):
@@ -179,20 +166,3 @@ def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
         kappa = nxt
         first_step = False
     return Branch(points=tuple(points), direction=direction, suspected_fold=fold)
-
-
-def write_branch_csv(branch, directory, header_lines=()):
-    """Branch summary CSV plus one profile CSV per accepted point."""
-    import os
-    os.makedirs(os.path.join(directory, "profiles"), exist_ok=True)
-    lines = list(header_lines)
-    lines.append("kappa,E,lambda1,lambda2")
-    for pt in branch.points:
-        e = reduced_energy(pt.profile, EnergyParams(pt.kappa))
-        lines.append(f"{pt.kappa!r},{e!r},{pt.lambda1!r},{pt.lambda2!r}")
-        write_profile_csv(pt.profile,
-                          os.path.join(directory, "profiles",
-                                       f"kappa_{pt.kappa:g}.csv"),
-                          kappa=pt.kappa)
-    with open(os.path.join(directory, "branch.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")

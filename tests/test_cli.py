@@ -65,6 +65,16 @@ class TestFlowCommand:
                     "--kappa", "5", "--n", "256", "--out", str(tmp_path))
         assert r.returncode == 1
 
+    @pytest.mark.parametrize("content", ["", "# m=1 n=1 kappa=5.0\ntheta,h\n"])
+    def test_profile_without_data_exit_one(self, tmp_path, content):
+        path = tmp_path / "empty.csv"
+        path.write_text(content)
+        r = run_cli("flow", "--init", str(path), "--kappa", "5", "--n", "256",
+                    "--out", str(tmp_path))
+        assert r.returncode == 1
+        assert r.stderr.count("\n") == 1
+        assert r.stderr.startswith("error: ") and str(path) in r.stderr
+
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):

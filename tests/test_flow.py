@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from axiferro.energy import EnergyParams, reduced_energy, residual_supnorm
+from axiferro import flow
+from axiferro.energy import EnergyParams, el_residual, reduced_energy, residual_supnorm
 from axiferro.flow import (FlowConfig, FlowStatus, comparison_trial,
                            detect_blowup, run, step, write_energy_trace_csv)
 from axiferro.grid import make_grid
@@ -123,8 +124,64 @@ class TestRun:
         with pytest.raises(ValueError):
             FlowConfig(stationary_tol=0.0)
 
+    @pytest.mark.parametrize("field", ["dt", "t_max", "stationary_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_config_rejects_nonfinite(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FlowConfig(**{field: value})
+
+    @pytest.mark.parametrize("half_interval", [False, True])
+    def test_one_residual_per_step(self, grid256, monkeypatch, half_interval):
+        calls = []
+
+        def counting(p, params):
+            calls.append(1)
+            return el_residual(p, params)
+
+        monkeypatch.setattr(flow, "el_residual", counting)
+        result = run(builtin_profile("pi", grid256), EnergyParams(5.0),
+                     FlowConfig(stationary_tol=1e-8), half_interval=half_interval)
+        assert result.status is FlowStatus.STATIONARY
+        assert result.steps > 10
+        assert len(calls) == result.steps + 1
+
+
+def full_gradient_blowup(p, cfg):
+    """detect_blowup as defined on np.gradient over every node."""
+    v = p.values
+    if not np.all(np.isfinite(v)):
+        return True
+    hp = np.gradient(v, p.grid.dtheta, edge_order=2)
+    pole_slopes = np.concatenate((hp[:6], hp[-6:]))
+    return bool(np.max(np.abs(pole_slopes)) > cfg.blowup_grad_threshold)
+
+
+def bubble_profile(n=2048, lam=1e-4):
+    g = make_grid(n)
+    vals = 2.0 * np.arctan(np.tan(g.nodes / 2) / lam)
+    vals[0] = 0.0
+    vals[-1] = np.pi
+    return make_profile(g, vals, 0, 1)
+
 
 class TestBlowupDetector:
+    def test_windowed_slopes_match_full_gradient(self, grid512, rng):
+        vals = np.pi + rng.standard_normal(grid512.n + 1)
+        vals[0] = vals[-1] = np.pi
+        theta = builtin_profile("theta", grid512)
+        nan_vals = theta.values.copy()
+        nan_vals[7] = np.nan
+        profiles = [builtin_profile("two-theta", grid512), bubble_profile(),
+                    make_profile(grid512, vals, 1, 1),
+                    dataclasses.replace(theta, values=nan_vals)]
+        for p in profiles:
+            hp = np.gradient(p.values, p.grid.dtheta, edge_order=2)
+            steepest = np.max(np.abs(np.concatenate((hp[:6], hp[-6:]))))
+            # the default threshold, and thresholds just either side of the steepest slope
+            for threshold in (1e3, steepest * (1 - 1e-12), steepest * (1 + 1e-12)):
+                cfg = FlowConfig(blowup_grad_threshold=threshold)
+                assert detect_blowup(p, cfg) == full_gradient_blowup(p, cfg)
+
     def test_bounded_profile(self, grid512):
         p = builtin_profile("two-theta", grid512)
         assert not detect_blowup(p, FlowConfig())
@@ -138,22 +195,10 @@ class TestBlowupDetector:
     def test_near_bubble_fires(self):
         # concentrated pole bubble with scale 1e-4; needs a grid fine enough
         # to see a finite-difference slope beyond the threshold
-        g = make_grid(2048)
-        lam = 1e-4
-        vals = 2.0 * np.arctan(np.tan(g.nodes / 2) / lam)
-        vals[0] = 0.0
-        vals[-1] = np.pi
-        p = make_profile(g, vals, 0, 1)
-        assert detect_blowup(p, FlowConfig(blowup_grad_threshold=1e3))
+        assert detect_blowup(bubble_profile(), FlowConfig(blowup_grad_threshold=1e3))
 
     def test_flow_reports_blowup_status(self):
-        g = make_grid(2048)
-        lam = 1e-4
-        vals = 2.0 * np.arctan(np.tan(g.nodes / 2) / lam)
-        vals[0] = 0.0
-        vals[-1] = np.pi
-        p0 = make_profile(g, vals, 0, 1)
-        result = run(p0, EnergyParams(1.0), FlowConfig(t_max=1.0))
+        result = run(bubble_profile(), EnergyParams(1.0), FlowConfig(t_max=1.0))
         assert result.status is FlowStatus.BLOWUP_SUSPECTED
 
 

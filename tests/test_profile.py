@@ -221,6 +221,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="header"):
             read_profile_csv(path)
 
+    @pytest.mark.parametrize("content,reason", [("", "empty"),
+                                                ("# m=1 n=1\ntheta,h\n", "no data rows")])
+    def test_no_data_rejected_with_path(self, tmp_path, content, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=reason) as info:
+            read_profile_csv(path)
+        assert str(path) in str(info.value)
+
 
 def test_builtin_names(grid256):
     for name in ("pi", "theta", "two-theta"):

@@ -10,7 +10,7 @@ from axiferro.profile import (builtin_profile, degree, hemispheric_deviation,
                               make_initial_second_type, make_profile)
 from axiferro.stationary import (Branch, NewtonConfig, NewtonError,
                                  _jacobian_banded, continue_branch,
-                                 newton_solve, write_branch_csv)
+                                 newton_solve)
 
 
 class TestNewton:
@@ -151,13 +151,22 @@ class TestContinuation:
         assert branch.reached == pytest.approx(good)
 
 
-def test_branch_csv_layout(tmp_path, grid512):
-    start = make_initial_second_type(grid512)
-    branch = continue_branch(4.0, start, 3.9, -0.05, NewtonConfig())
-    write_branch_csv(branch, tmp_path, header_lines=["# config_hash=xyz"])
-    text = (tmp_path / "branch.csv").read_text().strip().split("\n")
-    assert text[0] == "# config_hash=xyz"
-    assert text[1] == "kappa,E,lambda1,lambda2"
-    assert len(text) == 2 + len(branch.points)
-    assert (tmp_path / "profiles" / "kappa_4.csv").exists()
-    assert (tmp_path / "profiles" / "kappa_3.9.csv").exists()
+@pytest.mark.parametrize("kappa", [0.0, 5.0])
+def test_jacobian_matches_finite_differences(grid64, rng, kappa):
+    g = grid64
+    vals = (2 * g.nodes + 0.2 * np.sin(2 * g.nodes)
+            + 0.05 * rng.standard_normal(g.n + 1) * np.sin(g.nodes))
+    p = make_profile(g, vals, 0, 2)
+    ab = _jacobian_banded(g, p.values, kappa)
+    m = g.n - 1
+    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+    eps = 1e-6
+    fd = np.empty((m, m))
+    for j in range(m):
+        cols = []
+        for sign in (1.0, -1.0):
+            v = p.values.copy()
+            v[j + 1] += sign * eps
+            cols.append(el_residual(make_profile(g, v, 0, 2), EnergyParams(kappa)))
+        fd[:, j] = (cols[0] - cols[1]) / (2.0 * eps)
+    assert np.max(np.abs(fd - dense)) < 1e-7 * np.max(np.abs(dense))

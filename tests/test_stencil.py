@@ -1,0 +1,103 @@
+import numpy as np
+import pytest
+
+from axiferro.grid import make_grid
+
+KAPPA = 6.5
+
+
+def reference_residual(grid, h, kappa):
+    """The interior residual as energy.el_residual wrote it inline."""
+    th = grid.nodes
+    dth = grid.dtheta
+    hi, ti = h[1:-1], th[1:-1]
+    d2 = (h[2:] - 2.0 * hi + h[:-2]) / dth ** 2
+    d1 = (h[2:] - h[:-2]) / (2.0 * dth)
+    s = np.sin(ti)
+    return (d2 + (np.cos(ti) / s) * d1 - np.sin(2.0 * hi) / (2.0 * s ** 2)
+            - 0.5 * kappa * np.sin(2.0 * (hi - ti)))
+
+
+def reference_potential(grid, h, kappa):
+    th = grid.nodes[1:-1]
+    hi = h[1:-1]
+    return np.cos(2.0 * hi) / np.sin(th) ** 2 + kappa * np.cos(2.0 * (hi - th))
+
+
+def reference_jacobian(grid, h, kappa):
+    """Banded Jacobian as stationary._jacobian_banded wrote it inline."""
+    th = grid.nodes[1:-1]
+    hi = h[1:-1]
+    dth = grid.dtheta
+    s = np.sin(th)
+    cot = np.cos(th) / s
+    ab = np.zeros((3, grid.n - 1))
+    ab[1] = -2.0 / dth ** 2 - np.cos(2.0 * hi) / s ** 2 - kappa * np.cos(2.0 * (hi - th))
+    ab[0, 1:] = 1.0 / dth ** 2 + cot[:-1] / (2.0 * dth)
+    ab[2, :-1] = 1.0 / dth ** 2 - cot[1:] / (2.0 * dth)
+    return ab
+
+
+def reference_divergence(grid):
+    """Bands of -L and the symmetrized off-diagonal, as the flow and
+    assemble_second_variation wrote them inline."""
+    s = np.sin(grid.nodes[1:-1])
+    s_half = np.sin(grid.half_nodes)
+    dth2 = grid.dtheta ** 2
+    ab = np.zeros((3, grid.n - 1))
+    ab[1] = (s_half[1:] + s_half[:-1]) / (s * dth2)
+    ab[0, 1:] = -s_half[1:-1] / (s[:-1] * dth2)
+    ab[2, :-1] = -s_half[1:-1] / (s[1:] * dth2)
+    return ab, -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:]))
+
+
+def assert_close(actual, expected, rtol=1e-12):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+@pytest.fixture(params=[1024, 4096])
+def case(request):
+    grid = make_grid(request.param)
+    rng = np.random.default_rng(request.param)
+    th = grid.nodes
+    noise = 0.01 * rng.standard_normal(th.size) * np.sin(th)
+    h = np.pi + th + 0.3 * np.sin(2 * th) + noise
+    h[0], h[-1] = np.pi, 2 * np.pi
+    return grid, h
+
+
+def test_residual_matches_inline_formula(case):
+    grid, h = case
+    assert_close(grid.stencil.residual(h, KAPPA), reference_residual(grid, h, KAPPA))
+
+
+def test_potential_matches_inline_formula(case):
+    grid, h = case
+    expected = reference_potential(grid, h, KAPPA)
+    assert_close(grid.stencil.potential(h[1:-1], KAPPA), expected)
+    half = grid.midpoint_index - 1
+    assert_close(grid.stencil.potential(h[1:half + 1], KAPPA), expected[:half])
+
+
+def test_jacobian_bands_match_inline_formula(case):
+    grid, h = case
+    assert_close(grid.stencil.jacobian_bands(h, KAPPA),
+                 reference_jacobian(grid, h, KAPPA))
+
+
+def test_divergence_bands_match_inline_formula(case):
+    grid, _ = case
+    bands, offdiag = reference_divergence(grid)
+    assert_close(grid.stencil.divergence_bands, bands)
+    assert_close(grid.stencil.symmetric_offdiag, offdiag)
+
+
+def test_built_once_per_grid_and_read_only():
+    grid = make_grid(64)
+    st = grid.stencil
+    assert grid.stencil is st
+    assert make_grid(64).stencil is not st
+    for a in (st.sin, st.cot, st.sin2, st.sin_half, st.divergence_bands,
+              st.symmetric_offdiag, st.jacobian_offdiag):
+        assert not a.flags.writeable
