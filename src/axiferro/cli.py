@@ -27,9 +27,11 @@ from .flow import FlowConfig, FlowStatus, comparison_trial, run, write_energy_tr
 from .grid import make_grid, quad_sin
 from .profile import (W1, W2, WedgeSpec, builtin_profile, degree,
                       make_profile, read_profile_csv, write_profile_csv)
-from .saddle import (FIRST, SECOND, SaddleValidationError, find_first_type,
-                     find_second_type, sweep)
+from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
+                     SaddleValidationError, find_first_type, find_second_type,
+                     sweep)
 from .spectrum import eigs_lowest, legendre_validation
+from .stationary import NewtonError
 
 OUTDIR_ENV = "AXIFERRO_OUTDIR"
 
@@ -146,6 +148,11 @@ def cmd_saddle(args):
 
 
 def cmd_sweep(args):
+    if not (np.isfinite(args.step) and args.step > 0):
+        raise ValueError(f"--step must be finite and positive, got {args.step}")
+    if not 0 < args.kappa_from <= args.kappa_to:
+        raise ValueError(f"kappa range needs 0 < --from <= --to, got --from "
+                         f"{args.kappa_from} --to {args.kappa_to}")
     kappas = np.arange(args.kappa_from, args.kappa_to + 0.5 * args.step, args.step)
     config = {"command": "sweep", "types": args.type, "from": args.kappa_from,
               "to": args.kappa_to, "step": args.step, "n": args.n,
@@ -364,7 +371,8 @@ def main(argv=None):
         raise
     try:
         code = args.func(args)
-    except (ValueError, SaddleValidationError, OSError) as exc:
+    except (ValueError, OSError, SaddleValidationError, ContinuationError,
+            BlowupError, NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     sys.exit(code)

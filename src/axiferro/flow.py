@@ -230,9 +230,6 @@ class ComparisonVerdict:
     t_end: float
     steps: int
 
-    def ordered_within(self, slack):
-        return self.max_violation <= slack
-
 
 def comparison_trial(p_lower, p_upper, params, cfg=None):
     """Co-evolve an ordered pair with identical steps and track the ordering.

@@ -28,6 +28,10 @@ SECOND = "second"
 
 RESIDUAL_BAR = 1e-9     # stationarity bar every emitted report must clear
 SYMMETRY_TOL = 1e-8     # wedge and hemisphericity slack on emitted reports
+_FLOW_TOL = 1e-7        # sup residual at which the pipeline flow hands over to Newton
+_BRANCH_DK = 0.05       # kappa step of the second-type walk below kappa = 4
+_KAPPA0_WIDTH = 0.05    # width the kappa0 bracket is bisected down to
+_WEDGE = {FIRST: W1, SECOND: W2}
 
 
 class BlowupError(RuntimeError):
@@ -96,9 +100,9 @@ class SaddleReport:
         return problems
 
 
-def grid_for_kappa(kappa, n_min=1024):
-    """Default sweep grid: at least 32 nodes per sqrt(kappa) domain-wall width."""
-    n = max(n_min, 32 * math.ceil(math.sqrt(max(kappa, 1.0))))
+def grid_for_kappa(kappa):
+    """Default grid: n >= 1024, at least 32 nodes per sqrt(kappa) domain-wall width."""
+    n = max(1024, 32 * math.ceil(math.sqrt(max(kappa, 1.0))))
     return make_grid(n + n % 2)
 
 
@@ -107,19 +111,17 @@ def _pipeline_newton_cfg(grid):
     return NewtonConfig(residual_tol=max(5e-10, 4.0 * residual_noise_floor(grid)))
 
 
-def _polish_and_report(profile, kappa, saddle_type, provenance, wedge_kind,
-                       newton_cfg, k_eigs):
+def _polish_and_report(profile, kappa, saddle_type, provenance):
     params = EnergyParams(kappa)
-    newton_cfg = newton_cfg or _pipeline_newton_cfg(profile.grid)
-    profile = newton_solve(profile, params, newton_cfg)
-    spectrum = classify(profile, params, k=k_eigs)
+    profile = newton_solve(profile, params, _pipeline_newton_cfg(profile.grid))
+    spectrum = classify(profile, params)
     dev = hemispheric_deviation(profile)
-    verdict = wedge_check(profile, WedgeSpec(wedge_kind, SYMMETRY_TOL))
+    verdict = wedge_check(profile, WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
     res_sup = residual_supnorm(profile, params)
     dir_value = spectrum.explicit_direction_value
     # marginal: neither the explicit direction nor the lowest eigenvalue
     # certifies a saddle (dir_value < 0 implies lambda1 < 0, never the converse)
-    marginal = (dir_value >= -1e-10) and (spectrum.eigenvalues[0] >= -spectrum.tol)
+    marginal = bool(dir_value >= -1e-10 and spectrum.eigenvalues[0] >= -spectrum.tol)
     report = SaddleReport(kappa=kappa, saddle_type=saddle_type, profile=profile,
                           energy=reduced_energy(profile, params),
                           spectrum=spectrum,
@@ -136,57 +138,61 @@ def _polish_and_report(profile, kappa, saddle_type, provenance, wedge_kind,
     return report
 
 
-def find_first_type(kappa, grid=None, newton_cfg=None, flow_cfg=None,
-                    k_eigs=4):
+def _flow_then_polish(kappa, saddle_type, grid):
+    """Flow from the type's symmetric start inside its wedge, then polish.
+
+    The start is the sawtooth for the first type and 2*theta for the second;
+    both are hemispheric, so the flow runs on the half interval.
+    """
+    floor = residual_noise_floor(grid)
+    if floor >= _FLOW_TOL:
+        raise ValueError(f"grid n={grid.n} at kappa={kappa:g} is too fine: its residual "
+                         f"noise floor {floor:.3g} is not below the flow tolerance "
+                         f"{_FLOW_TOL:g}, so the flow cannot become stationary")
+    if saddle_type == FIRST:
+        start = make_initial_first_type(grid, kappa)
+    else:
+        start = make_initial_second_type(grid)
+    cfg = FlowConfig(stationary_tol=_FLOW_TOL,
+                     wedge=WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
+    result = run(start, EnergyParams(kappa), cfg, half_interval=True)
+    if result.status is FlowStatus.BLOWUP_SUSPECTED:
+        raise BlowupError(f"flow from the {saddle_type}-type start at kappa={kappa} "
+                          "reported blowup; theory rules this out for kappa >= 4, "
+                          "so this is a discretization failure to investigate")
+    return _polish_and_report(result.final, kappa, saddle_type, "flow_then_newton")
+
+
+def find_first_type(kappa, grid=None):
     """First-type saddle pipeline: sawtooth initial data, flow, polish, classify."""
     if kappa < 4:
         raise ValueError(f"first-type pipeline requires kappa >= 4, got {kappa}")
-    grid = grid or grid_for_kappa(kappa)
-    cfg = flow_cfg or FlowConfig(stationary_tol=1e-7,
-                                 wedge=WedgeSpec(W1, SYMMETRY_TOL))
-    p0 = make_initial_first_type(grid, kappa)
-    result = run(p0, EnergyParams(kappa), cfg, half_interval=True)
-    if result.status is FlowStatus.BLOWUP_SUSPECTED:
-        raise BlowupError(f"flow from the first-type initial profile at kappa="
-                          f"{kappa} reported blowup; theory rules this out, so "
-                          "this is a discretization failure to investigate")
-    return _polish_and_report(result.final, kappa, FIRST, "flow_then_newton",
-                              W1, newton_cfg, k_eigs)
+    return _flow_then_polish(kappa, FIRST, grid or grid_for_kappa(kappa))
 
 
-def find_second_type(kappa, grid=None, newton_cfg=None, flow_cfg=None,
-                     k_eigs=4, continuation_dk=0.05):
+def find_second_type(kappa, grid=None):
     """Second-type saddle pipeline.
 
     kappa > 4: flow from 2*theta.  kappa = 4: the exact solution, treated as
     the (single-point) continuation seed.  kappa < 4: natural-parameter
-    continuation downward from (4, 2*theta).
+    continuation downward from (4, 2*theta) in kappa steps of 0.05.
     """
     if kappa <= 0:
         raise ValueError(f"second-type pipeline requires kappa > 0, got {kappa}")
     grid = grid or grid_for_kappa(kappa)
-    start = make_initial_second_type(grid)
     if kappa > 4:
-        cfg = flow_cfg or FlowConfig(stationary_tol=1e-7,
-                                     wedge=WedgeSpec(W2, SYMMETRY_TOL))
-        result = run(start, EnergyParams(kappa), cfg, half_interval=True)
-        if result.status is FlowStatus.BLOWUP_SUSPECTED:
-            raise BlowupError(f"flow from 2*theta at kappa={kappa} reported "
-                              "blowup; theory rules this out for kappa >= 4")
-        return _polish_and_report(result.final, kappa, SECOND,
-                                  "flow_then_newton", W2, newton_cfg, k_eigs)
+        return _flow_then_polish(kappa, SECOND, grid)
+    start = make_initial_second_type(grid)
     if kappa == 4.0:
-        return _polish_and_report(start, kappa, SECOND, "continuation",
-                                  W2, newton_cfg, k_eigs)
-    branch = continue_branch(4.0, start, kappa, -abs(continuation_dk),
-                             newton_cfg)
+        return _polish_and_report(start, kappa, SECOND, "continuation")
+    branch = continue_branch(4.0, start, kappa, -_BRANCH_DK)
     if abs(branch.reached - kappa) > 1e-12:
         raise ContinuationError(
             f"continuation from (4, 2*theta) failed at kappa="
             f"{branch.suspected_fold[1]:.6g}; last solved kappa="
             f"{branch.reached:.6g}", last_kappa=branch.reached)
     return _polish_and_report(branch.points[-1].profile, kappa, SECOND,
-                              "continuation", W2, newton_cfg, k_eigs)
+                              "continuation")
 
 
 @dataclass(frozen=True)
@@ -240,21 +246,18 @@ def _bisect_kappa0(lo, hi, val_lo, runner, width):
     return (lo, hi)
 
 
-def probe_second_branch_floor(grid=None, newton_cfg=None, floor=1.0, dk=0.05):
-    """Walk the second-type branch down from kappa = 4 until it ends.
+def probe_second_branch_floor(grid=None):
+    """Walk the second-type branch down from kappa = 4 towards kappa = 1.
 
     Returns (lo, hi) bracketing either a Newton failure or the loss of the
     saddle eigenvalue structure (lambda1 < 0 < lambda2); None if the branch
-    persists all the way to the floor.
+    persists all the way down to kappa = 1.
     """
-    grid = grid or make_grid(1024)
-    start = make_initial_second_type(grid)
-    branch = continue_branch(4.0, start, floor, -abs(dk),
-                             newton_cfg or NewtonConfig())
+    start = make_initial_second_type(grid or make_grid(1024))
+    branch = continue_branch(4.0, start, 1.0, -_BRANCH_DK)
     prev = 4.0
     for pt in branch.points:
-        tol = 1e-8
-        if not (pt.lambda1 < -tol and pt.lambda2 > tol):
+        if not (pt.lambda1 < -1e-8 and pt.lambda2 > 1e-8):
             return (pt.kappa, prev)
         prev = pt.kappa
     if branch.suspected_fold is not None:
@@ -263,14 +266,15 @@ def probe_second_branch_floor(grid=None, newton_cfg=None, floor=1.0, dk=0.05):
     return None
 
 
-def sweep(kappa_values, types=(FIRST, SECOND), grid=None, newton_cfg=None,
-          kappa0_width=0.05, estimate_kappa1=True):
+def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     """Run the requested pipelines per kappa and locate the threshold brackets.
 
-    kappa0: bracket (width <= kappa0_width) where the first-type
-    explicit-direction certificate changes sign, refined by bisection.
-    kappa1: bracket where the downward second-type continuation ends.
-    Per-kappa pipeline failures are recorded in the rows, not raised.
+    kappa0: bracket (width <= 0.05) where the first-type explicit-direction
+    certificate changes sign, refined by bisection; every midpoint adds a
+    first-type row and report.  kappa1: bracket where the downward
+    second-type continuation ends.  Per-kappa pipeline failures are recorded
+    in the rows, not raised; a kappa requested twice gives two rows and one
+    report.
     """
     kappa_values = sorted(float(k) for k in kappa_values)
     if any(k <= 0 for k in kappa_values):
@@ -280,51 +284,42 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, newton_cfg=None,
         raise ValueError(f"unknown saddle types: {sorted(unknown)}")
     grid = grid or (grid_for_kappa(max(kappa_values)) if kappa_values else None)
     rows = []
-    reports = []
-    first_reports = {}
+    reports = {}    # (saddle_type, kappa) -> report
 
-    def run_first(kappa):
-        report = find_first_type(kappa, grid=grid, newton_cfg=newton_cfg)
-        first_reports[kappa] = report
+    def run_pipeline(kappa, saddle_type):
+        # the pipelines are looked up at call time, so a replaced module
+        # global sees every run, bisection midpoints included
+        pipeline = find_first_type if saddle_type == FIRST else find_second_type
+        report = reports[saddle_type, kappa] = pipeline(kappa, grid=grid)
+        rows.append(_row_from_report(report))
         return report
 
     for kappa in kappa_values:
-        if FIRST in types:
-            if kappa < 4:
+        for saddle_type in [t for t in (FIRST, SECOND) if t in types]:
+            if saddle_type == FIRST and kappa < 4:
                 rows.append(_failed_row(kappa, FIRST, "skipped: kappa < 4"))
-            else:
-                try:
-                    rows.append(_row_from_report(run_first(kappa)))
-                except Exception as exc:  # recorded, not raised
-                    rows.append(_failed_row(kappa, FIRST, exc))
-        if SECOND in types:
+                continue
             try:
-                report = find_second_type(kappa, grid=grid, newton_cfg=newton_cfg)
-                reports.append(report)
-                rows.append(_row_from_report(report))
-            except Exception as exc:
-                rows.append(_failed_row(kappa, SECOND, exc))
+                run_pipeline(kappa, saddle_type)
+            except Exception as exc:  # recorded, not raised
+                rows.append(_failed_row(kappa, saddle_type, exc))
 
     kappa0 = None
-    if FIRST in types:
-        good = [k for k in sorted(first_reports) if
-                np.isfinite(first_reports[k].explicit_direction_value)]
-        for a, b in zip(good, good[1:]):
-            va = first_reports[a].explicit_direction_value
-            vb = first_reports[b].explicit_direction_value
-            if (va < 0) != (vb < 0):
-                lo, hi = _bisect_kappa0(a, b, va, run_first, kappa0_width)
-                kappa0 = (lo, hi)
-                break
+    firsts = [r for r in reports.values() if r.saddle_type == FIRST]  # kappa ascending
+    for a, b in zip(firsts, firsts[1:]):
+        va = a.explicit_direction_value
+        if (va < 0) != (b.explicit_direction_value < 0):
+            kappa0 = _bisect_kappa0(a.kappa, b.kappa, va,
+                                    lambda k: run_pipeline(k, FIRST), _KAPPA0_WIDTH)
+            break
 
     kappa1 = None
     if SECOND in types and estimate_kappa1:
-        kappa1 = probe_second_branch_floor(grid=grid, newton_cfg=newton_cfg)
+        kappa1 = probe_second_branch_floor(grid=grid)
 
-    extra = [_row_from_report(r) for k, r in sorted(first_reports.items())
-             if k not in kappa_values]
-    rows = sorted(rows + extra, key=lambda r: (r.saddle_type, r.kappa))
-    reports.extend(first_reports.values())
-    reports = sorted(reports, key=lambda r: (r.saddle_type, r.kappa))
-    return SweepResult(rows=tuple(rows), kappa0_estimate=kappa0,
-                       kappa1_estimate=kappa1, reports=tuple(reports))
+    def order(r):
+        return (r.saddle_type, r.kappa)
+
+    return SweepResult(rows=tuple(sorted(rows, key=order)), kappa0_estimate=kappa0,
+                       kappa1_estimate=kappa1,
+                       reports=tuple(sorted(reports.values(), key=order)))

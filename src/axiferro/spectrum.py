@@ -75,14 +75,15 @@ def _tridiag_apply(diag, off, y):
     return out
 
 
-def eigs_lowest(op, k, tol=None):
+def eigs_lowest(op, k):
     """Lowest k eigenpairs of a TridiagonalOperator.
 
     Eigenpairs of the symmetrized matrix from LAPACK stebz/stein; each
     eigenvector's largest-magnitude component is made positive, then it is
     returned on the full node range (zero at the Dirichlet endpoints) and
     orthonormal in the sin-weighted inner product.  The Morse index counts
-    eigenvalues below -tol and is certified by an inertia count.
+    eigenvalues below -tol, tol = 1e-12 times the operator scale, and is
+    certified by an inertia count.
     """
     if not 1 <= k <= op.dimension:
         raise ValueError(f"k = {k} out of range 1..{op.dimension}")
@@ -100,8 +101,7 @@ def eigs_lowest(op, k, tol=None):
                           for lam, y in zip(eigenvalues, ys)])
     vectors = np.zeros((k, op.dimension + 2))
     vectors[:, 1:-1] = ys / np.sqrt(op.weight)
-    if tol is None:
-        tol = 1e-12 * scale
+    tol = 1e-12 * scale
     return SpectrumResult(eigenvalues=eigenvalues, eigenvectors=vectors,
                           morse_index=_certified_morse(op, eigenvalues, tol),
                           tol=float(tol), residuals=residuals,
@@ -157,18 +157,17 @@ def legendre_validation(grid, l_max):
                           endpoints_zero=endpoints_zero)
 
 
-def classify(p, params, k=4, residual_tol=1e-6):
+def classify(p, params, k=4):
     """Spectrum of the second variation at an (approximately) stationary profile.
 
-    Rejects non-stationary input: off critical points the Morse data is
-    meaningless.  The returned result also carries the value of the second
-    variation in the explicit direction (h' - 1) sin(theta), the certificate
-    the saddle pipelines report.
+    Rejects input whose sup residual is not below 1e-6: off critical points
+    the Morse data is meaningless.  The returned result also carries the
+    value of the second variation in the explicit direction
+    (h' - 1) sin(theta), the certificate the saddle pipelines report.
     """
     res_sup = residual_supnorm(p, params)
-    if res_sup >= residual_tol:
-        raise ValueError(f"profile is not stationary: sup residual {res_sup:.3g} "
-                         f">= {residual_tol:.3g}")
+    if res_sup >= 1e-6:
+        raise ValueError(f"profile is not stationary: sup residual {res_sup:.3g} >= 1e-06")
     op = assemble_second_variation(p, params)
     result = eigs_lowest(op, k)
     # zero-classification slack on the scale of the low spectrum itself, not

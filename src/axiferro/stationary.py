@@ -31,28 +31,21 @@ class NewtonConfig:
     # are unattainable on fine grids
     max_iter: int = 50
     residual_tol: float = 5e-10
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.residual_tol <= 0:
             raise ValueError("residual_tol must be positive")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
-
-
-def _jacobian_banded(grid, values, kappa):
-    """Banded exact Jacobian of el_residual with respect to interior values."""
-    return grid.stencil.jacobian_bands(values, kappa)
 
 
 def newton_solve(p0, params, cfg=None):
     """Damped Newton iteration on the interior residual.
 
-    Backtracking halves the step until the residual sup-norm decreases;
-    failure below the minimum damping factor, a singular Jacobian (a fold
-    point suspect), or exhausting max_iter raises NewtonError.
+    Each iteration tries the full step; backtracking halves it until the
+    residual sup-norm decreases.  Failure below the minimum damping factor,
+    a singular Jacobian (a fold point suspect), or exhausting max_iter
+    raises NewtonError.
     """
     cfg = cfg or NewtonConfig()
     p = p0
@@ -61,7 +54,7 @@ def newton_solve(p0, params, cfg=None):
     for _ in range(cfg.max_iter):
         if norm < cfg.residual_tol:
             return p
-        ab = _jacobian_banded(p.grid, p.values, params.kappa)
+        ab = p.grid.stencil.jacobian_bands(p.values, params.kappa)
         try:
             delta = solve_banded((1, 1), ab, -r)
         except LinAlgError as exc:
@@ -70,7 +63,7 @@ def newton_solve(p0, params, cfg=None):
         if not np.all(np.isfinite(delta)):
             raise NewtonError("Jacobian solve produced non-finite update "
                               "(fold point suspected)", residual_norm=norm)
-        alpha = cfg.damping
+        alpha = 1.0
         while alpha >= MIN_DAMPING:
             values = p.values.copy()
             values[1:-1] += alpha * delta

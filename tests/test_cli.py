@@ -18,6 +18,12 @@ def run_cli(*args, env_extra=None):
                           capture_output=True, text=True, env=env)
 
 
+def assert_one_line_error(r):
+    assert r.returncode == 1
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+
+
 class TestFlowCommand:
     def test_stationary_exit_zero(self, tmp_path):
         r = run_cli("flow", "--init", "pi", "--kappa", "5", "--n", "512",
@@ -122,6 +128,26 @@ class TestSaddleCommand:
                     "--out", str(tmp_path))
         assert r.returncode == 1
 
+    def test_marginal_report_is_written(self, tmp_path):
+        # below kappa0 the first type is marginal; the flag must serialize
+        r = run_cli("saddle", "--type", "first", "--kappa", "5",
+                    "--n", "512", "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["marginal"] is True
+        assert report["grid_n"] == 512
+
+    # kappa = 1e9 asks for n ~ 1e6, whose residual noise floor lies above the
+    # flow tolerance; kappa = 0.5 is past the end of the second-type branch
+    @pytest.mark.parametrize("saddle_type, kappa, message", [
+        ("first", "1e9", "noise floor"),
+        ("second", "0.5", "last solved kappa=3.25")])
+    def test_pipeline_error_exit_one(self, tmp_path, saddle_type, kappa, message):
+        r = run_cli("saddle", "--type", saddle_type, "--kappa", kappa,
+                    "--out", str(tmp_path))
+        assert_one_line_error(r)
+        assert message in r.stderr
+
 
 class TestSweepCommand:
     def test_both_types_with_kappa1_probe(self, tmp_path):
@@ -153,6 +179,17 @@ class TestSweepCommand:
         # bracket refined below the requested width
         lo, hi = map(float, lines[1].split("=")[1].split(","))
         assert hi - lo <= 0.05
+
+    @pytest.mark.parametrize("bounds", [("4", "5", "0"), ("4", "5", "-1"),
+                                        ("4", "5", "nan"), ("5", "4", "1"),
+                                        ("0", "1", "0.5")])
+    def test_bad_range_refused_before_any_output(self, tmp_path, bounds):
+        kappa_from, kappa_to, step = bounds
+        out = tmp_path / "out"
+        r = run_cli("sweep", "--from", kappa_from, "--to", kappa_to,
+                    "--step", step, "--out", str(out))
+        assert_one_line_error(r)
+        assert not out.exists()
 
 
 class TestSpectrumCommand:

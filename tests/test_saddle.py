@@ -88,7 +88,7 @@ class TestSecondType:
 
     def test_unreachable_kappa_raises_with_last_good(self):
         with pytest.raises(ContinuationError) as info:
-            find_second_type(0.5, grid=make_grid(256), continuation_dk=0.25)
+            find_second_type(0.5, grid=make_grid(256))
         assert 0.5 < info.value.last_kappa <= 4.0
 
     def test_nonpositive_kappa_rejected(self):
@@ -163,6 +163,17 @@ class TestSweep:
         lo, hi = bracket
         assert hi - lo <= 0.05
         assert 6.0 < lo < hi < 7.0
+        # every bisection midpoint is both a first-type row and a report:
+        # (6.5, 7.0) is halved four times down to width 1/32
+        requested = {5.0, 6.0, 6.5, 7.0}
+        midpoints = [r.kappa for r in result.rows_of("first") if r.kappa not in requested]
+        assert len(midpoints) == 4 and {lo, hi} <= requested | set(midpoints)
+        assert sorted(midpoints) == sorted(r.kappa for r in result.reports
+                                           if r.kappa not in requested)
+        # reports are ordered like the rows that succeeded
+        assert [(r.saddle_type, r.kappa) for r in result.reports] \
+            == [(r.saddle_type, r.kappa) for r in result.rows
+                if not r.status.startswith("failed")]
 
     def test_first_type_skipped_below_four(self):
         grid = make_grid(512)
