@@ -8,13 +8,14 @@ solve), the rest explicitly.  The update is
 
     (I - dt L + dt D) (h_new - h) = dt R(h),    D = diag(max(V, 0)),
 
-with R, L and V as in ``axiferro.stencil``.  R is the residual the
-stationarity test has just computed, so the fixed points satisfy R(h) = 0
-for exactly that stencil.  Without D the explicit pole potential
--cos(2h)/sin^2(t), of size 1/dtheta^2 at the first interior node, imposes a
-dt = O(dtheta^2) stability ceiling; with it the step limit is set by the
-physical growth rates alone (dt of order 1/kappa).  Dirichlet endpoints are
-never touched, so the boundary class is preserved bitwise.
+with R, L and V as in ``axiferro.stencil``, evaluated together on the evolved
+nodes only.  R is the residual the stationarity test has just computed, so
+the fixed points satisfy R(h) = 0 for exactly that stencil.  Without D the
+explicit pole potential -cos(2h)/sin^2(t), of size 1/dtheta^2 at the first
+interior node, imposes a dt = O(dtheta^2) stability ceiling; with it the
+step limit is set by the physical growth rates alone (dt of order 1/kappa).
+Dirichlet endpoints are never touched, so the boundary class is preserved
+bitwise.
 
 Saddle-point limits carry one flow-unstable direction that is antisymmetric
 under the hemispheric reflection; rounding noise seeds it in full-interval
@@ -27,9 +28,10 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
-from .energy import el_residual, reduced_energy
+from .energy import reduced_energy
 from .profile import (WedgeSpec, hemispheric_deviation, is_hemispheric,
                       wedge_check)
 
@@ -104,19 +106,26 @@ def _implicit_banded(grid, dt, m):
     return ab
 
 
-def _advance(p, kappa, dt, ab, r):
+def _advance(p, dt, ab, r, v):
     """One stabilized IMEX update of nodes 1..m, m = ab.shape[1]; returns a profile.
 
-    ``r`` is the interior residual of ``p``.  When m = n/2 - 1 the update is
-    a half-interval one: the midpoint is pinned at k*pi and the right half
-    is the reflection of the left.
+    ``r`` and ``v`` are R and V of ``p`` at nodes 1..m.  When m = n/2 - 1
+    the update is a half-interval one: the midpoint is pinned at k*pi and
+    the right half is the reflection of the left.  The tridiagonal solve is
+    LAPACK gtsv, called directly: the routine solve_banded((1, 1), ...)
+    dispatches to, without its wrapper's validation.
     """
     m = ab.shape[1]
-    ab = ab.copy()
     # the positive part of the potential V is the implicit damping D
-    ab[1] += dt * np.maximum(p.grid.stencil.potential(p.values[1:m + 1], kappa), 0.0)
+    diag = ab[1] + dt * np.maximum(v, 0.0)
+    *_, delta, info = dgtsv(ab[2, :-1], diag, ab[0, 1:], dt * r,
+                            overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise LinAlgError(f"flow update: gtsv returned info = {info}")
+    if not np.all(np.isfinite(delta)):
+        raise ValueError("flow update is not finite")
     values = p.values.copy()
-    values[1:m + 1] += solve_banded((1, 1), ab, dt * r[:m])
+    values[1:m + 1] += delta
     mid = p.grid.midpoint_index
     if m == mid - 1:
         k = (p.m + p.n_end) // 2
@@ -131,8 +140,9 @@ def step(p, params, dt):
     """One stabilized IMEX step of the profile heat flow."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    ab = _implicit_banded(p.grid, dt, p.grid.n - 1)
-    return _advance(p, params.kappa, dt, ab, el_residual(p, params))
+    m = p.grid.n - 1
+    r, v = p.grid.stencil.residual_and_potential(p.values, params.kappa, m)
+    return _advance(p, dt, _implicit_banded(p.grid, dt, m), r, v)
 
 
 def detect_blowup(p, cfg):
@@ -176,8 +186,11 @@ def run(p0, params, cfg=None, half_interval=False):
     if half_interval and not track_hemi:
         raise ValueError("half-interval runs need hemispheric initial data "
                          f"(deviation {hemispheric_deviation(p0):.3g})")
+    # the evolved nodes 1..m; in half-interval runs the right half is the
+    # reflection, whose residual is -R up to rounding and is never used
     m = p0.grid.midpoint_index - 1 if half_interval else p0.grid.n - 1
     ab = _implicit_banded(p0.grid, dt, m)
+    evaluate = p0.grid.stencil.residual_and_potential
 
     p = p0
     t = 0.0
@@ -199,9 +212,9 @@ def run(p0, params, cfg=None, half_interval=False):
         steps_since_record = 0
 
     status = FlowStatus.HORIZON_REACHED
-    # one full-grid residual per step: the stationarity test's, reused by
-    # the next update
-    r = el_residual(p, params)
+    # one evaluation of R and V per step: the stationarity test's R, reused
+    # by the next update
+    r, v = evaluate(p.values, params.kappa, m)
     sup_res = float(np.max(np.abs(r)))
     record(sup_res)
     while t < cfg.t_max:
@@ -211,11 +224,11 @@ def run(p0, params, cfg=None, half_interval=False):
         if sup_res < cfg.stationary_tol:
             status = FlowStatus.STATIONARY
             break
-        p = _advance(p, params.kappa, dt, ab, r)
+        p = _advance(p, dt, ab, r, v)
         t += dt
         steps += 1
         steps_since_record += 1
-        r = el_residual(p, params)
+        r, v = evaluate(p.values, params.kappa, m)
         sup_res = float(np.max(np.abs(r)))
         if steps_since_record >= cfg.record_every or sup_res < cfg.stationary_tol:
             record(sup_res)
@@ -245,19 +258,21 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
     if p_lower.grid is not p_upper.grid and p_lower.grid.n != p_upper.grid.n:
         raise ValueError("profiles must share a grid")
     dt = cfg.effective_dt(params.kappa)
-    ab = _implicit_banded(p_lower.grid, dt, p_lower.grid.n - 1)
+    m = p_lower.grid.n - 1
+    ab = _implicit_banded(p_lower.grid, dt, m)
+    evaluate = p_lower.grid.stencil.residual_and_potential
     lo, up = p_lower, p_upper
     t = 0.0
     steps = 0
     worst = max(initial_gap, 0.0)
     while t < cfg.t_max:
-        r_lo = el_residual(lo, params)
-        r_up = el_residual(up, params)
+        r_lo, v_lo = evaluate(lo.values, params.kappa, m)
+        r_up, v_up = evaluate(up.values, params.kappa, m)
         if (np.max(np.abs(r_lo)) < cfg.stationary_tol
                 and np.max(np.abs(r_up)) < cfg.stationary_tol):
             break
-        lo = _advance(lo, params.kappa, dt, ab, r_lo)
-        up = _advance(up, params.kappa, dt, ab, r_up)
+        lo = _advance(lo, dt, ab, r_lo, v_lo)
+        up = _advance(up, dt, ab, r_up, v_up)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0:

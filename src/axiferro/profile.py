@@ -230,7 +230,12 @@ def read_profile_csv(path, grid=None):
     rows = [ln for ln in lines[1:] if not ln.startswith("#") and ln != "theta,h"]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    data = np.array([[float(x) for x in ln.split(",")] for ln in rows])
+    try:
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+    except ValueError as exc:  # a ragged row or a field that is not a number
+        raise ValueError(f"{path}: {exc}") from exc
+    if data.shape[1] != 2:
+        raise ValueError(f"{path}: {data.shape[1]} columns, expected 2 (theta,h)")
     if grid is None:
         grid = make_grid(data.shape[0] - 1)
     if data.shape[0] != grid.n + 1:

@@ -185,7 +185,7 @@ def find_second_type(kappa, grid=None):
     start = make_initial_second_type(grid)
     if kappa == 4.0:
         return _polish_and_report(start, kappa, SECOND, "continuation")
-    branch = continue_branch(4.0, start, kappa, -_BRANCH_DK)
+    branch = continue_branch(4.0, start, kappa, -_BRANCH_DK, _pipeline_newton_cfg(grid))
     if abs(branch.reached - kappa) > 1e-12:
         raise ContinuationError(
             f"continuation from (4, 2*theta) failed at kappa="
@@ -253,8 +253,9 @@ def probe_second_branch_floor(grid=None):
     saddle eigenvalue structure (lambda1 < 0 < lambda2); None if the branch
     persists all the way down to kappa = 1.
     """
-    start = make_initial_second_type(grid or make_grid(1024))
-    branch = continue_branch(4.0, start, 1.0, -_BRANCH_DK)
+    grid = grid or make_grid(1024)
+    branch = continue_branch(4.0, make_initial_second_type(grid), 1.0, -_BRANCH_DK,
+                             _pipeline_newton_cfg(grid))
     prev = 4.0
     for pt in branch.points:
         if not (pt.lambda1 < -1e-8 and pt.lambda2 > 1e-8):
@@ -274,7 +275,7 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     first-type row and report.  kappa1: bracket where the downward
     second-type continuation ends.  Per-kappa pipeline failures are recorded
     in the rows, not raised; a kappa requested twice gives two rows and one
-    report.
+    report, and its pipeline runs once.
     """
     kappa_values = sorted(float(k) for k in kappa_values)
     if any(k <= 0 for k in kappa_values):
@@ -288,9 +289,11 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
 
     def run_pipeline(kappa, saddle_type):
         # the pipelines are looked up at call time, so a replaced module
-        # global sees every run, bisection midpoints included
-        pipeline = find_first_type if saddle_type == FIRST else find_second_type
-        report = reports[saddle_type, kappa] = pipeline(kappa, grid=grid)
+        # global sees every new kappa, bisection midpoints included
+        report = reports.get((saddle_type, kappa))
+        if report is None:
+            pipeline = find_first_type if saddle_type == FIRST else find_second_type
+            report = reports[saddle_type, kappa] = pipeline(kappa, grid=grid)
         rows.append(_row_from_report(report))
         return report
 

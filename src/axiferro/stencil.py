@@ -31,10 +31,12 @@ class Stencil:
     def __init__(self, grid):
         dth = self.dtheta = grid.dtheta
         dth2 = dth ** 2
-        self.theta = grid.interior
-        s = self.sin = np.sin(self.theta)
-        self.cot = np.cos(self.theta) / s
+        theta = grid.interior
+        s = self.sin = np.sin(theta)
+        self.cot = np.cos(theta) / s
         self.sin2 = s ** 2
+        self.cos_2theta = np.cos(2.0 * theta)
+        self.sin_2theta = np.sin(2.0 * theta)
         s_half = self.sin_half = np.sin(grid.half_nodes)  # edge (i, i+1) at index i
         # dR/dh without the potential: the second difference and cot d1
         self.jacobian_offdiag = np.zeros((3, grid.n - 1))
@@ -47,23 +49,42 @@ class Stencil:
         self.divergence_bands[1] = (s_half[1:] + s_half[:-1]) / (s * dth2)
         self.divergence_bands[2, :-1] = -s_half[1:-1] / (s[1:] * dth2)
         self.symmetric_offdiag = -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:]))
-        for a in (s, self.cot, self.sin2, s_half, self.jacobian_offdiag,
-                  self.divergence_bands, self.symmetric_offdiag):
+        for a in (s, self.cot, self.sin2, self.cos_2theta, self.sin_2theta, s_half,
+                  self.jacobian_offdiag, self.divergence_bands, self.symmetric_offdiag):
             a.setflags(write=False)
+
+    def _trig(self, hi):
+        """sin 2h and cos 2h at nodes 1..len(hi), with cos 2t and sin 2t there.
+
+        One sin and one cos of 2h serve R and V together: sin(2h - 2t) and
+        cos(2h - 2t) follow from them by the angle-difference identities.
+        """
+        m = len(hi)
+        two_h = 2.0 * hi
+        return np.sin(two_h), np.cos(two_h), self.cos_2theta[:m], self.sin_2theta[:m]
+
+    def _residual(self, h, kappa, s, c, c2t, s2t):
+        m = len(s)
+        d2 = (h[2:m + 2] - 2.0 * h[1:m + 1] + h[:m]) / self.dtheta ** 2
+        d1 = (h[2:m + 2] - h[:m]) / (2.0 * self.dtheta)
+        return (d2 + self.cot[:m] * d1 - s / (2.0 * self.sin2[:m])
+                - 0.5 * kappa * (s * c2t - c * s2t))
+
+    def _potential(self, kappa, s, c, c2t, s2t):
+        return c / self.sin2[:len(c)] + kappa * (c * c2t + s * s2t)
 
     def residual(self, h, kappa):
         """R at every interior node, from the full node array h."""
-        hi = h[1:-1]
-        d2 = (h[2:] - 2.0 * hi + h[:-2]) / self.dtheta ** 2
-        d1 = (h[2:] - h[:-2]) / (2.0 * self.dtheta)
-        return (d2 + self.cot * d1 - np.sin(2.0 * hi) / (2.0 * self.sin2)
-                - 0.5 * kappa * np.sin(2.0 * (hi - self.theta)))
+        return self._residual(h, kappa, *self._trig(h[1:-1]))
 
     def potential(self, h, kappa):
         """V at interior nodes 1..len(h), given the values h there."""
-        m = len(h)
-        return (np.cos(2.0 * h) / self.sin2[:m]
-                + kappa * np.cos(2.0 * (h - self.theta[:m])))
+        return self._potential(kappa, *self._trig(h))
+
+    def residual_and_potential(self, h, kappa, m):
+        """R and V at interior nodes 1..m from the full node array h."""
+        trig = self._trig(h[1:m + 1])
+        return self._residual(h, kappa, *trig), self._potential(kappa, *trig)
 
     def jacobian_bands(self, h, kappa):
         """Banded dR/dh on the interior from the full node array h; diagonal d2 - V."""

@@ -3,13 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
-from axiferro import flow
-from axiferro.energy import EnergyParams, el_residual, reduced_energy, residual_supnorm
+from axiferro.energy import EnergyParams, reduced_energy, residual_supnorm
 from axiferro.flow import (FlowConfig, FlowStatus, comparison_trial,
                            detect_blowup, run, step, write_energy_trace_csv)
 from axiferro.grid import make_grid
 from axiferro.profile import (W1, W2, WedgeSpec, builtin_profile, degree,
                               make_profile)
+from axiferro.stencil import Stencil
 
 
 def random_ordered_pair(grid, rng):
@@ -46,6 +46,14 @@ class TestStep:
         p = builtin_profile("pi", grid256)
         with pytest.raises(ValueError):
             step(p, EnergyParams(1.0), 0.0)
+
+    def test_nonfinite_update_raises(self, grid256):
+        # the second difference at a finite 1e307 overflows, so the solved
+        # update is not finite; it must not be carried into a profile
+        vals = np.full(grid256.n + 1, np.pi)
+        vals[grid256.n // 4] = 1e307
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            step(make_profile(grid256, vals, 1, 1), EnergyParams(5.0), 1e-2)
 
 
 class TestRun:
@@ -133,17 +141,21 @@ class TestRun:
     @pytest.mark.parametrize("half_interval", [False, True])
     def test_one_residual_per_step(self, grid256, monkeypatch, half_interval):
         calls = []
+        evaluate = Stencil.residual_and_potential
 
-        def counting(p, params):
-            calls.append(1)
-            return el_residual(p, params)
+        def counting(self, h, kappa, m):
+            calls.append(m)
+            return evaluate(self, h, kappa, m)
 
-        monkeypatch.setattr(flow, "el_residual", counting)
+        monkeypatch.setattr(Stencil, "residual_and_potential", counting)
         result = run(builtin_profile("pi", grid256), EnergyParams(5.0),
                      FlowConfig(stationary_tol=1e-8), half_interval=half_interval)
         assert result.status is FlowStatus.STATIONARY
         assert result.steps > 10
         assert len(calls) == result.steps + 1
+        # only the evolved nodes are evaluated
+        evolved = grid256.midpoint_index - 1 if half_interval else grid256.n - 1
+        assert set(calls) == {evolved}
 
 
 def full_gradient_blowup(p, cfg):

@@ -230,6 +230,16 @@ class TestCsvRoundTrip:
             read_profile_csv(path)
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("rows,reason", [("0.0,0.0\n0.5\n", "number of columns"),
+                                             ("0.0,0.0\n0.5,abc\n", "could not convert"),
+                                             ("0.0\n0.5\n", "1 columns")])
+    def test_malformed_rows_rejected_with_path(self, tmp_path, rows, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text("# m=0 n=0\ntheta,h\n" + rows)
+        with pytest.raises(ValueError, match=reason) as info:
+            read_profile_csv(path)
+        assert str(path) in str(info.value)
+
 
 def test_builtin_names(grid256):
     for name in ("pi", "theta", "two-theta"):

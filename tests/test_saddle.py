@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from axiferro import saddle
 from axiferro.energy import EnergyParams, reduced_energy
 from axiferro.grid import make_grid
 from axiferro.profile import (W1, W2, WedgeSpec, degree,
@@ -175,6 +176,22 @@ class TestSweep:
             == [(r.saddle_type, r.kappa) for r in result.rows
                 if not r.status.startswith("failed")]
 
+    def test_repeated_kappa_runs_once(self, monkeypatch):
+        kappas = []
+
+        def counting(kappa, grid=None):
+            kappas.append(kappa)
+            return find_first_type(kappa, grid=grid)
+
+        monkeypatch.setattr(saddle, "find_first_type", counting)
+        result = sweep([5.0, 5.0, 7.0], types=("first",), grid=make_grid(512))
+        # (5, 7) is halved six times down to width 1/32: 2 + 6 pipeline runs
+        assert len(kappas) == 8 and len(set(kappas)) == 8
+        assert len(result.rows) == 9
+        assert len(result.reports) == 8
+        assert [r.kappa for r in result.rows[:2]] == [5.0, 5.0]
+        assert result.rows[0] == result.rows[1]
+
     def test_first_type_skipped_below_four(self):
         grid = make_grid(512)
         result = sweep([3.9], types=("first",), estimate_kappa1=False, grid=grid)
@@ -197,6 +214,12 @@ def test_probe_second_branch_floor():
     assert bracket is not None
     lo, hi = bracket
     assert 0 < lo < hi < 4.0
+
+
+def test_probe_on_grid_above_default():
+    # the walk's Newton tolerance follows the residual noise floor; a fixed
+    # 5e-10 is below what the residual can resolve at n = 2048
+    assert probe_second_branch_floor(grid=make_grid(2048)) == pytest.approx((3.20, 3.25))
 
 
 def test_first_type_at_very_large_kappa():

@@ -67,17 +67,28 @@ def case(request):
     return grid, h
 
 
+def evolved_counts(grid):
+    """Nodes 1..m the flow evaluates: the full and the half interval."""
+    return (grid.n - 1, grid.midpoint_index - 1)
+
+
 def test_residual_matches_inline_formula(case):
     grid, h = case
-    assert_close(grid.stencil.residual(h, KAPPA), reference_residual(grid, h, KAPPA))
+    expected = reference_residual(grid, h, KAPPA)
+    assert_close(grid.stencil.residual(h, KAPPA), expected)
+    for m in evolved_counts(grid):
+        r, _ = grid.stencil.residual_and_potential(h, KAPPA, m)
+        assert_close(r, expected[:m])
 
 
 def test_potential_matches_inline_formula(case):
     grid, h = case
     expected = reference_potential(grid, h, KAPPA)
     assert_close(grid.stencil.potential(h[1:-1], KAPPA), expected)
-    half = grid.midpoint_index - 1
-    assert_close(grid.stencil.potential(h[1:half + 1], KAPPA), expected[:half])
+    for m in evolved_counts(grid):
+        assert_close(grid.stencil.potential(h[1:m + 1], KAPPA), expected[:m])
+        _, v = grid.stencil.residual_and_potential(h, KAPPA, m)
+        assert_close(v, expected[:m])
 
 
 def test_jacobian_bands_match_inline_formula(case):
@@ -98,6 +109,6 @@ def test_built_once_per_grid_and_read_only():
     st = grid.stencil
     assert grid.stencil is st
     assert make_grid(64).stencil is not st
-    for a in (st.sin, st.cot, st.sin2, st.sin_half, st.divergence_bands,
-              st.symmetric_offdiag, st.jacobian_offdiag):
+    for a in (st.sin, st.cot, st.sin2, st.cos_2theta, st.sin_2theta, st.sin_half,
+              st.divergence_bands, st.symmetric_offdiag, st.jacobian_offdiag):
         assert not a.flags.writeable
