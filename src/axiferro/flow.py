@@ -22,9 +22,14 @@ under the hemispheric reflection; rounding noise seeds it in full-interval
 runs.  Hemispheric initial data can therefore be evolved on [0, pi/2] with
 the midpoint pinned (``half_interval=True``), which removes that subspace
 exactly and lets the flow settle onto the saddle to solver accuracy.
+
+The saddle pipelines need only the flow's end point, a zero of R whatever the
+step, so they relax with growing steps (``_relax``) instead of ``run``'s
+fixed one; ``run`` keeps the time axis and the energy trace.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,6 +240,59 @@ def run(p0, params, cfg=None, half_interval=False):
     if records[-1].t < t:
         record(sup_res)
     return FlowResult(final=p, status=status, records=tuple(records), steps=steps)
+
+
+def _relax(p0, params, cfg):
+    """Relax hemispheric p0 on the half interval with switched-evolution steps.
+
+    The step is ``run``'s, at a step size dt that grows as the residual falls
+    (Mulder & van Leer 1985): after an accepted step dt becomes
+    dt * min(2, r_old / r_new), r the sup residual on the evolved nodes.  A
+    trial whose update is not finite, whose r exceeds the current one, or
+    that leaves ``cfg.wedge`` is rejected: the state is kept and dt halves.
+    dt never falls below dt0 = ``cfg.effective_dt(kappa)``, and a trial at
+    dt0 is ``run``'s own step, taken whenever it is finite, so at worst this
+    is ``run``.  Stops on suspected blowup, at r < ``cfg.stationary_tol``, or
+    after ceil(t_max / dt0) trials; t itself is not tracked.  Records
+    nothing; returns the final profile and its FlowStatus.
+    """
+    dt0 = dt = cfg.effective_dt(params.kappa)
+    m = p0.grid.midpoint_index - 1
+    evaluate = p0.grid.stencil.residual_and_potential
+    p = p0
+    r, v = evaluate(p.values, params.kappa, m)
+    sup = float(np.max(np.abs(r)))
+
+    def attempt(dt):
+        """The trial from p at dt with its R, V and r, or None if rejected."""
+        above = dt > dt0
+        try:
+            q = _advance(p, dt, _implicit_banded(p.grid, dt, m), r, v)
+        except ValueError:  # a non-finite update, or gtsv failed (LinAlgError)
+            if not above:
+                raise
+            return None
+        if above and cfg.wedge is not None and not wedge_check(q, cfg.wedge).inside:
+            return None
+        r_q, v_q = evaluate(q.values, params.kappa, m)
+        sup_q = float(np.max(np.abs(r_q)))
+        if above and sup_q > sup:
+            return None
+        return q, r_q, v_q, sup_q
+
+    for _ in range(math.ceil(cfg.t_max / dt0)):
+        if detect_blowup(p, cfg):
+            return p, FlowStatus.BLOWUP_SUSPECTED
+        if sup < cfg.stationary_tol:
+            return p, FlowStatus.STATIONARY
+        trial = attempt(dt)
+        if trial is None:
+            dt = max(dt0, 0.5 * dt)
+            continue
+        p, r, v, sup_new = trial
+        dt = max(dt0, 2.0 * dt if 2.0 * sup_new <= sup else dt * sup / sup_new)
+        sup = sup_new
+    return p, FlowStatus.HORIZON_REACHED
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import (EnergyParams, reduced_energy, residual_noise_floor,
                      residual_supnorm)
-from .flow import FlowConfig, FlowStatus, run
+from .flow import FlowConfig, FlowStatus, _relax
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
                       make_initial_first_type, make_initial_second_type,
@@ -155,12 +155,12 @@ def _flow_then_polish(kappa, saddle_type, grid):
         start = make_initial_second_type(grid)
     cfg = FlowConfig(stationary_tol=_FLOW_TOL,
                      wedge=WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
-    result = run(start, EnergyParams(kappa), cfg, half_interval=True)
-    if result.status is FlowStatus.BLOWUP_SUSPECTED:
+    final, status = _relax(start, EnergyParams(kappa), cfg)
+    if status is FlowStatus.BLOWUP_SUSPECTED:
         raise BlowupError(f"flow from the {saddle_type}-type start at kappa={kappa} "
                           "reported blowup; theory rules this out for kappa >= 4, "
                           "so this is a discretization failure to investigate")
-    return _polish_and_report(result.final, kappa, saddle_type, "flow_then_newton")
+    return _polish_and_report(final, kappa, saddle_type, "flow_then_newton")
 
 
 def find_first_type(kappa, grid=None):

@@ -78,8 +78,9 @@ def _tridiag_apply(diag, off, y):
 def eigs_lowest(op, k):
     """Lowest k eigenpairs of a TridiagonalOperator.
 
-    Eigenpairs of the symmetrized matrix from LAPACK stebz/stein; each
-    eigenvector's largest-magnitude component is made positive, then it is
+    Eigenpairs of the symmetrized matrix from LAPACK stebz/stein; in each
+    eigenvector the first component whose magnitude exceeds 1e-8 times the
+    largest is made positive, then the vector is
     returned on the full node range (zero at the Dirichlet endpoints) and
     orthonormal in the sin-weighted inner product.  The Morse index counts
     eigenvalues below -tol, tol = 1e-12 times the operator scale, and is
@@ -92,11 +93,13 @@ def eigs_lowest(op, k):
     scale = op.norm_estimate()
     eigenvalues, ys = eigh_tridiagonal(diag, off, select="i",
                                        select_range=(0, k - 1))
-    # deterministic sign: largest-magnitude component positive (stein returns
-    # this sign already; enforced here so the contract does not rest on it)
+    # deterministic sign: the first component above 1e-8 of the largest is
+    # positive.  Not the largest itself: modes antisymmetric under the
+    # hemispheric reflection have two extremes equal up to rounding.
     ys = ys.T
-    peaks = ys[np.arange(k), np.argmax(np.abs(ys), axis=1)]
-    ys[peaks < 0] *= -1.0
+    mags = np.abs(ys)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
+    ys[ys[np.arange(k), first] < 0] *= -1.0
     residuals = np.array([np.linalg.norm(_tridiag_apply(diag, off, y) - lam * y)
                           for lam, y in zip(eigenvalues, ys)])
     vectors = np.zeros((k, op.dimension + 2))

@@ -6,6 +6,7 @@ center value), so Newton converges quadratically for the discrete problem,
 not merely for its continuum limit.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,10 +86,25 @@ def newton_solve(p0, params, cfg=None):
 
 @dataclass(frozen=True)
 class BranchPoint:
+    """A solved point of a branch; its two lowest eigenvalues are computed
+    (and their Morse index certified) on first read, then kept."""
     kappa: float
     profile: object
-    lambda1: float
-    lambda2: float
+
+    @functools.cached_property
+    def _two_lowest(self):
+        from .spectrum import eigs_lowest
+        op = assemble_second_variation(self.profile, EnergyParams(self.kappa))
+        res = eigs_lowest(op, 2)
+        return float(res.eigenvalues[0]), float(res.eigenvalues[1])
+
+    @property
+    def lambda1(self):
+        return self._two_lowest[0]
+
+    @property
+    def lambda2(self):
+        return self._two_lowest[1]
 
 
 @dataclass(frozen=True)
@@ -106,20 +122,14 @@ class Branch:
         return self.points[-1].kappa
 
 
-def _two_lowest(profile, kappa):
-    from .spectrum import eigs_lowest
-    op = assemble_second_variation(profile, EnergyParams(kappa))
-    res = eigs_lowest(op, 2)
-    return float(res.eigenvalues[0]), float(res.eigenvalues[1])
-
-
 def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
     """Natural-parameter continuation of a solution family in kappa.
 
-    Each accepted point seeds Newton at the next kappa and records the two
-    lowest eigenvalues of the second-variation operator there.  Newton
-    failure past the first step ends the branch with a bracketing interval
-    (suspected fold or bifurcation); failure on the very first step raises.
+    Each accepted point seeds Newton at the next kappa; the two lowest
+    eigenvalues of the second-variation operator there are computed when the
+    point's lambda1 or lambda2 is first read.  Newton failure past the first
+    step ends the branch with a bracketing interval (suspected fold or
+    bifurcation); failure on the very first step raises.
     """
     cfg = cfg or NewtonConfig()
     r0 = float(np.max(np.abs(el_residual(start, EnergyParams(start_kappa)))))
@@ -131,9 +141,7 @@ def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
     if (target_kappa - start_kappa) * dk < 0:
         raise ValueError(f"dk={dk} points away from target {target_kappa}")
 
-    lam1, lam2 = _two_lowest(start, start_kappa)
-    points = [BranchPoint(kappa=start_kappa, profile=start,
-                          lambda1=lam1, lambda2=lam2)]
+    points = [BranchPoint(kappa=start_kappa, profile=start)]
     direction = int(np.sign(target_kappa - start_kappa))
     if direction == 0:
         return Branch(points=tuple(points), direction=0)
@@ -153,9 +161,7 @@ def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
                 raise
             fold = (kappa, nxt)
             break
-        lam1, lam2 = _two_lowest(profile, nxt)
-        points.append(BranchPoint(kappa=nxt, profile=profile,
-                                  lambda1=lam1, lambda2=lam2))
+        points.append(BranchPoint(kappa=nxt, profile=profile))
         kappa = nxt
         first_step = False
     return Branch(points=tuple(points), direction=direction, suspected_fold=fold)

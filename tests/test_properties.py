@@ -4,10 +4,12 @@
 - ``step`` and ``run`` never touch the Dirichlet endpoints, so the boundary
   class is preserved bitwise;
 - the reduced energy does not increase along ``run``, up to the per-step
-  slack of its monitor.  The one example that breaks this is kept as an
-  expected failure: near an exact solution on a coarse grid the flow's
-  fixed point (a zero of the non-divergence stencil) can carry more
-  quadrature energy than its start.
+  slack of its monitor.  The two examples that break this are kept as
+  expected failures: the stencil R is not the gradient of the quadrature
+  energy, so near an exact solution on a coarse grid the flow's fixed point
+  (a zero of the non-divergence stencil) can carry more quadrature energy
+  than its start, and a steep first-type start at large kappa can gain
+  energy along the way.
 """
 
 import os
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from axiferro.energy import EnergyParams
 from axiferro.flow import ENERGY_SLACK, FlowConfig, run, step
 from axiferro.grid import make_grid
-from axiferro.profile import make_profile, read_profile_csv, write_profile_csv
+from axiferro.profile import (make_initial_first_type, make_profile,
+                              read_profile_csv, write_profile_csv)
 
 GRIDS = {n: make_grid(n) for n in (16, 64, 128)}
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
@@ -100,6 +103,10 @@ def tilted_exact(n, c):
     raises=AssertionError, reason="energy rises by 1.4e-10 x (1 + |E0|) in the first "
     "step, past the 1e-10 slack: the stencil R is not the gradient of the "
     "quadrature energy, and at n = 64 the gap shows")
+@example(p=make_initial_first_type(make_grid(1024), 100.0), kappa=100.0).xfail(
+    raises=AssertionError, reason="energy rises by 7.4e-9 = 3.2e-10 x (1 + |E0|) at "
+    "step 23, past the 1e-10 slack; `axiferro flow --init first-type --kappa 100 "
+    "--n 1024 --half-interval` writes energy_monotone false for the same reason")
 def test_energy_monotone_under_run(p, kappa):
     result = run(p, EnergyParams(kappa), FlowConfig(t_max=0.2, record_every=1))
     energies = [r.energy for r in result.records]

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from axiferro import saddle
+from axiferro import flow, saddle, spectrum
 from axiferro.energy import EnergyParams, reduced_energy
+from axiferro.flow import FlowConfig, run
 from axiferro.grid import make_grid
-from axiferro.profile import (W1, W2, WedgeSpec, degree,
+from axiferro.profile import (W1, W2, WedgeSpec, WedgeVerdict, degree,
                               make_initial_first_type, node_derivative,
                               wedge_check)
-from axiferro.saddle import (ContinuationError, find_first_type,
+from axiferro.saddle import (BlowupError, ContinuationError, find_first_type,
                              find_second_type, grid_for_kappa,
                              probe_second_branch_floor, sweep)
+from axiferro.stencil import Stencil
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,23 @@ class TestSecondType:
     def test_nonpositive_kappa_rejected(self):
         with pytest.raises(ValueError):
             find_second_type(0.0)
+
+    def test_continuation_solves_one_spectrum(self, monkeypatch):
+        # branch points compute their eigenvalues only when read: the walk
+        # from 4 to 3.5 reads none, the report's classify makes the one call
+        calls = []
+        real = spectrum.eigs_lowest
+
+        def counting(op, k):
+            calls.append(k)
+            return real(op, k)
+
+        monkeypatch.setattr(spectrum, "eigs_lowest", counting)
+        find_second_type(3.5)
+        assert len(calls) == 1
+        # the probe reads them, and still brackets the fold
+        assert probe_second_branch_floor() == pytest.approx((3.20, 3.25))
+        assert len(calls) > 1
 
 
 class TestTypesDiffer:
@@ -237,3 +256,154 @@ def test_grid_for_kappa_scaling():
     assert grid_for_kappa(4.0).n == 1024
     assert grid_for_kappa(1600.0).n == 1280
     assert grid_for_kappa(1e4).n == 3200
+
+
+def _fixed_step_flow(start, params, cfg):
+    """Reference for _relax: run's fixed step on the half interval."""
+    result = run(start, params, cfg, half_interval=True)
+    return result.final, result.status
+
+
+@pytest.fixture
+def trials(monkeypatch):
+    """Every relaxer trial, as (state it starts from, dt), in order."""
+    log = []
+    real = flow._advance
+
+    def recording(p, dt, ab, r, v):
+        log.append((p, dt))
+        return real(p, dt, ab, r, v)
+
+    monkeypatch.setattr(flow, "_advance", recording)
+    return log
+
+
+class TestRelaxation:
+    @pytest.mark.parametrize("pipeline,kappa,most", [
+        (find_first_type, 5.0, 40), (find_second_type, 10.0, 60)])
+    def test_few_residual_evaluations(self, monkeypatch, pipeline, kappa, most):
+        calls = []
+        real = Stencil.residual_and_potential
+
+        def counting(self, h, kappa, m):
+            calls.append(m)
+            return real(self, h, kappa, m)
+
+        monkeypatch.setattr(Stencil, "residual_and_potential", counting)
+        pipeline(kappa)
+        assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("pipeline,kappa", [
+        (find_first_type, 4.0), (find_first_type, 5.0), (find_first_type, 6.67),
+        (find_second_type, 4.01), (find_second_type, 10.0),
+        (find_second_type, 1000.0)])
+    def test_matches_fixed_step_flow(self, monkeypatch, pipeline, kappa):
+        relaxed = pipeline(kappa)
+        monkeypatch.setattr(saddle, "_relax", _fixed_step_flow)
+        reference = pipeline(kappa)
+        assert np.max(np.abs(relaxed.profile.values - reference.profile.values)) <= 1e-12
+        ref_eigs = reference.spectrum.eigenvalues
+        assert np.all(np.abs(relaxed.spectrum.eigenvalues - ref_eigs)
+                      <= 1e-10 * np.abs(ref_eigs))
+        assert relaxed.spectrum.morse_index == reference.spectrum.morse_index
+        assert relaxed.marginal == reference.marginal
+
+    @pytest.mark.parametrize("reason", ["wedge", "not finite", "residual rise"])
+    def test_rejected_trial_halves_dt_and_keeps_state(self, monkeypatch, trials,
+                                                       first_type_10, reason):
+        dt0 = FlowConfig().effective_dt(10.0)
+        failed = []
+
+        def fail_now():
+            # fail the first check made on a trial above dt0
+            if not failed and trials and trials[-1][1] > dt0:
+                failed.append(len(trials) - 1)
+                return True
+            return False
+
+        if reason == "wedge":
+            real_wedge = flow.wedge_check
+            monkeypatch.setattr(flow, "wedge_check", lambda p, spec: (
+                WedgeVerdict(inside=False, node=1, excess=1.0) if fail_now()
+                else real_wedge(p, spec)))
+        elif reason == "not finite":
+            real_advance = flow._advance
+
+            def advance(*args):
+                q = real_advance(*args)
+                if fail_now():
+                    raise ValueError("flow update is not finite")
+                return q
+
+            monkeypatch.setattr(flow, "_advance", advance)
+        else:
+            real_eval = Stencil.residual_and_potential
+
+            def evaluate(self, h, kappa, m):
+                r, v = real_eval(self, h, kappa, m)
+                return (np.full_like(r, 1e300) if fail_now() else r), v
+
+            monkeypatch.setattr(Stencil, "residual_and_potential", evaluate)
+        report = find_first_type(10.0, grid=make_grid(512))
+        i = failed[0]
+        (p_rejected, dt_rejected), (p_next, dt_next) = trials[i], trials[i + 1]
+        assert dt_rejected > dt0
+        assert p_next is p_rejected
+        assert dt_next == max(dt0, 0.5 * dt_rejected)
+        assert min(dt for _, dt in trials) == dt0
+        assert np.max(np.abs(report.profile.values
+                             - first_type_10.profile.values)) <= 1e-12
+        assert np.allclose(report.spectrum.eigenvalues,
+                           first_type_10.spectrum.eigenvalues, rtol=1e-10, atol=0)
+
+    def test_trial_at_dt0_taken_when_residual_rises(self, monkeypatch, trials,
+                                                    first_type_10):
+        # the first trial (at dt0) reports its residual scaled by 2**40, a
+        # rise; the next update still sees the true residual
+        dt0 = FlowConfig().effective_dt(10.0)
+        scale = 2.0 ** 40
+        real_eval = Stencil.residual_and_potential
+        record = flow._advance
+        inflated = []
+
+        def evaluate(self, h, kappa, m):
+            r, v = real_eval(self, h, kappa, m)
+            if len(trials) == 1 and not inflated:
+                inflated.append(scale * r)
+                return inflated[0], v
+            return r, v
+
+        def advance(p, dt, ab, r, v):
+            if inflated and r is inflated[0]:
+                r = r / scale
+            return record(p, dt, ab, r, v)
+
+        monkeypatch.setattr(Stencil, "residual_and_potential", evaluate)
+        monkeypatch.setattr(flow, "_advance", advance)
+        report = find_first_type(10.0, grid=make_grid(512))
+        (p0, dt_first), (p1, dt_second) = trials[:2]
+        assert dt_first == dt_second == dt0
+        assert p1 is not p0
+        assert np.max(np.abs(report.profile.values
+                             - first_type_10.profile.values)) <= 1e-12
+
+    def test_worst_case_is_the_fixed_step_flow(self, monkeypatch, trials):
+        # with every trial above dt0 rejected, the accepted steps are run's
+        grid, kappa = make_grid(512), 5.0
+        start = make_initial_first_type(grid, kappa)
+        cfg = FlowConfig(stationary_tol=1e-7, wedge=WedgeSpec(W1, 1e-8))
+        expected = run(start, EnergyParams(kappa), cfg, half_interval=True)
+        trials.clear()
+        monkeypatch.setattr(flow, "wedge_check",
+                            lambda p, spec: WedgeVerdict(inside=False, node=1, excess=1.0))
+        final, status = flow._relax(start, EnergyParams(kappa), cfg)
+        dt0 = cfg.effective_dt(kappa)
+        assert status is expected.status
+        assert np.array_equal(final.values, expected.final.values)
+        assert min(dt for _, dt in trials) == dt0
+        assert sum(dt == dt0 for _, dt in trials) == expected.steps
+
+    def test_blowup_raises(self, monkeypatch):
+        monkeypatch.setattr(flow, "detect_blowup", lambda p, cfg: True)
+        with pytest.raises(BlowupError):
+            find_first_type(5.0, grid=make_grid(256))

@@ -82,11 +82,13 @@ class TestEigsLowest:
             assert np.max(np.abs(mine - ref) / np.abs(ref)) < 1e-8, n
 
     @pytest.mark.parametrize("negate", [False, True])
-    def test_sign_rule_largest_component_positive(self, negate, monkeypatch):
+    def test_sign_rule_first_significant_component_positive(self, negate, monkeypatch):
         # the rule holds for the symmetrized vector sqrt(w) v, where the
         # eigensolver works; the returned v is that vector over sqrt(w).
-        # LAPACK stein already returns that sign, so the negated run checks
-        # that eigs_lowest enforces it whatever sign the driver returns.
+        # The negated run checks that eigs_lowest enforces it whatever sign
+        # the driver returns.  At kappa = 4, n = 1024 the reflection-
+        # antisymmetric modes 2 and 4 have two extreme components equal up
+        # to rounding, which is why the rule does not key on the largest.
         if negate:
             real = spectrum.eigh_tridiagonal
 
@@ -95,11 +97,12 @@ class TestEigsLowest:
                 return vals, -vecs
 
             monkeypatch.setattr(spectrum, "eigh_tridiagonal", negated)
-        for op in oracle_fixture_operators() + [saddle_operator(512)[0]]:
+        for op in oracle_fixture_operators() + [saddle_operator(n)[0] for n in (512, 1024)]:
             res = eigs_lowest(op, 4)
             for vec in res.eigenvectors:
                 y = vec[1:-1] * np.sqrt(op.weight)
-                assert y[np.argmax(np.abs(y))] > 0
+                first = np.flatnonzero(np.abs(y) > 1e-8 * np.max(np.abs(y)))[0]
+                assert y[first] > 0
 
     def test_constant_shift_moves_spectrum(self, grid256):
         import dataclasses
