@@ -130,12 +130,12 @@ def cmd_saddle(args):
     config = {"command": "saddle", "type": args.type, "kappa": args.kappa,
               "n": args.n, "seed": args.seed}
     h = config_hash(config)
-    out = _outdir(args)
     grid = make_grid(args.n) if args.n else None
     if args.type == FIRST:
         report = find_first_type(args.kappa, grid=grid)
     else:
         report = find_second_type(args.kappa, grid=grid)
+    out = _outdir(args)
     payload = _report_payload(report, h, config)
     _write_json(os.path.join(out, "report.json"), payload)
     write_profile_csv(report.profile, os.path.join(out, "profile.csv"),
@@ -148,6 +148,9 @@ def cmd_saddle(args):
 
 
 def cmd_sweep(args):
+    for flag, value in (("--from", args.kappa_from), ("--to", args.kappa_to)):
+        if not np.isfinite(value):
+            raise ValueError(f"kappa must be finite, got {flag} {value}")
     if not (np.isfinite(args.step) and args.step > 0):
         raise ValueError(f"--step must be finite and positive, got {args.step}")
     if not 0 < args.kappa_from <= args.kappa_to:

@@ -89,13 +89,18 @@ def full_energy(p, params):
     return 2.0 * np.pi * reduced_energy(p, params)
 
 
-def el_residual(p, params):
+def el_residual(p, params, with_potential=False):
     """Stationarity residual at the interior nodes (second-order stencils).
 
     Endpoints carry Dirichlet data and are excluded.  A profile is discretely
-    stationary exactly when this vector vanishes.
+    stationary exactly when this vector vanishes.  With ``with_potential``
+    the reaction potential V there comes too, as (R, V), from the same sin
+    and cos of 2h: Newton's next Jacobian needs it.
     """
-    return p.grid.stencil.residual(p.values, params.kappa)
+    st = p.grid.stencil
+    if with_potential:
+        return st.residual_and_potential(p.values, params.kappa, p.grid.n - 1)
+    return st.residual(p.values, params.kappa)
 
 
 def residual_supnorm(p, params):

@@ -15,7 +15,9 @@ explicit pole potential -cos(2h)/sin^2(t), of size 1/dtheta^2 at the first
 interior node, imposes a dt = O(dtheta^2) stability ceiling; with it the
 step limit is set by the physical growth rates alone (dt of order 1/kappa).
 Dirichlet endpoints are never touched, so the boundary class is preserved
-bitwise.
+bitwise.  Each run builds one step workspace (``_Kernel``) and updates the
+evolved values in place; the monitors read that state where it is, and a
+profile is built only for the result.
 
 Saddle-point limits carry one flow-unstable direction that is antisymmetric
 under the hemispheric reflection; rounding noise seeds it in full-interval
@@ -30,6 +32,7 @@ fixed one; ``run`` keeps the time axis and the energy trace.
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,41 +107,85 @@ class FlowResult:
         return all(r.wedge_ok for r in self.records if r.wedge_ok is not None)
 
 
-def _implicit_banded(grid, dt, m):
-    """Banded form of I - dt*L on interior nodes 1..m (Dirichlet outside)."""
-    ab = dt * grid.stencil.divergence_bands[:, :m]
-    ab[1] += 1.0
-    return ab
+class _Kernel:
+    """One run's step workspace for the evolved nodes 1..m, built once.
 
-
-def _advance(p, dt, ab, r, v):
-    """One stabilized IMEX update of nodes 1..m, m = ab.shape[1]; returns a profile.
-
-    ``r`` and ``v`` are R and V of ``p`` at nodes 1..m.  When m = n/2 - 1
-    the update is a half-interval one: the midpoint is pinned at k*pi and
-    the right half is the reflection of the left.  The tridiagonal solve is
-    LAPACK gtsv, called directly: the routine solve_banded((1, 1), ...)
-    dispatches to, without its wrapper's validation.
+    ``evaluate`` writes R and V of a node array into given buffers and
+    ``advance`` takes one stabilized IMEX step from a node array into another
+    (or the same) one, both in place: the scratch for 2h, its sin and cos,
+    |R|, and the gtsv diagonal, right-hand side and off-diagonal copies are
+    allocated here and reused by every step.  When m = n/2 - 1 the update is
+    a half-interval one: the midpoint is pinned at k*pi, k = (p0.m + p0.n_end)/2,
+    and the right half is the reflection of the left.
     """
-    m = ab.shape[1]
-    # the positive part of the potential V is the implicit damping D
-    diag = ab[1] + dt * np.maximum(v, 0.0)
-    *_, delta, info = dgtsv(ab[2, :-1], diag, ab[0, 1:], dt * r,
-                            overwrite_d=1, overwrite_b=1)
-    if info != 0:
-        raise LinAlgError(f"flow update: gtsv returned info = {info}")
-    if not np.all(np.isfinite(delta)):
-        raise ValueError("flow update is not finite")
-    values = p.values.copy()
-    values[1:m + 1] += delta
-    mid = p.grid.midpoint_index
-    if m == mid - 1:
-        k = (p.m + p.n_end) // 2
-        values[mid] = k * np.pi
-        values[mid + 1:-1] = 2.0 * np.pi * k - values[mid - 1:0:-1]
-    values.setflags(write=False)
-    # endpoints were never touched: reuse the class without re-validating
-    return type(p)(grid=p.grid, values=values, m=p.m, n_end=p.n_end)
+
+    def __init__(self, p0, kappa, m):
+        self.stencil = p0.grid.stencil
+        self.kappa = kappa
+        self.m = m
+        self.work = np.empty((4, m))
+        self.abs_r = np.empty(m)
+        self.dl, self.du = np.empty((2, m - 1))
+        self.d, self.rhs = np.empty((2, m))
+        self.bands = np.empty((3, m))
+        self.dt = None
+        mid = p0.grid.midpoint_index
+        self.mid = mid if m == mid - 1 else None
+        self.k = (p0.m + p0.n_end) // 2
+
+    def evaluate(self, h, r, v):
+        """R and V of the node array h at nodes 1..m into r and v; returns sup |R|."""
+        self.stencil.evaluate(h, self.kappa, r, v, self.work)
+        return float(np.abs(r, out=self.abs_r).max())
+
+    def advance(self, src, dst, dt, r, v):
+        """One step of nodes 1..m from node array src into dst (which may be src).
+
+        ``r`` and ``v`` are R and V of ``src`` at nodes 1..m.  The system
+        (I - dt L + dt D) delta = dt R, D = diag(max(V, 0)), is solved by
+        LAPACK gtsv, called directly: the routine solve_banded((1, 1), ...)
+        dispatches to, without its wrapper's validation and copies.  Raises
+        ValueError, leaving dst as it was, when the update is not finite.
+        Endpoints are never written.
+        """
+        m = self.m
+        if dt != self.dt:
+            # I - dt L on nodes 1..m, Dirichlet outside
+            np.multiply(dt, self.stencil.divergence_bands[:, :m], out=self.bands)
+            self.bands[1] += 1.0
+            self.dt = dt
+        np.copyto(self.dl, self.bands[2, :-1])
+        np.copyto(self.du, self.bands[0, 1:])
+        # the positive part of the potential V is the implicit damping D
+        d = np.maximum(v, 0.0, out=self.d)
+        np.multiply(dt, d, out=d)
+        np.add(self.bands[1], d, out=d)
+        np.multiply(dt, r, out=self.rhs)
+        *_, delta, info = dgtsv(self.dl, d, self.du, self.rhs, overwrite_dl=1,
+                                overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        if info != 0:
+            raise LinAlgError(f"flow update: gtsv returned info = {info}")
+        if not np.isfinite(delta).all():
+            raise ValueError("flow update is not finite")
+        np.add(src[1:m + 1], delta, out=dst[1:m + 1])
+        mid = self.mid
+        if mid is not None:
+            dst[mid] = self.k * np.pi
+            np.subtract(2.0 * np.pi * self.k, dst[mid - 1:0:-1], out=dst[mid + 1:-1])
+
+
+def _live(p):
+    """p over a writable copy of its values: a state a _Kernel updates in place."""
+    return type(p)(grid=p.grid, values=p.values.copy(), m=p.m, n_end=p.n_end)
+
+
+def _frozen(p):
+    """The state p, read-only from here on: the profile to hand out.
+
+    Its endpoints were never written, so it needs no re-validation.
+    """
+    p.values.setflags(write=False)
+    return p
 
 
 def step(p, params, dt):
@@ -146,8 +193,12 @@ def step(p, params, dt):
     if dt <= 0:
         raise ValueError("dt must be positive")
     m = p.grid.n - 1
-    r, v = p.grid.stencil.residual_and_potential(p.values, params.kappa, m)
-    return _advance(p, dt, _implicit_banded(p.grid, dt, m), r, v)
+    kernel = _Kernel(p, params.kappa, m)
+    q = _live(p)
+    r, v = np.empty((2, m))
+    kernel.evaluate(q.values, r, v)
+    kernel.advance(q.values, q.values, dt, r, v)
+    return _frozen(q)
 
 
 def detect_blowup(p, cfg):
@@ -158,15 +209,17 @@ def detect_blowup(p, cfg):
     anywhere else cannot represent a genuine singularity of this flow.
     """
     v = p.values
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         return True
     # the second-order slopes of np.gradient at the 6 nodes with theta < 5*dtheta
-    # at each pole, pole node included: central inside, one-sided at the pole
-    diffs = np.concatenate((v[2:7] - v[:5], v[-5:] - v[-7:-2],
-                            (4.0 * v[1] - 3.0 * v[0] - v[2],
-                             3.0 * v[-1] - 4.0 * v[-2] + v[-3])))
-    steepest = np.max(np.abs(diffs)) / (2.0 * p.grid.dtheta)
-    return bool(steepest > cfg.blowup_grad_threshold)
+    # at each pole, pole node included: central inside, one-sided at the pole,
+    # on the two 7-node windows read as Python floats
+    a, b = v[:7].tolist(), v[-7:].tolist()
+    steepest = max(map(abs, (4.0 * a[1] - 3.0 * a[0] - a[2],
+                             3.0 * b[6] - 4.0 * b[5] + b[4],
+                             *map(operator.sub, a[2:], a[:5]),
+                             *map(operator.sub, b[2:], b[:5]))))
+    return bool(steepest / (2.0 * p.grid.dtheta) > cfg.blowup_grad_threshold)
 
 
 def _monitor(p, cfg, track_hemispheric):
@@ -194,10 +247,11 @@ def run(p0, params, cfg=None, half_interval=False):
     # the evolved nodes 1..m; in half-interval runs the right half is the
     # reflection, whose residual is -R up to rounding and is never used
     m = p0.grid.midpoint_index - 1 if half_interval else p0.grid.n - 1
-    ab = _implicit_banded(p0.grid, dt, m)
-    evaluate = p0.grid.stencil.residual_and_potential
-
-    p = p0
+    kernel = _Kernel(p0, params.kappa, m)
+    # p is the state, updated in place; records read it, and it is returned
+    p = _live(p0)
+    h = p.values
+    r, v = np.empty((2, m))
     t = 0.0
     steps = 0
     e_prev = reduced_energy(p0, params)
@@ -219,8 +273,7 @@ def run(p0, params, cfg=None, half_interval=False):
     status = FlowStatus.HORIZON_REACHED
     # one evaluation of R and V per step: the stationarity test's R, reused
     # by the next update
-    r, v = evaluate(p.values, params.kappa, m)
-    sup_res = float(np.max(np.abs(r)))
+    sup_res = kernel.evaluate(h, r, v)
     record(sup_res)
     while t < cfg.t_max:
         if detect_blowup(p, cfg):
@@ -229,17 +282,17 @@ def run(p0, params, cfg=None, half_interval=False):
         if sup_res < cfg.stationary_tol:
             status = FlowStatus.STATIONARY
             break
-        p = _advance(p, dt, ab, r, v)
+        kernel.advance(h, h, dt, r, v)
         t += dt
         steps += 1
         steps_since_record += 1
-        r, v = evaluate(p.values, params.kappa, m)
-        sup_res = float(np.max(np.abs(r)))
+        sup_res = kernel.evaluate(h, r, v)
         if steps_since_record >= cfg.record_every or sup_res < cfg.stationary_tol:
             record(sup_res)
     if records[-1].t < t:
         record(sup_res)
-    return FlowResult(final=p, status=status, records=tuple(records), steps=steps)
+    return FlowResult(final=_frozen(p), status=status, records=tuple(records),
+                      steps=steps)
 
 
 def _relax(p0, params, cfg):
@@ -258,41 +311,43 @@ def _relax(p0, params, cfg):
     """
     dt0 = dt = cfg.effective_dt(params.kappa)
     m = p0.grid.midpoint_index - 1
-    evaluate = p0.grid.stencil.residual_and_potential
-    p = p0
-    r, v = evaluate(p.values, params.kappa, m)
-    sup = float(np.max(np.abs(r)))
+    kernel = _Kernel(p0, params.kappa, m)
+    # the current state and the trial, each with its R and V; an accepted
+    # trial swaps with the state, a rejected one leaves the state untouched
+    cur = (_live(p0), *np.empty((2, m)))
+    nxt = (_live(p0), *np.empty((2, m)))
+    sup = kernel.evaluate(cur[0].values, cur[1], cur[2])
 
     def attempt(dt):
-        """The trial from p at dt with its R, V and r, or None if rejected."""
+        """The trial from the state at dt into nxt: its r, or None if rejected."""
         above = dt > dt0
+        (p, r, v), (q, r_q, v_q) = cur, nxt
         try:
-            q = _advance(p, dt, _implicit_banded(p.grid, dt, m), r, v)
+            kernel.advance(p.values, q.values, dt, r, v)
         except ValueError:  # a non-finite update, or gtsv failed (LinAlgError)
             if not above:
                 raise
             return None
         if above and cfg.wedge is not None and not wedge_check(q, cfg.wedge).inside:
             return None
-        r_q, v_q = evaluate(q.values, params.kappa, m)
-        sup_q = float(np.max(np.abs(r_q)))
+        sup_q = kernel.evaluate(q.values, r_q, v_q)
         if above and sup_q > sup:
             return None
-        return q, r_q, v_q, sup_q
+        return sup_q
 
     for _ in range(math.ceil(cfg.t_max / dt0)):
-        if detect_blowup(p, cfg):
-            return p, FlowStatus.BLOWUP_SUSPECTED
+        if detect_blowup(cur[0], cfg):
+            return _frozen(cur[0]), FlowStatus.BLOWUP_SUSPECTED
         if sup < cfg.stationary_tol:
-            return p, FlowStatus.STATIONARY
-        trial = attempt(dt)
-        if trial is None:
+            return _frozen(cur[0]), FlowStatus.STATIONARY
+        sup_new = attempt(dt)
+        if sup_new is None:
             dt = max(dt0, 0.5 * dt)
             continue
-        p, r, v, sup_new = trial
+        cur, nxt = nxt, cur
         dt = max(dt0, 2.0 * dt if 2.0 * sup_new <= sup else dt * sup / sup_new)
         sup = sup_new
-    return p, FlowStatus.HORIZON_REACHED
+    return _frozen(cur[0]), FlowStatus.HORIZON_REACHED
 
 
 @dataclass(frozen=True)
@@ -317,25 +372,24 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
         raise ValueError("profiles must share a grid")
     dt = cfg.effective_dt(params.kappa)
     m = p_lower.grid.n - 1
-    ab = _implicit_banded(p_lower.grid, dt, m)
-    evaluate = p_lower.grid.stencil.residual_and_potential
-    lo, up = p_lower, p_upper
+    kernel = _Kernel(p_lower, params.kappa, m)
+    lo, up = p_lower.values.copy(), p_upper.values.copy()
+    r_lo, v_lo, r_up, v_up = np.empty((4, m))
     t = 0.0
     steps = 0
     worst = max(initial_gap, 0.0)
     while t < cfg.t_max:
-        r_lo, v_lo = evaluate(lo.values, params.kappa, m)
-        r_up, v_up = evaluate(up.values, params.kappa, m)
-        if (np.max(np.abs(r_lo)) < cfg.stationary_tol
-                and np.max(np.abs(r_up)) < cfg.stationary_tol):
+        sup_lo = kernel.evaluate(lo, r_lo, v_lo)
+        sup_up = kernel.evaluate(up, r_up, v_up)
+        if sup_lo < cfg.stationary_tol and sup_up < cfg.stationary_tol:
             break
-        lo = _advance(lo, dt, ab, r_lo, v_lo)
-        up = _advance(up, dt, ab, r_up, v_up)
+        kernel.advance(lo, lo, dt, r_lo, v_lo)
+        kernel.advance(up, up, dt, r_up, v_up)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0:
-            worst = max(worst, float(np.max(lo.values - up.values)))
-    worst = max(worst, float(np.max(lo.values - up.values)))
+            worst = max(worst, float(np.max(lo - up)))
+    worst = max(worst, float(np.max(lo - up)))
     return ComparisonVerdict(max_violation=worst, t_end=t, steps=steps)
 
 

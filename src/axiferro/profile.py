@@ -205,8 +205,8 @@ def write_profile_csv(p, path, kappa=None, extra_header=None):
     if extra_header:
         lines.append(extra_header)
     lines.append("theta,h")
-    for t, v in zip(p.grid.nodes, p.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
+    lines.extend(map(",".join, zip(map(repr, p.grid.nodes.tolist()),
+                                   map(repr, p.values.tolist()))))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -100,8 +100,14 @@ class SaddleReport:
         return problems
 
 
+def _require_finite(kappa):
+    if not math.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
+
+
 def grid_for_kappa(kappa):
     """Default grid: n >= 1024, at least 32 nodes per sqrt(kappa) domain-wall width."""
+    _require_finite(kappa)
     n = max(1024, 32 * math.ceil(math.sqrt(max(kappa, 1.0))))
     return make_grid(n + n % 2)
 
@@ -165,6 +171,7 @@ def _flow_then_polish(kappa, saddle_type, grid):
 
 def find_first_type(kappa, grid=None):
     """First-type saddle pipeline: sawtooth initial data, flow, polish, classify."""
+    _require_finite(kappa)
     if kappa < 4:
         raise ValueError(f"first-type pipeline requires kappa >= 4, got {kappa}")
     return _flow_then_polish(kappa, FIRST, grid or grid_for_kappa(kappa))
@@ -177,6 +184,7 @@ def find_second_type(kappa, grid=None):
     the (single-point) continuation seed.  kappa < 4: natural-parameter
     continuation downward from (4, 2*theta) in kappa steps of 0.05.
     """
+    _require_finite(kappa)
     if kappa <= 0:
         raise ValueError(f"second-type pipeline requires kappa > 0, got {kappa}")
     grid = grid or grid_for_kappa(kappa)

@@ -50,12 +50,14 @@ def newton_solve(p0, params, cfg=None):
     """
     cfg = cfg or NewtonConfig()
     p = p0
-    r = el_residual(p, params)
+    # each residual comes with V, so the Jacobian at an accepted trial takes
+    # no second sin and cos of 2h
+    r, v = el_residual(p, params, with_potential=True)
     norm = float(np.max(np.abs(r)))
     for _ in range(cfg.max_iter):
         if norm < cfg.residual_tol:
             return p
-        ab = p.grid.stencil.jacobian_bands(p.values, params.kappa)
+        ab = p.grid.stencil.jacobian_bands(v)
         try:
             delta = solve_banded((1, 1), ab, -r)
         except LinAlgError as exc:
@@ -69,10 +71,10 @@ def newton_solve(p0, params, cfg=None):
             values = p.values.copy()
             values[1:-1] += alpha * delta
             trial = type(p)(grid=p.grid, values=values, m=p.m, n_end=p.n_end)
-            r_trial = el_residual(trial, params)
+            r_trial, v_trial = el_residual(trial, params, with_potential=True)
             norm_trial = float(np.max(np.abs(r_trial)))
             if norm_trial < norm:
-                p, r, norm = trial, r_trial, norm_trial
+                p, r, v, norm = trial, r_trial, v_trial, norm_trial
                 break
             alpha *= 0.5
         else:

@@ -35,6 +35,7 @@ class Stencil:
         s = self.sin = np.sin(theta)
         self.cot = np.cos(theta) / s
         self.sin2 = s ** 2
+        self.twice_sin2 = 2.0 * self.sin2
         self.cos_2theta = np.cos(2.0 * theta)
         self.sin_2theta = np.sin(2.0 * theta)
         s_half = self.sin_half = np.sin(grid.half_nodes)  # edge (i, i+1) at index i
@@ -49,45 +50,86 @@ class Stencil:
         self.divergence_bands[1] = (s_half[1:] + s_half[:-1]) / (s * dth2)
         self.divergence_bands[2, :-1] = -s_half[1:-1] / (s[1:] * dth2)
         self.symmetric_offdiag = -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:]))
-        for a in (s, self.cot, self.sin2, self.cos_2theta, self.sin_2theta, s_half,
-                  self.jacobian_offdiag, self.divergence_bands, self.symmetric_offdiag):
+        for a in (s, self.cot, self.sin2, self.twice_sin2, self.cos_2theta,
+                  self.sin_2theta, s_half, self.jacobian_offdiag,
+                  self.divergence_bands, self.symmetric_offdiag):
             a.setflags(write=False)
 
-    def _trig(self, hi):
-        """sin 2h and cos 2h at nodes 1..len(hi), with cos 2t and sin 2t there.
+    def _trig(self, hi, two_h, s, c):
+        """sin 2h and cos 2h at nodes 1..len(hi) into s and c, 2h into two_h.
 
         One sin and one cos of 2h serve R and V together: sin(2h - 2t) and
-        cos(2h - 2t) follow from them by the angle-difference identities.
+        cos(2h - 2t) follow from them and the cached cos 2t and sin 2t by the
+        angle-difference identities.
         """
-        m = len(hi)
-        two_h = 2.0 * hi
-        return np.sin(two_h), np.cos(two_h), self.cos_2theta[:m], self.sin_2theta[:m]
+        np.multiply(2.0, hi, out=two_h)
+        np.sin(two_h, out=s)
+        np.cos(two_h, out=c)
 
-    def _residual(self, h, kappa, s, c, c2t, s2t):
-        m = len(s)
-        d2 = (h[2:m + 2] - 2.0 * h[1:m + 1] + h[:m]) / self.dtheta ** 2
-        d1 = (h[2:m + 2] - h[:m]) / (2.0 * self.dtheta)
-        return (d2 + self.cot[:m] * d1 - s / (2.0 * self.sin2[:m])
-                - 0.5 * kappa * (s * c2t - c * s2t))
+    def evaluate(self, h, kappa, r, v, work):
+        """R into r and V into v at nodes 1..m from the full node array h.
 
-    def _potential(self, kappa, s, c, c2t, s2t):
-        return c / self.sin2[:len(c)] + kappa * (c * c2t + s * s2t)
-
-    def residual(self, h, kappa):
-        """R at every interior node, from the full node array h."""
-        return self._residual(h, kappa, *self._trig(h[1:-1]))
-
-    def potential(self, h, kappa):
-        """V at interior nodes 1..len(h), given the values h there."""
-        return self._potential(kappa, *self._trig(h))
+        ``work`` is (4, m) scratch; r or v may be None to skip it.  Nothing is
+        allocated, and each ufunc writes into a given buffer in the operation
+        order of the formulas above, so the result is bit for bit that of the
+        same formulas written as allocating array expressions.
+        """
+        m = work.shape[1]
+        two_h, s, c, t = work
+        self._trig(h[1:m + 1], two_h, s, c)
+        c2t, s2t = self.cos_2theta[:m], self.sin_2theta[:m]
+        if r is not None:
+            dth = self.dtheta
+            # d2 = (h_{i+1} - 2 h_i + h_{i-1}) / dth^2, 2 h_i being two_h
+            np.subtract(h[2:m + 2], two_h, out=r)
+            np.add(r, h[:m], out=r)
+            np.divide(r, dth ** 2, out=r)
+            # + cot d1, d1 = (h_{i+1} - h_{i-1}) / (2 dth)
+            np.subtract(h[2:m + 2], h[:m], out=t)
+            np.divide(t, 2.0 * dth, out=t)
+            np.multiply(self.cot[:m], t, out=t)
+            np.add(r, t, out=r)
+            # - sin 2h / (2 sin^2 t) - kappa/2 (sin 2h cos 2t - cos 2h sin 2t)
+            np.divide(s, self.twice_sin2[:m], out=t)
+            np.subtract(r, t, out=r)
+            np.multiply(s, c2t, out=t)
+            np.multiply(c, s2t, out=two_h)
+            np.subtract(t, two_h, out=t)
+            np.multiply(0.5 * kappa, t, out=t)
+            np.subtract(r, t, out=r)
+        if v is not None:
+            # cos 2h / sin^2 t + kappa (cos 2h cos 2t + sin 2h sin 2t)
+            np.multiply(c, c2t, out=t)
+            np.multiply(s, s2t, out=v)
+            np.add(t, v, out=t)
+            np.multiply(kappa, t, out=t)
+            np.divide(c, self.sin2[:m], out=v)
+            np.add(v, t, out=v)
 
     def residual_and_potential(self, h, kappa, m):
         """R and V at interior nodes 1..m from the full node array h."""
-        trig = self._trig(h[1:m + 1])
-        return self._residual(h, kappa, *trig), self._potential(kappa, *trig)
+        r, v = np.empty((2, m))
+        self.evaluate(h, kappa, r, v, np.empty((4, m)))
+        return r, v
 
-    def jacobian_bands(self, h, kappa):
-        """Banded dR/dh on the interior from the full node array h; diagonal d2 - V."""
+    def residual(self, h, kappa):
+        """R at every interior node, from the full node array h."""
+        m = len(h) - 2
+        r = np.empty(m)
+        self.evaluate(h, kappa, r, None, np.empty((4, m)))
+        return r
+
+    def potential(self, hi, kappa):
+        """V at interior nodes 1..len(hi), given the values hi there."""
+        m = len(hi)
+        h = np.empty(m + 2)  # the end entries are not read for V alone
+        h[1:-1] = hi
+        v = np.empty(m)
+        self.evaluate(h, kappa, None, v, np.empty((4, m)))
+        return v
+
+    def jacobian_bands(self, v):
+        """Banded dR/dh on the interior, given V there; diagonal d2 - V."""
         ab = self.jacobian_offdiag.copy()
-        ab[1] = -2.0 / self.dtheta ** 2 - self.potential(h[1:-1], kappa)
+        ab[1] = -2.0 / self.dtheta ** 2 - v
         return ab

@@ -149,6 +149,19 @@ class TestSaddleCommand:
         assert message in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("saddle", "--type", "first", "--kappa", "inf"),
+    ("saddle", "--type", "second", "--kappa", "inf"),
+    ("saddle", "--type", "first", "--kappa", "nan"),
+    ("sweep", "--from", "4", "--to", "inf", "--step", "1")])
+def test_nonfinite_kappa_refused_before_any_output(tmp_path, argv):
+    out = tmp_path / "out"
+    r = run_cli(*argv, "--out", str(out))
+    assert_one_line_error(r)
+    assert "kappa must be finite" in r.stderr
+    assert not out.exists()
+
+
 class TestSweepCommand:
     def test_both_types_with_kappa1_probe(self, tmp_path):
         r = run_cli("sweep", "--type", "first", "second", "--from", "4",

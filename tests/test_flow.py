@@ -2,14 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
+from axiferro import flow
 from axiferro.energy import EnergyParams, reduced_energy, residual_supnorm
-from axiferro.flow import (FlowConfig, FlowStatus, comparison_trial,
-                           detect_blowup, run, step, write_energy_trace_csv)
+from axiferro.flow import (ENERGY_SLACK, FlowConfig, FlowRecord, FlowStatus,
+                           comparison_trial, detect_blowup, run, step,
+                           write_energy_trace_csv)
 from axiferro.grid import make_grid
 from axiferro.profile import (W1, W2, WedgeSpec, builtin_profile, degree,
-                              make_profile)
-from axiferro.stencil import Stencil
+                              hemispheric_deviation, is_hemispheric,
+                              make_profile, wedge_check)
 
 
 def random_ordered_pair(grid, rng):
@@ -141,13 +144,13 @@ class TestRun:
     @pytest.mark.parametrize("half_interval", [False, True])
     def test_one_residual_per_step(self, grid256, monkeypatch, half_interval):
         calls = []
-        evaluate = Stencil.residual_and_potential
+        evaluate = flow._Kernel.evaluate
 
-        def counting(self, h, kappa, m):
-            calls.append(m)
-            return evaluate(self, h, kappa, m)
+        def counting(self, h, r, v):
+            calls.append((self.work.shape[1], len(r), len(v)))
+            return evaluate(self, h, r, v)
 
-        monkeypatch.setattr(Stencil, "residual_and_potential", counting)
+        monkeypatch.setattr(flow._Kernel, "evaluate", counting)
         result = run(builtin_profile("pi", grid256), EnergyParams(5.0),
                      FlowConfig(stationary_tol=1e-8), half_interval=half_interval)
         assert result.status is FlowStatus.STATIONARY
@@ -155,7 +158,105 @@ class TestRun:
         assert len(calls) == result.steps + 1
         # only the evolved nodes are evaluated
         evolved = grid256.midpoint_index - 1 if half_interval else grid256.n - 1
-        assert set(calls) == {evolved}
+        assert set(calls) == {(evolved, evolved, evolved)}
+
+
+def reference_run(p0, params, cfg, half_interval):
+    """``run`` as one allocating loop over the public stencil and solve_banded.
+
+    Returns (steps, status, records, final values).
+    """
+    grid = p0.grid
+    st = grid.stencil
+    dt = cfg.effective_dt(params.kappa)
+    mid = grid.midpoint_index
+    m = mid - 1 if half_interval else grid.n - 1
+    implicit = dt * st.divergence_bands[:, :m]
+    implicit[1] += 1.0
+    k = (p0.m + p0.n_end) // 2
+    track_hemi = is_hemispheric(p0, 1e-12)
+    values = p0.values.copy()
+    t, steps, since, records = 0.0, 0, 0, []
+    e_prev = reduced_energy(p0, params)
+    slack = ENERGY_SLACK * (1.0 + abs(e_prev))
+
+    def record(sup):
+        nonlocal e_prev, since
+        p = make_profile(grid, values, p0.m, p0.n_end)
+        e = reduced_energy(p, params)
+        wedge_ok = None if cfg.wedge is None else wedge_check(p, cfg.wedge).inside
+        dev = hemispheric_deviation(p) if track_hemi else None
+        records.append(FlowRecord(t=t, energy=e, sup_residual=sup, wedge_ok=wedge_ok,
+                                  hemispheric_dev=dev,
+                                  energy_ok=e <= e_prev + slack * max(since, 1)))
+        e_prev, since = e, 0
+
+    r, v = st.residual_and_potential(values, params.kappa, m)
+    sup = float(np.max(np.abs(r)))
+    record(sup)
+    status = FlowStatus.HORIZON_REACHED
+    while t < cfg.t_max:
+        if full_gradient_blowup(make_profile(grid, values, p0.m, p0.n_end), cfg):
+            status = FlowStatus.BLOWUP_SUSPECTED
+            break
+        if sup < cfg.stationary_tol:
+            status = FlowStatus.STATIONARY
+            break
+        ab = implicit.copy()
+        ab[1] += dt * np.maximum(v, 0.0)
+        values[1:m + 1] += solve_banded((1, 1), ab, dt * r)
+        if half_interval:
+            values[mid] = k * np.pi
+            values[mid + 1:-1] = 2.0 * np.pi * k - values[mid - 1:0:-1]
+        t += dt
+        steps += 1
+        since += 1
+        r, v = st.residual_and_potential(values, params.kappa, m)
+        sup = float(np.max(np.abs(r)))
+        if since >= cfg.record_every or sup < cfg.stationary_tol:
+            record(sup)
+    if records[-1].t < t:
+        record(sup)
+    return steps, status, records, values
+
+
+@pytest.mark.parametrize("record_every", [1, 10])
+@pytest.mark.parametrize("init,kappa,wedge,half_interval", [
+    ("pi", 5.0, W1, False), ("first-type", 5.0, W1, True),
+    ("two-theta", 6.0, W2, True)])
+def test_run_matches_reference_loop_bitwise(grid256, init, kappa, wedge,
+                                            half_interval, record_every):
+    p0 = builtin_profile(init, grid256, kappa=kappa)
+    if half_interval:
+        # a midpoint off k*pi within the hemispheric tolerance, which the
+        # first step pins
+        vals = p0.values.copy()
+        vals[grid256.midpoint_index] += 4e-13
+        p0 = make_profile(grid256, vals, p0.m, p0.n_end)
+    params = EnergyParams(kappa)
+    cfg = FlowConfig(stationary_tol=1e-8, record_every=record_every,
+                     wedge=WedgeSpec(wedge, 1e-8))
+    result = run(p0, params, cfg, half_interval=half_interval)
+    steps, status, records, values = reference_run(p0, params, cfg, half_interval)
+    assert result.status is status is FlowStatus.STATIONARY
+    assert result.steps == steps > 10
+    assert result.records == tuple(records)
+    assert np.array_equal(result.final.values, values)
+    assert not result.final.values.flags.writeable
+
+
+def test_kernel_serves_every_step_size(grid256):
+    # _relax changes dt between trials on one workspace: each step must
+    # equal a fresh workspace's step at that dt
+    p = builtin_profile("first-type", grid256, kappa=5.0)
+    m = grid256.n - 1
+    kernel = flow._Kernel(p, 5.0, m)
+    r, v = np.empty((2, m))
+    kernel.evaluate(p.values, r, v)
+    for dt in (1e-2, 4e-2, 4e-2, 1e-2):
+        values = p.values.copy()
+        kernel.advance(p.values, values, dt, r, v)
+        assert np.array_equal(values, step(p, EnergyParams(5.0), dt).values)
 
 
 def full_gradient_blowup(p, cfg):

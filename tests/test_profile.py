@@ -215,6 +215,19 @@ class TestCsvRoundTrip:
         assert kappa is None
         assert np.array_equal(q.values, p.values)
 
+    @pytest.mark.parametrize("n", [256, 4096])
+    def test_bytes_match_per_row_formatting(self, tmp_path, rng, n):
+        grid = make_grid(n)
+        vals = np.pi + rng.standard_normal(n + 1) * rng.uniform(1e-3, 10.0, n + 1)
+        vals[0] = vals[-1] = np.pi
+        p = make_profile(grid, vals, 1, 1)
+        path = tmp_path / "p.csv"
+        write_profile_csv(p, path, kappa=6.25, extra_header="# config_hash=abc")
+        rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(grid.nodes, p.values)]
+        expected = "\n".join(["# m=1 n=1 kappa=6.25", "# config_hash=abc", "theta,h",
+                              *rows]) + "\n"
+        assert path.read_bytes() == expected.encode()
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("theta,h\n0.0,0.0\n")

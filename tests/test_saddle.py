@@ -11,7 +11,6 @@ from axiferro.profile import (W1, W2, WedgeSpec, WedgeVerdict, degree,
 from axiferro.saddle import (BlowupError, ContinuationError, find_first_type,
                              find_second_type, grid_for_kappa,
                              probe_second_branch_floor, sweep)
-from axiferro.stencil import Stencil
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +251,13 @@ def test_first_type_at_very_large_kappa():
     assert np.max(node_derivative(report.profile)) <= 1 + 1e-6
 
 
+@pytest.mark.parametrize("call", [grid_for_kappa, find_first_type, find_second_type])
+@pytest.mark.parametrize("kappa", [np.inf, -np.inf, np.nan])
+def test_nonfinite_kappa_rejected(call, kappa):
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        call(kappa)
+
+
 def test_grid_for_kappa_scaling():
     assert grid_for_kappa(4.0).n == 1024
     assert grid_for_kappa(1600.0).n == 1280
@@ -266,15 +272,15 @@ def _fixed_step_flow(start, params, cfg):
 
 @pytest.fixture
 def trials(monkeypatch):
-    """Every relaxer trial, as (state it starts from, dt), in order."""
+    """Every relaxer trial, as (a copy of the state it starts from, dt), in order."""
     log = []
-    real = flow._advance
+    real = flow._Kernel.advance
 
-    def recording(p, dt, ab, r, v):
-        log.append((p, dt))
-        return real(p, dt, ab, r, v)
+    def recording(self, src, dst, dt, r, v):
+        log.append((src.copy(), dt))
+        return real(self, src, dst, dt, r, v)
 
-    monkeypatch.setattr(flow, "_advance", recording)
+    monkeypatch.setattr(flow._Kernel, "advance", recording)
     return log
 
 
@@ -283,13 +289,13 @@ class TestRelaxation:
         (find_first_type, 5.0, 40), (find_second_type, 10.0, 60)])
     def test_few_residual_evaluations(self, monkeypatch, pipeline, kappa, most):
         calls = []
-        real = Stencil.residual_and_potential
+        real = flow._Kernel.evaluate
 
-        def counting(self, h, kappa, m):
-            calls.append(m)
-            return real(self, h, kappa, m)
+        def counting(self, h, r, v):
+            calls.append(len(r))
+            return real(self, h, r, v)
 
-        monkeypatch.setattr(Stencil, "residual_and_potential", counting)
+        monkeypatch.setattr(flow._Kernel, "evaluate", counting)
         pipeline(kappa)
         assert 0 < len(calls) <= most
 
@@ -327,28 +333,30 @@ class TestRelaxation:
                 WedgeVerdict(inside=False, node=1, excess=1.0) if fail_now()
                 else real_wedge(p, spec)))
         elif reason == "not finite":
-            real_advance = flow._advance
+            real_advance = flow._Kernel.advance
 
             def advance(*args):
-                q = real_advance(*args)
+                real_advance(*args)
                 if fail_now():
                     raise ValueError("flow update is not finite")
-                return q
 
-            monkeypatch.setattr(flow, "_advance", advance)
+            monkeypatch.setattr(flow._Kernel, "advance", advance)
         else:
-            real_eval = Stencil.residual_and_potential
+            real_eval = flow._Kernel.evaluate
 
-            def evaluate(self, h, kappa, m):
-                r, v = real_eval(self, h, kappa, m)
-                return (np.full_like(r, 1e300) if fail_now() else r), v
+            def evaluate(self, h, r, v):
+                sup = real_eval(self, h, r, v)
+                if fail_now():
+                    r.fill(1e300)
+                    return 1e300
+                return sup
 
-            monkeypatch.setattr(Stencil, "residual_and_potential", evaluate)
+            monkeypatch.setattr(flow._Kernel, "evaluate", evaluate)
         report = find_first_type(10.0, grid=make_grid(512))
         i = failed[0]
         (p_rejected, dt_rejected), (p_next, dt_next) = trials[i], trials[i + 1]
         assert dt_rejected > dt0
-        assert p_next is p_rejected
+        assert np.array_equal(p_next, p_rejected)
         assert dt_next == max(dt0, 0.5 * dt_rejected)
         assert min(dt for _, dt in trials) == dt0
         assert np.max(np.abs(report.profile.values
@@ -362,28 +370,30 @@ class TestRelaxation:
         # rise; the next update still sees the true residual
         dt0 = FlowConfig().effective_dt(10.0)
         scale = 2.0 ** 40
-        real_eval = Stencil.residual_and_potential
-        record = flow._advance
+        real_eval = flow._Kernel.evaluate
+        record = flow._Kernel.advance
         inflated = []
 
-        def evaluate(self, h, kappa, m):
-            r, v = real_eval(self, h, kappa, m)
+        def evaluate(self, h, r, v):
+            sup = real_eval(self, h, r, v)
             if len(trials) == 1 and not inflated:
-                inflated.append(scale * r)
-                return inflated[0], v
-            return r, v
+                r *= scale
+                inflated.append(r)
+                return scale * sup
+            return sup
 
-        def advance(p, dt, ab, r, v):
+        def advance(self, src, dst, dt, r, v):
             if inflated and r is inflated[0]:
-                r = r / scale
-            return record(p, dt, ab, r, v)
+                r /= scale
+                inflated[0] = None
+            return record(self, src, dst, dt, r, v)
 
-        monkeypatch.setattr(Stencil, "residual_and_potential", evaluate)
-        monkeypatch.setattr(flow, "_advance", advance)
+        monkeypatch.setattr(flow._Kernel, "evaluate", evaluate)
+        monkeypatch.setattr(flow._Kernel, "advance", advance)
         report = find_first_type(10.0, grid=make_grid(512))
         (p0, dt_first), (p1, dt_second) = trials[:2]
         assert dt_first == dt_second == dt0
-        assert p1 is not p0
+        assert not np.array_equal(p1, p0)
         assert np.max(np.abs(report.profile.values
                              - first_type_10.profile.values)) <= 1e-12
 

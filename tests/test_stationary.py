@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
+from axiferro import stationary
 from axiferro.energy import EnergyParams, el_residual, residual_supnorm
 from axiferro.flow import FlowConfig, run
 from axiferro.grid import make_grid
@@ -10,6 +11,7 @@ from axiferro.profile import (builtin_profile, degree, hemispheric_deviation,
                               make_initial_second_type, make_profile)
 from axiferro.stationary import (Branch, NewtonConfig, NewtonError,
                                  continue_branch, newton_solve)
+from axiferro.stencil import Stencil
 
 
 class TestNewton:
@@ -20,6 +22,29 @@ class TestNewton:
                              0, 2)
         sol = newton_solve(start, EnergyParams(4.0), NewtonConfig())
         assert np.max(np.abs(sol.values - exact.values)) < 1e-8
+
+    def test_one_sin_cos_per_residual(self, grid1024, monkeypatch):
+        # each Jacobian is built from the V of the residual evaluation that
+        # accepted its iterate, so it takes no sin and cos of 2h of its own
+        calls = {"trig": 0, "residual": 0, "jacobian": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Stencil, "_trig", counted("trig", Stencil._trig))
+        monkeypatch.setattr(Stencil, "jacobian_bands",
+                            counted("jacobian", Stencil.jacobian_bands))
+        monkeypatch.setattr(stationary, "el_residual",
+                            counted("residual", stationary.el_residual))
+        exact = make_initial_second_type(grid1024)
+        start = make_profile(grid1024,
+                             exact.values + 0.05 * np.sin(2 * grid1024.nodes), 0, 2)
+        newton_solve(start, EnergyParams(4.0), NewtonConfig())
+        assert calls["jacobian"] >= 3
+        assert calls["trig"] == calls["residual"] > calls["jacobian"]
 
     def test_identity_profile_unchanged(self, grid1024):
         p = builtin_profile("theta", grid1024)
@@ -54,11 +79,11 @@ class TestNewton:
                            + 0.003 * np.sin(4 * grid256.nodes), 0, 2)
         norms = []
         for _ in range(6):
-            r = el_residual(cur, params)
+            r, v = el_residual(cur, params, with_potential=True)
             norms.append(float(np.max(np.abs(r))))
             if norms[-1] < 1e-11:
                 break
-            ab = grid256.stencil.jacobian_bands(cur.values, 4.0)
+            ab = grid256.stencil.jacobian_bands(v)
             delta = solve_banded((1, 1), ab, -r)
             vals = cur.values.copy()
             vals[1:-1] += delta
@@ -154,7 +179,7 @@ def test_jacobian_matches_finite_differences(grid64, rng, kappa):
     vals = (2 * g.nodes + 0.2 * np.sin(2 * g.nodes)
             + 0.05 * rng.standard_normal(g.n + 1) * np.sin(g.nodes))
     p = make_profile(g, vals, 0, 2)
-    ab = g.stencil.jacobian_bands(p.values, kappa)
+    ab = g.stencil.jacobian_bands(g.stencil.potential(p.values[1:-1], kappa))
     m = g.n - 1
     dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
     eps = 1e-6

@@ -72,6 +72,33 @@ def evolved_counts(grid):
     return (grid.n - 1, grid.midpoint_index - 1)
 
 
+def allocating_evaluation(st, h, kappa, m):
+    """R and V at nodes 1..m as one allocating expression each, in the
+    operation order that the buffered evaluation keeps bit for bit."""
+    hi = h[1:m + 1]
+    two_h = 2.0 * hi
+    s, c = np.sin(two_h), np.cos(two_h)
+    c2t, s2t = st.cos_2theta[:m], st.sin_2theta[:m]
+    d2 = (h[2:m + 2] - 2.0 * hi + h[:m]) / st.dtheta ** 2
+    d1 = (h[2:m + 2] - h[:m]) / (2.0 * st.dtheta)
+    r = (d2 + st.cot[:m] * d1 - s / (2.0 * st.sin2[:m])
+         - 0.5 * kappa * (s * c2t - c * s2t))
+    v = c / st.sin2[:m] + kappa * (c * c2t + s * s2t)
+    return r, v
+
+
+def test_buffered_evaluation_is_bitwise_the_allocating_one(case):
+    grid, h = case
+    st = grid.stencil
+    for m in evolved_counts(grid):
+        expected = allocating_evaluation(st, h, KAPPA, m)
+        for actual, wanted in zip(st.residual_and_potential(h, KAPPA, m), expected):
+            assert np.array_equal(actual, wanted)
+    r, v = allocating_evaluation(st, h, KAPPA, grid.n - 1)
+    assert np.array_equal(st.residual(h, KAPPA), r)
+    assert np.array_equal(st.potential(h[1:-1], KAPPA), v)
+
+
 def test_residual_matches_inline_formula(case):
     grid, h = case
     expected = reference_residual(grid, h, KAPPA)
@@ -93,7 +120,7 @@ def test_potential_matches_inline_formula(case):
 
 def test_jacobian_bands_match_inline_formula(case):
     grid, h = case
-    assert_close(grid.stencil.jacobian_bands(h, KAPPA),
+    assert_close(grid.stencil.jacobian_bands(grid.stencil.potential(h[1:-1], KAPPA)),
                  reference_jacobian(grid, h, KAPPA))
 
 
@@ -109,6 +136,7 @@ def test_built_once_per_grid_and_read_only():
     st = grid.stencil
     assert grid.stencil is st
     assert make_grid(64).stencil is not st
-    for a in (st.sin, st.cot, st.sin2, st.cos_2theta, st.sin_2theta, st.sin_half,
-              st.divergence_bands, st.symmetric_offdiag, st.jacobian_offdiag):
+    for a in (st.sin, st.cot, st.sin2, st.twice_sin2, st.cos_2theta, st.sin_2theta,
+              st.sin_half, st.divergence_bands, st.symmetric_offdiag,
+              st.jacobian_offdiag):
         assert not a.flags.writeable
