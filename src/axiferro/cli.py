@@ -25,7 +25,7 @@ from .energy import (EnergyParams, el_residual, reduced_energy,
                      assemble_second_variation, wedge_certificates)
 from .flow import FlowConfig, FlowStatus, comparison_trial, run, write_energy_trace_csv
 from .grid import make_grid, quad_sin
-from .profile import (W1, W2, WedgeSpec, builtin_profile, degree,
+from .profile import (W1, W2, WedgeSpec, _csv_rows, builtin_profile, degree,
                       make_profile, read_profile_csv, write_profile_csv)
 from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
                      SaddleValidationError, find_first_type, find_second_type,
@@ -49,8 +49,7 @@ def _outdir(args):
 
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2) + "\n")
 
 
 def _load_initial(name, grid, kappa):
@@ -74,7 +73,6 @@ def cmd_flow(args):
               "record_every": args.record_every, "wedge": args.wedge,
               "half_interval": args.half_interval, "seed": args.seed}
     h = config_hash(config)
-    out = _outdir(args)
     grid = make_grid(args.n)
     p0 = _load_initial(args.init, grid, args.kappa)
     wedge = {"none": None, "W1": WedgeSpec(W1, 1e-8), "W2": WedgeSpec(W2, 1e-8),
@@ -82,6 +80,7 @@ def cmd_flow(args):
     cfg = FlowConfig(dt=args.dt, t_max=args.t_max, stationary_tol=args.tol,
                      record_every=args.record_every, wedge=wedge)
     params = EnergyParams(args.kappa)
+    out = _outdir(args)
     t0 = time.perf_counter()
     result = run(p0, params, cfg, half_interval=args.half_interval)
     wall = time.perf_counter() - t0
@@ -192,10 +191,10 @@ def cmd_spectrum(args):
               "kappa": args.kappa, "k": args.k, "n": args.n,
               "seed": args.seed, "vectors": args.vectors}
     h = config_hash(config)
-    out = _outdir(args)
     grid = make_grid(args.n)
     p = _load_initial(args.profile, grid, args.kappa)
     op = assemble_second_variation(p, EnergyParams(args.kappa))
+    out = _outdir(args)
     result = eigs_lowest(op, args.k)
     lines = [f"# config_hash={h}", "index,lambda"]
     for i, lam in enumerate(result.eigenvalues):
@@ -206,8 +205,7 @@ def cmd_spectrum(args):
         for i in range(args.k):
             vec_lines = [f"# config_hash={h}",
                          f"# eigenvalue={float(result.eigenvalues[i])!r}", "theta,v"]
-            for t, v in zip(grid.nodes, result.eigenvectors[i]):
-                vec_lines.append(f"{float(t)!r},{float(v)!r}")
+            vec_lines.extend(_csv_rows(grid, result.eigenvectors[i]))
             with open(os.path.join(out, f"eigvec_{i + 1}.csv"), "w") as fh:
                 fh.write("\n".join(vec_lines) + "\n")
     print("eigenvalues:", " ".join(f"{v:.6g}" for v in result.eigenvalues))

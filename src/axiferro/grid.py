@@ -1,18 +1,24 @@
 """Uniform angular grid on [0, pi] and sin-weighted trapezoid quadrature."""
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .stencil import Stencil
 
 MIN_SUBDIVISIONS = 16
+# grids kept alive for reuse; one at n = 4096 with its stencil and node
+# text holds about 0.9 MB
+_CACHED_GRIDS = 4
 
 
 @dataclass(frozen=True)
 class Grid:
     """Uniform discretization of [0, pi] into ``n`` subintervals.
+
+    Built by ``make_grid``, which hands out one shared instance per n; the
+    grid is frozen and every array on it is read-only.
 
     nodes[i] = i * pi/n, half_nodes[i] = (i + 1/2) * pi/n.  The quadrature
     weights implement the trapezoid rule for integrals against the measure
@@ -45,11 +51,21 @@ class Grid:
         """Theta factors and bands of the discrete operator, built on first use."""
         return Stencil(self)
 
+    @cached_property
+    def _theta_text(self):
+        """``repr`` of every node: the theta column of the CSV outputs."""
+        return tuple(map(repr, self.nodes.tolist()))
+
 
 def make_grid(n):
     """Build a Grid with ``n`` subintervals.
 
-    ``n`` must be even (so theta = pi/2 is a node) and at least 16.
+    ``n`` must be even (so theta = pi/2 is a node) and at least 16.  Calls
+    with equal n return the same Grid (the four most recently used n are
+    kept), so its stencil and node text are built once.  That pays only in a
+    process that makes a grid at the same n more than once, such as a script
+    that runs several pipelines or flows; a single CLI command makes each of
+    its grids once.
     """
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"n must be an integer, got {type(n).__name__}")
@@ -59,6 +75,11 @@ def make_grid(n):
                          "so that pi/2 is a node")
     if n < MIN_SUBDIVISIONS:
         raise ValueError(f"n = {n} too coarse; need n >= {MIN_SUBDIVISIONS}")
+    return _build_grid(n)
+
+
+@lru_cache(maxsize=_CACHED_GRIDS)
+def _build_grid(n):
     nodes = np.linspace(0.0, np.pi, n + 1)
     half_nodes = nodes[:-1] + 0.5 * (np.pi / n)
     weights = np.sin(nodes) * (np.pi / n)

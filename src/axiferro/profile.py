@@ -195,6 +195,11 @@ def builtin_profile(name, grid, kappa=None):
     raise ValueError(f"unknown builtin profile {name!r}")
 
 
+def _csv_rows(grid, values):
+    """``theta,value`` rows at every node, both with full ``repr`` precision."""
+    return map(",".join, zip(grid._theta_text, map(repr, values.tolist())))
+
+
 def write_profile_csv(p, path, kappa=None, extra_header=None):
     """Two-column CSV with a class header; full round-trip decimal precision."""
     lines = []
@@ -205,8 +210,7 @@ def write_profile_csv(p, path, kappa=None, extra_header=None):
     if extra_header:
         lines.append(extra_header)
     lines.append("theta,h")
-    lines.extend(map(",".join, zip(map(repr, p.grid.nodes.tolist()),
-                                   map(repr, p.values.tolist()))))
+    lines.extend(_csv_rows(p.grid, p.values))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -215,19 +219,26 @@ def read_profile_csv(path, grid=None):
     """Read a profile CSV written by write_profile_csv.
 
     Returns (profile, kappa); kappa is None when absent from the header.
-    If ``grid`` is omitted it is rebuilt from the file's node count and the
-    theta column is checked against it.
+    If ``grid`` is omitted, ``make_grid`` gives the grid of the file's node
+    count.  The theta column is checked against the grid either way.  Blank
+    lines, ``#`` lines and repeated ``theta,h`` lines are skipped, and
+    leading and trailing whitespace is ignored.
     """
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+        lines = map(str.strip, fh.read().split("\n"))
+    header = next(filter(None, lines), None)
+    if header is None:
         raise ValueError(f"{path}: empty profile file")
-    match = re.match(r"#\s*m=(-?\d+)\s+n=(-?\d+)(?:\s+kappa=([^\s]+))?", lines[0])
+    match = re.match(r"#\s*m=(-?\d+)\s+n=(-?\d+)(?:\s+kappa=([^\s]+))?", header)
     if match is None:
         raise ValueError(f"{path}: missing '# m=<m> n=<n>' header")
-    m, n_end = int(match.group(1)), int(match.group(2))
-    kappa = float(match.group(3)) if match.group(3) else None
-    rows = [ln for ln in lines[1:] if not ln.startswith("#") and ln != "theta,h"]
+    m, n_end, kappa_text = int(match.group(1)), int(match.group(2)), match.group(3)
+    try:
+        kappa = float(kappa_text) if kappa_text else None
+    except ValueError:
+        raise ValueError(f"{path}: header kappa={kappa_text} is not a number") from None
+    # the rest of the lines, in the same pass: blank, comment and column lines dropped
+    rows = [ln for ln in lines if ln and ln[0] != "#" and ln != "theta,h"]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     try:

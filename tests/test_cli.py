@@ -162,6 +162,34 @@ def test_nonfinite_kappa_refused_before_any_output(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("flow", "--init", "pi", "--kappa", "inf", "--n", "256"), "kappa must be finite"),
+    (("flow", "--init", "pi", "--kappa", "5", "--n", "255"), "odd subdivision"),
+    (("spectrum", "--profile", "pi", "--kappa", "nan"), "kappa must be finite")])
+def test_flow_and_spectrum_refuse_bad_input_before_any_output(tmp_path, argv, message):
+    out = tmp_path / "out"
+    r = run_cli(*argv, "--out", str(out))
+    assert_one_line_error(r)
+    assert message in r.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (("flow", "--init", "pi", "--kappa", "5", "--n", "256"), "run"),
+    (("spectrum", "--profile", "pi", "--kappa", "5", "--n", "256"), "eigs_lowest")])
+def test_unusable_outdir_refused_before_the_computation(tmp_path, monkeypatch, capsys,
+                                                        argv, stage):
+    from axiferro import cli
+    out = tmp_path / "taken"
+    out.write_text("")
+    monkeypatch.setattr(cli, stage, lambda *a, **k: pytest.fail(f"{stage} was called"))
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--out", str(out)])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestSweepCommand:
     def test_both_types_with_kappa1_probe(self, tmp_path):
         r = run_cli("sweep", "--type", "first", "second", "--from", "4",
@@ -222,6 +250,18 @@ class TestSpectrumCommand:
         assert r.returncode == 0
         assert (tmp_path / "eigvec_1.csv").exists()
         assert (tmp_path / "eigvec_2.csv").exists()
+
+    def test_eigenvector_rows_use_the_grid_nodes(self, tmp_path):
+        r = run_cli("spectrum", "--profile", "two-theta", "--kappa", "4",
+                    "--k", "2", "--n", "256", "--vectors", "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        nodes = make_grid(256).nodes
+        for i in (1, 2):
+            lines = (tmp_path / f"eigvec_{i}.csv").read_text().splitlines()
+            assert lines[2] == "theta,v"
+            rows = [ln.split(",") for ln in lines[3:]]
+            assert [t for t, _ in rows] == [repr(float(t)) for t in nodes]
+            assert all(repr(float(v)) == v for _, v in rows)
 
 
 class TestValidateCommand:

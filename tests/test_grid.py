@@ -88,3 +88,30 @@ def test_second_order_refinement():
 def test_grid_arrays_immutable(grid256):
     with pytest.raises(ValueError):
         grid256.nodes[0] = 1.0
+
+
+def test_one_shared_grid_per_n():
+    g = make_grid(64)
+    assert make_grid(64) is g
+    assert make_grid(np.int64(64)) is g
+    other = make_grid(66)
+    assert other is not g and other.n == 66
+    assert other.stencil is not g.stencil
+
+
+@pytest.mark.parametrize("n, error, match", [(64.0, TypeError, "integer"),
+                                             (np.float64(64.0), TypeError, "integer"),
+                                             ("64", TypeError, "integer"),
+                                             (63, ValueError, "odd"),
+                                             (14, ValueError, "coarse")])
+def test_validation_runs_before_the_shared_grid(n, error, match):
+    make_grid(64)
+    make_grid(np.int64(64))
+    with pytest.raises(error, match=match):
+        make_grid(n)
+
+
+def test_node_text_is_the_repr_of_each_node(grid256):
+    text = grid256._theta_text
+    assert text == tuple(repr(float(t)) for t in grid256.nodes)
+    assert grid256._theta_text is text

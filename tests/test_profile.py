@@ -228,6 +228,45 @@ class TestCsvRoundTrip:
                               *rows]) + "\n"
         assert path.read_bytes() == expected.encode()
 
+    def test_two_writes_on_one_shared_grid(self, tmp_path, rng):
+        grid = make_grid(4096)
+        for i, (m, n_end) in enumerate(((1, 1), (0, 2))):
+            shared = make_grid(4096)
+            assert shared is grid
+            vals = m * np.pi + (n_end - m) * grid.nodes + rng.standard_normal(4097) * 1e-3
+            vals[0], vals[-1] = m * np.pi, n_end * np.pi
+            p = make_profile(shared, vals, m, n_end)
+            path = tmp_path / f"p{i}.csv"
+            write_profile_csv(p, path, kappa=5.0 + i)
+            rows = [f"{float(t)!r},{float(v)!r}" for t, v in zip(grid.nodes, p.values)]
+            expected = "\n".join([f"# m={m} n={n_end} kappa={5.0 + i!r}", "theta,h",
+                                  *rows]) + "\n"
+            assert path.read_bytes() == expected.encode()
+
+    def test_crlf_blank_and_comment_lines_read_like_the_clean_file(self, grid256, tmp_path):
+        p = make_profile(grid256, np.pi + 0.37 * np.sin(grid256.nodes) ** 3, 1, 1)
+        clean = tmp_path / "clean.csv"
+        write_profile_csv(p, clean, kappa=6.25, extra_header="# config_hash=abc")
+        lines = clean.read_text().splitlines()
+        noisy_lines = (["", "  "] + lines[:3] + ["", lines[3]] + lines[4:100]
+                       + ["# a comment", "   ", "theta,h", " " + lines[100] + "\t"]
+                       + lines[101:] + ["", ""])
+        noisy = tmp_path / "noisy.csv"
+        noisy.write_bytes("\r\n".join(noisy_lines).encode())
+        expected, kappa = read_profile_csv(clean)
+        q, noisy_kappa = read_profile_csv(noisy)
+        assert kappa == noisy_kappa == 6.25
+        assert (q.m, q.n_end, q.grid.n) == (1, 1, 256)
+        assert np.array_equal(q.values, expected.values)
+        assert np.array_equal(q.values, p.values)
+
+    def test_header_kappa_not_a_number_rejected_with_path(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# m=1 n=1 kappa=abc\ntheta,h\n0.0,3.0\n")
+        with pytest.raises(ValueError, match="kappa=abc") as info:
+            read_profile_csv(path)
+        assert str(path) in str(info.value)
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("theta,h\n0.0,0.0\n")
