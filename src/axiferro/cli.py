@@ -11,6 +11,7 @@ Exit codes: 0 success / stationary, 1 configuration or pipeline error,
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -172,12 +173,14 @@ def cmd_sweep(args):
     k1 = result.kappa1_estimate
     lines.append(f"# kappa0_bracket={k0[0]!r},{k0[1]!r}" if k0 else "# kappa0_bracket=none")
     lines.append(f"# kappa1_bracket={k1[0]!r},{k1[1]!r}" if k1 else "# kappa1_bracket=none")
-    lines.append("kappa,type,E,lambda1,lambda2,dir_value,status")
-    for r in result.rows:
-        lines.append(f"{r.kappa!r},{r.saddle_type},{r.energy!r},{r.lambda1!r},"
-                     f"{r.lambda2!r},{r.dir_value!r},{r.status}")
     with open(os.path.join(out, "sweep.csv"), "w") as fh:
         fh.write("\n".join(lines) + "\n")
+        # a failure status may contain commas; the writer quotes only such fields
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["kappa", "type", "E", "lambda1", "lambda2", "dir_value", "status"])
+        writer.writerows([repr(r.kappa), r.saddle_type, repr(r.energy), repr(r.lambda1),
+                          repr(r.lambda2), repr(r.dir_value), r.status]
+                         for r in result.rows)
     for report in result.reports:
         name = f"kappa_{report.kappa:g}_{report.saddle_type}.csv"
         write_profile_csv(report.profile, os.path.join(out, "profiles", name),

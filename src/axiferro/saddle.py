@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (EnergyParams, reduced_energy, residual_noise_floor,
-                     residual_supnorm)
+from .energy import (EnergyParams, assemble_second_variation, reduced_energy,
+                     residual_noise_floor, residual_supnorm)
 from .flow import FlowConfig, FlowStatus, _relax
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
                       make_initial_first_type, make_initial_second_type,
                       wedge_check)
-from .spectrum import classify
+from .spectrum import classify, negative_count
 from .stationary import NewtonConfig, continue_branch, newton_solve
 
 FIRST = "first"
@@ -240,13 +240,16 @@ def _failed_row(kappa, saddle_type, exc):
 
 
 def _bisect_kappa0(lo, hi, val_lo, runner, width):
-    """Shrink a sign-change bracket of the explicit-direction certificate."""
+    """Shrink a sign-change bracket of the explicit-direction certificate.
+
+    ``runner`` returns None for a midpoint whose pipeline failed (it records
+    the failed row); the bracket certified before it is kept.
+    """
     while hi - lo > width:
         mid = 0.5 * (lo + hi)
-        try:
-            report = runner(mid)
-        except Exception:
-            break  # keep the widest certified bracket
+        report = runner(mid)
+        if report is None:
+            break
         if (report.explicit_direction_value < 0) == (val_lo < 0):
             lo, val_lo = mid, report.explicit_direction_value
         else:
@@ -254,19 +257,33 @@ def _bisect_kappa0(lo, hi, val_lo, runner, width):
     return (lo, hi)
 
 
+def _is_index_one_saddle(pt):
+    """lambda1 < -1e-8 and lambda2 > 1e-8 at a branch point, without an eigensolve.
+
+    By Sylvester's law of inertia the pivot count at a shift is the number of
+    eigenvalues below it, so the test holds exactly when the counts at
+    -1e-8 and +1e-8 are both 1.
+    """
+    op = assemble_second_variation(pt.profile, EnergyParams(pt.kappa))
+    return all(negative_count(op.diag, op.offdiag, shift) == 1
+               for shift in (-1e-8, 1e-8))
+
+
 def probe_second_branch_floor(grid=None):
     """Walk the second-type branch down from kappa = 4 towards kappa = 1.
 
     Returns (lo, hi) bracketing either a Newton failure or the loss of the
-    saddle eigenvalue structure (lambda1 < 0 < lambda2); None if the branch
-    persists all the way down to kappa = 1.
+    saddle eigenvalue structure (lambda1 < -1e-8 and lambda2 > 1e-8); None if
+    the branch persists all the way down to kappa = 1.  The structure is read
+    off two LDL^T pivot counts per point (see ``_is_index_one_saddle``), so
+    the walk makes no eigensolve.
     """
     grid = grid or make_grid(1024)
     branch = continue_branch(4.0, make_initial_second_type(grid), 1.0, -_BRANCH_DK,
                              _pipeline_newton_cfg(grid))
     prev = 4.0
     for pt in branch.points:
-        if not (pt.lambda1 < -1e-8 and pt.lambda2 > 1e-8):
+        if not _is_index_one_saddle(pt):
             return (pt.kappa, prev)
         prev = pt.kappa
     if branch.suspected_fold is not None:
@@ -280,7 +297,8 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
 
     kappa0: bracket (width <= 0.05) where the first-type explicit-direction
     certificate changes sign, refined by bisection; every midpoint adds a
-    first-type row and report.  kappa1: bracket where the downward
+    first-type row and report, and a midpoint whose pipeline fails adds a
+    failed row and ends the bisection.  kappa1: bracket where the downward
     second-type continuation ends.  Per-kappa pipeline failures are recorded
     in the rows, not raised; a kappa requested twice gives two rows and one
     report, and its pipeline runs once.
@@ -296,12 +314,17 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     reports = {}    # (saddle_type, kappa) -> report
 
     def run_pipeline(kappa, saddle_type):
+        """Report of one kappa, or None once its failure is recorded as a row."""
         # the pipelines are looked up at call time, so a replaced module
         # global sees every new kappa, bisection midpoints included
         report = reports.get((saddle_type, kappa))
         if report is None:
             pipeline = find_first_type if saddle_type == FIRST else find_second_type
-            report = reports[saddle_type, kappa] = pipeline(kappa, grid=grid)
+            try:
+                report = reports[saddle_type, kappa] = pipeline(kappa, grid=grid)
+            except Exception as exc:  # recorded, not raised
+                rows.append(_failed_row(kappa, saddle_type, exc))
+                return None
         rows.append(_row_from_report(report))
         return report
 
@@ -309,11 +332,8 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
         for saddle_type in [t for t in (FIRST, SECOND) if t in types]:
             if saddle_type == FIRST and kappa < 4:
                 rows.append(_failed_row(kappa, FIRST, "skipped: kappa < 4"))
-                continue
-            try:
+            else:
                 run_pipeline(kappa, saddle_type)
-            except Exception as exc:  # recorded, not raised
-                rows.append(_failed_row(kappa, saddle_type, exc))
 
     kappa0 = None
     firsts = [r for r in reports.values() if r.saddle_type == FIRST]  # kappa ascending

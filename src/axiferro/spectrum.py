@@ -4,9 +4,12 @@ The lowest eigenpairs of the symmetrized tridiagonal matrix come from
 LAPACK's bisection (stebz) and inverse iteration (stein) through
 ``scipy.linalg.eigh_tridiagonal``.  The Morse index read off those
 eigenvalues is certified independently by an LDL^T pivot count (Sylvester's
-law of inertia), and a disagreement is an error.  The dense eigensolve in
-the test suite (``numpy.linalg.eigvalsh``, LAPACK syevd) is a separate LAPACK
-path and stays an independent oracle.
+law of inertia), and a disagreement is an error.  The same count answers the
+kappa1 probe's saddle test on its own: lambda1 < -1e-8 < 1e-8 < lambda2
+holds exactly when the counts at shifts -1e-8 and +1e-8 are both 1, so the
+probe makes no eigensolve.  The dense eigensolve in the test suite
+(``numpy.linalg.eigvalsh``, LAPACK syevd) is a separate LAPACK path and stays
+an independent oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -31,7 +34,7 @@ class SpectrumResult:
     explicit_direction_value: float | None = None
 
 
-def _negative_count(diag, off, shift):
+def negative_count(diag, off, shift):
     """Number of eigenvalues below shift, from the pivots of T - shift = L D L^T.
 
     By Sylvester's law of inertia the count of negative pivots is the count
@@ -59,7 +62,7 @@ def _certified_morse(op, eigenvalues, tol):
     least k.  Any disagreement raises rather than being corrected.
     """
     morse = int(np.sum(eigenvalues < -tol))
-    count = _negative_count(op.diag, op.offdiag, -tol)
+    count = negative_count(op.diag, op.offdiag, -tol)
     certified = count == morse if morse < eigenvalues.size else count >= morse
     if not certified:
         raise np.linalg.LinAlgError(

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import pytest
 
 from axiferro.grid import make_grid
 from axiferro.profile import make_profile, write_profile_csv
+from axiferro.saddle import sweep
 
 
 def run_cli(*args, env_extra=None):
@@ -203,6 +205,24 @@ class TestSweepCommand:
         assert 0 < lo < hi < 4.0
         types_seen = {ln.split(",")[1] for ln in lines[4:]}
         assert types_seen == {"first", "second"}
+
+    def test_failed_rows_parse_to_seven_fields(self, tmp_path):
+        # below the fold every second-type row fails with a status that
+        # contains a comma; the field is quoted, not split
+        r = run_cli("sweep", "--type", "second", "--from", "3.0", "--to", "3.1",
+                    "--step", "0.1", "--n", "256", "--no-kappa1-probe",
+                    "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.reader(ln for ln in fh if not ln.startswith("#")))
+        assert rows[0] == ["kappa", "type", "E", "lambda1", "lambda2", "dir_value",
+                           "status"]
+        assert all(len(row) == 7 for row in rows)
+        expected = sweep([3.0, 3.1], types=("second",), grid=make_grid(256),
+                         estimate_kappa1=False)
+        assert [row[6] for row in rows[1:]] == [row.status for row in expected.rows]
+        assert all(row[6].startswith("failed: continuation from (4, 2*theta)")
+                   for row in rows[1:])
 
     def test_run_directory_layout(self, tmp_path):
         r = run_cli("sweep", "--type", "first", "--from", "6.5", "--to", "7",

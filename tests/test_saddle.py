@@ -1,16 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from axiferro import flow, saddle, spectrum
 from axiferro.energy import EnergyParams, reduced_energy
 from axiferro.flow import FlowConfig, run
 from axiferro.grid import make_grid
-from axiferro.profile import (W1, W2, WedgeSpec, WedgeVerdict, degree,
-                              make_initial_first_type, node_derivative,
+from axiferro.profile import (W1, W2, WedgeSpec, WedgeVerdict, builtin_profile,
+                              degree, make_initial_first_type,
+                              make_initial_second_type, node_derivative,
                               wedge_check)
 from axiferro.saddle import (BlowupError, ContinuationError, find_first_type,
                              find_second_type, grid_for_kappa,
                              probe_second_branch_floor, sweep)
+from axiferro.stationary import BranchPoint, continue_branch
 
 
 @pytest.fixture(scope="module")
@@ -110,9 +115,10 @@ class TestSecondType:
         monkeypatch.setattr(spectrum, "eigs_lowest", counting)
         find_second_type(3.5)
         assert len(calls) == 1
-        # the probe reads them, and still brackets the fold
+        # the probe reads its saddle test off pivot counts, not eigenpairs,
+        # and still brackets the fold
         assert probe_second_branch_floor() == pytest.approx((3.20, 3.25))
-        assert len(calls) > 1
+        assert len(calls) == 1
 
 
 class TestTypesDiffer:
@@ -210,6 +216,23 @@ class TestSweep:
         assert [r.kappa for r in result.rows[:2]] == [5.0, 5.0]
         assert result.rows[0] == result.rows[1]
 
+    def test_failed_bisection_midpoint_is_a_row(self, monkeypatch):
+        real = saddle.find_first_type
+
+        def failing_at_six(kappa, grid=None):
+            if kappa == 6.0:
+                raise RuntimeError("midpoint pipeline failed")
+            return real(kappa, grid=grid)
+
+        monkeypatch.setattr(saddle, "find_first_type", failing_at_six)
+        result = sweep([5.0, 7.0], types=("first",), grid=make_grid(512))
+        # 6.0 is the first midpoint of (5, 7); the bracket stays as certified
+        assert result.kappa0_estimate == (5.0, 7.0)
+        assert [(r.kappa, r.status) for r in result.rows] == [
+            (5.0, "marginal"), (6.0, "failed: midpoint pipeline failed"),
+            (7.0, "saddle")]
+        assert [r.kappa for r in result.reports] == [5.0, 7.0]
+
     def test_first_type_skipped_below_four(self):
         grid = make_grid(512)
         result = sweep([3.9], types=("first",), estimate_kappa1=False, grid=grid)
@@ -232,6 +255,64 @@ def test_probe_second_branch_floor():
     assert bracket is not None
     lo, hi = bracket
     assert 0 < lo < hi < 4.0
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_probe_inertia_test_matches_eigenvalues(n):
+    grid = make_grid(n)
+    branch = continue_branch(4.0, make_initial_second_type(grid), 1.0,
+                             -saddle._BRANCH_DK, saddle._pipeline_newton_cfg(grid))
+    assert len(branch.points) == 16
+    for pt in branch.points:
+        assert saddle._is_index_one_saddle(pt) == (pt.lambda1 < -1e-8
+                                                   and pt.lambda2 > 1e-8)
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_inertia_test_off_the_branch(n):
+    # points a real branch does not reach: h = theta is a saddle by a hair
+    # at kappa = 0 and stable at kappa = 10; at the roots lambda1 (h = theta)
+    # or lambda2 (h = 2 theta, lambda1 < 0) is 0 or 5e-8 from 0, on either
+    # side of the 1e-8 gap
+    grid = make_grid(n)
+
+    def point(name, kappa):
+        return BranchPoint(kappa=kappa, profile=builtin_profile(name, grid))
+
+    def root(name, eigenvalue, target, lo, hi):
+        def f(k):
+            return getattr(point(name, k), eigenvalue) - target
+        kappa = brentq(f, lo, hi, xtol=1e-14)
+        assert abs(f(kappa)) < 1e-10
+        return point(name, kappa)
+
+    cases = [(point("theta", 0.0), True), (point("theta", 10.0), False),
+             (root("theta", "lambda1", 0.0, 0.0, 1.0), False),
+             (root("theta", "lambda1", -5e-8, 0.0, 1.0), True),
+             (root("two-theta", "lambda2", 0.0, 8.0, 12.0), False),
+             (root("two-theta", "lambda2", 5e-8, 8.0, 12.0), True)]
+    for pt, expected in cases:
+        assert saddle._is_index_one_saddle(pt) is expected
+        assert (pt.lambda1 < -1e-8 and pt.lambda2 > 1e-8) is expected
+
+
+def test_probe_brackets_loss_of_saddle_structure(monkeypatch):
+    # real branches end at the fold with the structure intact; a stable
+    # point (h = theta, Morse index 0 at kappa = 10) put into the walk is
+    # the first to fail the test, and the bracket ends at the point before it
+    grid = make_grid(256)
+    stable = BranchPoint(kappa=10.0, profile=builtin_profile("theta", grid))
+    assert stable.lambda1 > 1e-8
+    real = saddle.continue_branch
+    before = []
+
+    def with_stable_point(*args, **kwargs):
+        branch = real(*args, **kwargs)
+        before.append(branch.points[2].kappa)
+        return replace(branch, points=(*branch.points[:3], stable, *branch.points[3:]))
+
+    monkeypatch.setattr(saddle, "continue_branch", with_stable_point)
+    assert probe_second_branch_floor(grid=grid) == (10.0, before[0])
 
 
 def test_probe_on_grid_above_default():

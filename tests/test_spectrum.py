@@ -150,7 +150,7 @@ class TestInertiaCertificate:
                                                           ref[-1] + 1.0]
             for shift in shifts:
                 expected = int(np.sum(ref < shift))
-                assert spectrum._negative_count(op.diag, op.offdiag,
+                assert spectrum.negative_count(op.diag, op.offdiag,
                                                 shift) == expected
 
     def test_disagreement_raises(self, monkeypatch):
@@ -222,12 +222,12 @@ class TestClassify:
         p = make_initial_second_type(grid256)
         params = EnergyParams(4.0)
         eigs_tol = eigs_lowest(assemble_second_variation(p, params), 3).tol
-        real = spectrum._negative_count
+        real = spectrum.negative_count
 
         def off_by_one_below(diag, off, shift):
             return real(diag, off, shift) + (shift < -10.0 * eigs_tol)
 
-        monkeypatch.setattr(spectrum, "_negative_count", off_by_one_below)
+        monkeypatch.setattr(spectrum, "negative_count", off_by_one_below)
         with pytest.raises(np.linalg.LinAlgError, match="inertia count 2"):
             classify(p, params, k=3)
 
