@@ -24,7 +24,8 @@ from . import __version__
 from .energy import (EnergyParams, el_residual, reduced_energy,
                      residual_supnorm, second_variation_form,
                      assemble_second_variation, wedge_certificates)
-from .flow import FlowConfig, FlowStatus, comparison_trial, run, write_energy_trace_csv
+from .flow import (FlowConfig, FlowStatus, _require_resolvable, comparison_trial, run,
+                   write_energy_trace_csv)
 from .grid import make_grid, quad_sin
 from .profile import (W1, W2, WedgeSpec, _csv_rows, builtin_profile, degree,
                       make_profile, read_profile_csv, write_profile_csv)
@@ -81,6 +82,9 @@ def cmd_flow(args):
     cfg = FlowConfig(dt=args.dt, t_max=args.t_max, stationary_tol=args.tol,
                      record_every=args.record_every, wedge=wedge)
     params = EnergyParams(args.kappa)
+    # a refused tolerance leaves no output directory; an unusable one is
+    # refused before the flow runs
+    _require_resolvable(grid, cfg.stationary_tol)
     out = _outdir(args)
     t0 = time.perf_counter()
     result = run(p0, params, cfg, half_interval=args.half_interval)

@@ -84,11 +84,6 @@ def reduced_energy(p, params):
     return 0.5 * quad_sin(p.grid, integrand)
 
 
-def full_energy(p, params):
-    """Energy of the axisymmetric field, 2*pi*E(h)."""
-    return 2.0 * np.pi * reduced_energy(p, params)
-
-
 def el_residual(p, params, with_potential=False):
     """Stationarity residual at the interior nodes (second-order stencils).
 
@@ -97,10 +92,11 @@ def el_residual(p, params, with_potential=False):
     the reaction potential V there comes too, as (R, V), from the same sin
     and cos of 2h: Newton's next Jacobian needs it.
     """
-    st = p.grid.stencil
-    if with_potential:
-        return st.residual_and_potential(p.values, params.kappa, p.grid.n - 1)
-    return st.residual(p.values, params.kappa)
+    m = p.grid.n - 1
+    r, v = np.empty((2, m))
+    p.grid.stencil.evaluate(p.values, params.kappa, r, v if with_potential else None,
+                            np.empty((4, m)))
+    return (r, v) if with_potential else r
 
 
 def residual_supnorm(p, params):
@@ -153,7 +149,10 @@ def assemble_second_variation(p, params):
     """
     grid = p.grid
     st = grid.stencil
-    diag = st.divergence_bands[1] + st.potential(p.values[1:-1], params.kappa)
+    m = grid.n - 1
+    v = np.empty(m)
+    st.evaluate(p.values, params.kappa, None, v, np.empty((4, m)))
+    diag = st.divergence_bands[1] + v
     weight = st.sin * grid.dtheta
     for a in (diag, weight):
         a.setflags(write=False)

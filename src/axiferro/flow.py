@@ -39,11 +39,12 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
-from .energy import reduced_energy
+from .energy import reduced_energy, residual_noise_floor
 from .profile import (WedgeSpec, hemispheric_deviation, is_hemispheric,
                       wedge_check)
 
 ENERGY_SLACK = 1e-10  # per-step allowance, scaled by 1 + |E0|
+BLOWUP_GRAD_THRESHOLD = 1e3  # |h'| near a pole beyond which blowup is suspected
 
 
 class FlowStatus(enum.Enum):
@@ -59,7 +60,6 @@ class FlowConfig:
     stationary_tol: float = 1e-9
     record_every: int = 10
     wedge: WedgeSpec | None = None
-    blowup_grad_threshold: float = 1e3
 
     def __post_init__(self):
         for name in ("dt", "t_max", "stationary_tol"):
@@ -93,10 +93,6 @@ class FlowResult:
     status: FlowStatus
     records: tuple
     steps: int
-
-    @property
-    def energy_trace(self):
-        return [(r.t, r.energy) for r in self.records]
 
     @property
     def energy_monotone(self):
@@ -188,24 +184,11 @@ def _frozen(p):
     return p
 
 
-def step(p, params, dt):
-    """One stabilized IMEX step of the profile heat flow."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    m = p.grid.n - 1
-    kernel = _Kernel(p, params.kappa, m)
-    q = _live(p)
-    r, v = np.empty((2, m))
-    kernel.evaluate(q.values, r, v)
-    kernel.advance(q.values, q.values, dt, r, v)
-    return _frozen(q)
-
-
-def detect_blowup(p, cfg):
+def detect_blowup(p):
     """Heuristic pole-gradient blowup detector.
 
     Fires on any non-finite value or when |h'| within five mesh widths of
-    either pole exceeds the configured threshold.  Gradient concentration
+    either pole exceeds ``BLOWUP_GRAD_THRESHOLD``.  Gradient concentration
     anywhere else cannot represent a genuine singularity of this flow.
     """
     v = p.values
@@ -219,15 +202,16 @@ def detect_blowup(p, cfg):
                              3.0 * b[6] - 4.0 * b[5] + b[4],
                              *map(operator.sub, a[2:], a[:5]),
                              *map(operator.sub, b[2:], b[:5]))))
-    return bool(steepest / (2.0 * p.grid.dtheta) > cfg.blowup_grad_threshold)
+    return bool(steepest / (2.0 * p.grid.dtheta) > BLOWUP_GRAD_THRESHOLD)
 
 
-def _monitor(p, cfg, track_hemispheric):
-    wedge_ok = None
-    if cfg.wedge is not None:
-        wedge_ok = wedge_check(p, cfg.wedge).inside
-    dev = hemispheric_deviation(p) if track_hemispheric else None
-    return wedge_ok, dev
+def _require_resolvable(grid, tol):
+    """Refuse a stationarity tolerance the grid's residual cannot reach."""
+    floor = residual_noise_floor(grid)
+    if floor >= tol:
+        raise ValueError(f"grid n={grid.n} is too fine for the stationarity tolerance "
+                         f"{tol:g}: its residual noise floor {floor:.3g} is not below "
+                         "it, so the flow cannot become stationary")
 
 
 def run(p0, params, cfg=None, half_interval=False):
@@ -236,9 +220,11 @@ def run(p0, params, cfg=None, half_interval=False):
     When ``half_interval`` is set, p0 must be hemispheric; the evolution then
     happens on [0, pi/2] with the midpoint pinned at k*pi and the other half
     reconstructed by reflection.  Full- and half-interval runs agree to
-    discretization accuracy, which the test suite checks.
+    discretization accuracy, which the test suite checks.  Raises ValueError
+    if ``cfg.stationary_tol`` is not above the grid's residual noise floor.
     """
     cfg = cfg or FlowConfig()
+    _require_resolvable(p0.grid, cfg.stationary_tol)
     dt = cfg.effective_dt(params.kappa)
     track_hemi = is_hemispheric(p0, 1e-12)
     if half_interval and not track_hemi:
@@ -263,7 +249,8 @@ def run(p0, params, cfg=None, half_interval=False):
         nonlocal e_prev, steps_since_record
         e = reduced_energy(p, params)
         ok = e <= e_prev + slack * max(steps_since_record, 1)
-        wedge_ok, dev = _monitor(p, cfg, track_hemi)
+        wedge_ok = None if cfg.wedge is None else wedge_check(p, cfg.wedge).inside
+        dev = hemispheric_deviation(p) if track_hemi else None
         records.append(FlowRecord(t=t, energy=e, sup_residual=sup_res,
                                   wedge_ok=wedge_ok, hemispheric_dev=dev,
                                   energy_ok=ok))
@@ -276,7 +263,7 @@ def run(p0, params, cfg=None, half_interval=False):
     sup_res = kernel.evaluate(h, r, v)
     record(sup_res)
     while t < cfg.t_max:
-        if detect_blowup(p, cfg):
+        if detect_blowup(p):
             status = FlowStatus.BLOWUP_SUSPECTED
             break
         if sup_res < cfg.stationary_tol:
@@ -307,8 +294,10 @@ def _relax(p0, params, cfg):
     dt0 is ``run``'s own step, taken whenever it is finite, so at worst this
     is ``run``.  Stops on suspected blowup, at r < ``cfg.stationary_tol``, or
     after ceil(t_max / dt0) trials; t itself is not tracked.  Records
-    nothing; returns the final profile and its FlowStatus.
+    nothing; returns the final profile and its FlowStatus.  Refuses a
+    tolerance at or below the noise floor as ``run`` does.
     """
+    _require_resolvable(p0.grid, cfg.stationary_tol)
     dt0 = dt = cfg.effective_dt(params.kappa)
     m = p0.grid.midpoint_index - 1
     kernel = _Kernel(p0, params.kappa, m)
@@ -336,7 +325,7 @@ def _relax(p0, params, cfg):
         return sup_q
 
     for _ in range(math.ceil(cfg.t_max / dt0)):
-        if detect_blowup(cur[0], cfg):
+        if detect_blowup(cur[0]):
             return _frozen(cur[0]), FlowStatus.BLOWUP_SUSPECTED
         if sup < cfg.stationary_tol:
             return _frozen(cur[0]), FlowStatus.STATIONARY
@@ -399,6 +388,6 @@ def write_energy_trace_csv(result, path, header_lines=()):
     lines.append("t,E,sup_residual,wedge_ok")
     for r in result.records:
         wedge = 1 if (r.wedge_ok is None or r.wedge_ok) else 0
-        lines.append(f"{r.t!r},{r.energy!r},{r.sup_residual!r},{wedge}")
+        lines.append(f"{float(r.t)!r},{r.energy!r},{r.sup_residual!r},{wedge}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -91,28 +91,9 @@ def degree(p):
     return ((-1) ** p.m - (-1) ** p.n_end) // 2
 
 
-def degree_integral(p):
-    """Mapping degree via quadrature of (1/2) * integral h' sin(h) dtheta."""
-    hp = node_derivative(p)
-    return 0.5 * float(np.trapezoid(hp * np.sin(p.values), dx=p.grid.dtheta))
-
-
-def antipodal_reflect(p):
-    """Reflected profile theta -> 2*pi*k - h(pi - theta) with k = (m + n_end)/2.
-
-    Requires m + n_end even; the boundary class is preserved (the boundary
-    integers swap into themselves: 2k - n_end = m, 2k - m = n_end).
-    """
-    if (p.m + p.n_end) % 2 != 0:
-        raise ValueError(f"profile with (m, n) = ({p.m}, {p.n_end}) is not "
-                         "hemispheric-compatible: m + n must be even")
-    k = (p.m + p.n_end) // 2
-    reflected = 2.0 * np.pi * k - p.values[::-1]
-    return make_profile(p.grid, reflected, p.m, p.n_end)
-
-
 def hemispheric_deviation(p):
-    """Max pointwise distance between h and its antipodal reflection.
+    """Max pointwise distance between h and its antipodal reflection
+    2*pi*k - h(pi - theta), k = (m + n_end)/2.
 
     Returns inf when m + n_end is odd (no compatible reflection exists).
     """
@@ -205,7 +186,7 @@ def write_profile_csv(p, path, kappa=None, extra_header=None):
     lines = []
     header = f"# m={p.m} n={p.n_end}"
     if kappa is not None:
-        header += f" kappa={kappa!r}"
+        header += f" kappa={float(kappa)!r}"
     lines.append(header)
     if extra_header:
         lines.append(extra_header)

@@ -148,13 +148,9 @@ def _flow_then_polish(kappa, saddle_type, grid):
     """Flow from the type's symmetric start inside its wedge, then polish.
 
     The start is the sawtooth for the first type and 2*theta for the second;
-    both are hemispheric, so the flow runs on the half interval.
+    both are hemispheric, so the flow runs on the half interval; a grid
+    whose residual noise floor is not below its tolerance is refused there.
     """
-    floor = residual_noise_floor(grid)
-    if floor >= _FLOW_TOL:
-        raise ValueError(f"grid n={grid.n} at kappa={kappa:g} is too fine: its residual "
-                         f"noise floor {floor:.3g} is not below the flow tolerance "
-                         f"{_FLOW_TOL:g}, so the flow cannot become stationary")
     if saddle_type == FIRST:
         start = make_initial_first_type(grid, kappa)
     else:
@@ -191,8 +187,6 @@ def find_second_type(kappa, grid=None):
     if kappa > 4:
         return _flow_then_polish(kappa, SECOND, grid)
     start = make_initial_second_type(grid)
-    if kappa == 4.0:
-        return _polish_and_report(start, kappa, SECOND, "continuation")
     branch = continue_branch(4.0, start, kappa, -_BRANCH_DK, _pipeline_newton_cfg(grid))
     if abs(branch.reached - kappa) > 1e-12:
         raise ContinuationError(
@@ -221,9 +215,6 @@ class SweepResult:
     kappa1_estimate: tuple | None   # (lo, hi): branch alive at hi, dead/crossed at lo
     reports: tuple = ()             # successful SaddleReports, sorted like rows
 
-    def rows_of(self, saddle_type):
-        return [r for r in self.rows if r.saddle_type == saddle_type]
-
 
 def _row_from_report(report):
     return SweepRow(kappa=report.kappa, saddle_type=report.saddle_type,
@@ -239,13 +230,13 @@ def _failed_row(kappa, saddle_type, exc):
                     status=f"failed: {exc}")
 
 
-def _bisect_kappa0(lo, hi, val_lo, runner, width):
+def _bisect_kappa0(lo, hi, val_lo, runner):
     """Shrink a sign-change bracket of the explicit-direction certificate.
 
     ``runner`` returns None for a midpoint whose pipeline failed (it records
     the failed row); the bracket certified before it is kept.
     """
-    while hi - lo > width:
+    while hi - lo > _KAPPA0_WIDTH:
         mid = 0.5 * (lo + hi)
         report = runner(mid)
         if report is None:
@@ -340,8 +331,7 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     for a, b in zip(firsts, firsts[1:]):
         va = a.explicit_direction_value
         if (va < 0) != (b.explicit_direction_value < 0):
-            kappa0 = _bisect_kappa0(a.kappa, b.kappa, va,
-                                    lambda k: run_pipeline(k, FIRST), _KAPPA0_WIDTH)
+            kappa0 = _bisect_kappa0(a.kappa, b.kappa, va, lambda k: run_pipeline(k, FIRST))
             break
 
     kappa1 = None

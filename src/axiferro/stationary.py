@@ -112,12 +112,7 @@ class BranchPoint:
 @dataclass(frozen=True)
 class Branch:
     points: tuple
-    direction: int
     suspected_fold: tuple | None = None  # (last good kappa, failed kappa)
-
-    @property
-    def kappas(self):
-        return np.array([pt.kappa for pt in self.points])
 
     @property
     def reached(self):
@@ -146,7 +141,7 @@ def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
     points = [BranchPoint(kappa=start_kappa, profile=start)]
     direction = int(np.sign(target_kappa - start_kappa))
     if direction == 0:
-        return Branch(points=tuple(points), direction=0)
+        return Branch(points=tuple(points))
 
     fold = None
     kappa = start_kappa
@@ -166,4 +161,4 @@ def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
         points.append(BranchPoint(kappa=nxt, profile=profile))
         kappa = nxt
         first_step = False
-    return Branch(points=tuple(points), direction=direction, suspected_fold=fold)
+    return Branch(points=tuple(points), suspected_fold=fold)

@@ -55,28 +55,20 @@ class Stencil:
                   self.divergence_bands, self.symmetric_offdiag):
             a.setflags(write=False)
 
-    def _trig(self, hi, two_h, s, c):
-        """sin 2h and cos 2h at nodes 1..len(hi) into s and c, 2h into two_h.
-
-        One sin and one cos of 2h serve R and V together: sin(2h - 2t) and
-        cos(2h - 2t) follow from them and the cached cos 2t and sin 2t by the
-        angle-difference identities.
-        """
-        np.multiply(2.0, hi, out=two_h)
-        np.sin(two_h, out=s)
-        np.cos(two_h, out=c)
-
     def evaluate(self, h, kappa, r, v, work):
         """R into r and V into v at nodes 1..m from the full node array h.
 
         ``work`` is (4, m) scratch; r or v may be None to skip it.  Nothing is
         allocated, and each ufunc writes into a given buffer in the operation
         order of the formulas above, so the result is bit for bit that of the
-        same formulas written as allocating array expressions.
+        same formulas written as allocating array expressions.  sin(2h - 2t)
+        and cos(2h - 2t) come from one sin and cos of 2h and the cached 2t ones.
         """
         m = work.shape[1]
         two_h, s, c, t = work
-        self._trig(h[1:m + 1], two_h, s, c)
+        np.multiply(2.0, h[1:m + 1], out=two_h)
+        np.sin(two_h, out=s)
+        np.cos(two_h, out=c)
         c2t, s2t = self.cos_2theta[:m], self.sin_2theta[:m]
         if r is not None:
             dth = self.dtheta
@@ -105,28 +97,6 @@ class Stencil:
             np.multiply(kappa, t, out=t)
             np.divide(c, self.sin2[:m], out=v)
             np.add(v, t, out=v)
-
-    def residual_and_potential(self, h, kappa, m):
-        """R and V at interior nodes 1..m from the full node array h."""
-        r, v = np.empty((2, m))
-        self.evaluate(h, kappa, r, v, np.empty((4, m)))
-        return r, v
-
-    def residual(self, h, kappa):
-        """R at every interior node, from the full node array h."""
-        m = len(h) - 2
-        r = np.empty(m)
-        self.evaluate(h, kappa, r, None, np.empty((4, m)))
-        return r
-
-    def potential(self, hi, kappa):
-        """V at interior nodes 1..len(hi), given the values hi there."""
-        m = len(hi)
-        h = np.empty(m + 2)  # the end entries are not read for V alone
-        h[1:-1] = hi
-        v = np.empty(m)
-        self.evaluate(h, kappa, None, v, np.empty((4, m)))
-        return v
 
     def jacobian_bands(self, v):
         """Banded dR/dh on the interior, given V there; diagonal d2 - V."""

@@ -33,3 +33,11 @@ def fd_energy_derivative(energy, h_values, direction, eps):
     first = (e_plus - e_minus) / (2.0 * eps)
     second = (e_plus - 2.0 * e0 + e_minus) / eps ** 2
     return first, second
+
+
+def degree_quadrature(h):
+    """Mapping degree (1/2) integral h' sin(h) dtheta of h at uniform nodes on
+    [0, pi], by numpy's second-order gradient and trapezoid rule."""
+    dtheta = np.pi / (len(h) - 1)
+    hp = np.gradient(h, dtheta, edge_order=2)
+    return 0.5 * float(np.trapezoid(hp * np.sin(h), dx=dtheta))

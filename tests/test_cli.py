@@ -111,6 +111,9 @@ class TestSaddleCommand:
         assert r.returncode == 0, r.stderr
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["lambda1"] == pytest.approx(-2.0, abs=1e-2)
+        # the field energy is 2*pi times the reduced energy
+        assert report["full_energy"] == pytest.approx(2 * np.pi * report["energy"],
+                                                      rel=1e-14)
         assert report["morse_index"] == 1
         assert report["degree"] == 0
         assert list(report)[0] == "config_hash"
@@ -167,7 +170,10 @@ def test_nonfinite_kappa_refused_before_any_output(tmp_path, argv):
 @pytest.mark.parametrize("argv, message", [
     (("flow", "--init", "pi", "--kappa", "inf", "--n", "256"), "kappa must be finite"),
     (("flow", "--init", "pi", "--kappa", "5", "--n", "255"), "odd subdivision"),
-    (("spectrum", "--profile", "pi", "--kappa", "nan"), "kappa must be finite")])
+    (("spectrum", "--profile", "pi", "--kappa", "nan"), "kappa must be finite"),
+    # the residual noise floor at n = 4096, 2.1e-9, is above the default --tol 1e-9
+    (("flow", "--init", "first-type", "--kappa", "5", "--n", "4096", "--half-interval"),
+     "noise floor")])
 def test_flow_and_spectrum_refuse_bad_input_before_any_output(tmp_path, argv, message):
     out = tmp_path / "out"
     r = run_cli(*argv, "--out", str(out))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from axiferro.energy import (EnergyParams, assemble_second_variation,
-                             el_residual, full_energy, reduced_energy,
+                             el_residual, reduced_energy,
                              residual_supnorm, second_variation_form,
                              wedge_certificates)
 from axiferro.grid import make_grid, quad_sin
@@ -32,12 +32,6 @@ class TestReducedEnergy:
         for kappa in (0.0, 5.0, 30.0):
             assert reduced_energy(p, EnergyParams(kappa)) == pytest.approx(
                 2.0 * kappa / 3.0, rel=1e-5, abs=1e-12)
-
-    def test_full_energy_factor(self, grid256):
-        p = builtin_profile("pi", grid256)
-        params = EnergyParams(3.0)
-        assert full_energy(p, params) == pytest.approx(
-            2 * np.pi * reduced_energy(p, params), rel=1e-14)
 
     def test_matches_reference_quadrature(self, grid1024, rng):
         # generic smooth profile against a high-resolution oracle

@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import solve_banded
 
 from axiferro import flow
-from axiferro.energy import EnergyParams, reduced_energy, residual_supnorm
+from axiferro.energy import (EnergyParams, reduced_energy, residual_noise_floor,
+                             residual_supnorm)
 from axiferro.flow import (ENERGY_SLACK, FlowConfig, FlowRecord, FlowStatus,
-                           comparison_trial, detect_blowup, run, step,
+                           comparison_trial, detect_blowup, run,
                            write_energy_trace_csv)
 from axiferro.grid import make_grid
 from axiferro.profile import (W1, W2, WedgeSpec, builtin_profile, degree,
@@ -23,6 +24,17 @@ def random_ordered_pair(grid, rng):
     lower = np.pi + a1 * s ** 2 * np.cos(grid.nodes) + a2 * s ** 3
     upper = lower + b1 * s ** 2 + b2 * s ** 4
     return (make_profile(grid, lower, 1, 1), make_profile(grid, upper, 1, 1))
+
+
+def step(p, params, dt):
+    """One stabilized IMEX step of every interior node, on a fresh run workspace."""
+    m = p.grid.n - 1
+    kernel = flow._Kernel(p, params.kappa, m)
+    values = p.values.copy()
+    r, v = np.empty((2, m))
+    kernel.evaluate(values, r, v)
+    kernel.advance(values, values, dt, r, v)
+    return dataclasses.replace(p, values=values)
 
 
 class TestStep:
@@ -47,8 +59,8 @@ class TestStep:
 
     def test_rejects_nonpositive_dt(self, grid256):
         p = builtin_profile("pi", grid256)
-        with pytest.raises(ValueError):
-            step(p, EnergyParams(1.0), 0.0)
+        with pytest.raises(ValueError, match="dt"):
+            run(p, EnergyParams(1.0), FlowConfig(dt=0.0))
 
     def test_nonfinite_update_raises(self, grid256):
         # the second difference at a finite 1e307 overflows, so the solved
@@ -141,6 +153,21 @@ class TestRun:
         with pytest.raises(ValueError, match=field):
             FlowConfig(**{field: value})
 
+    @pytest.mark.parametrize("relax", [False, True])
+    def test_tolerance_at_noise_floor_refused(self, relax):
+        # at n = 4096 the noise floor, 2.1e-9, lies above the default 1e-9
+        grid = make_grid(4096)
+        floor = residual_noise_floor(grid)
+        p0 = builtin_profile("first-type", grid, kappa=5.0)
+        relaxer = flow._relax if relax else run
+        for tol in (1e-9, floor):
+            with pytest.raises(ValueError, match="noise floor") as info:
+                relaxer(p0, EnergyParams(5.0), FlowConfig(stationary_tol=tol))
+            assert "n=4096" in str(info.value)
+            assert f"{tol:g}" in str(info.value) and f"{floor:.3g}" in str(info.value)
+        tol = 1.01 * floor
+        relaxer(p0, EnergyParams(5.0), FlowConfig(stationary_tol=tol, t_max=0.05))
+
     @pytest.mark.parametrize("half_interval", [False, True])
     def test_one_residual_per_step(self, grid256, monkeypatch, half_interval):
         calls = []
@@ -161,8 +188,15 @@ class TestRun:
         assert set(calls) == {(evolved, evolved, evolved)}
 
 
+def evaluated(st, values, kappa, m):
+    """R and V at nodes 1..m by the stencil's evaluation, into fresh arrays."""
+    r, v = np.empty((2, m))
+    st.evaluate(values, kappa, r, v, np.empty((4, m)))
+    return r, v
+
+
 def reference_run(p0, params, cfg, half_interval):
-    """``run`` as one allocating loop over the public stencil and solve_banded.
+    """``run`` as one allocating loop over the stencil's evaluation and solve_banded.
 
     Returns (steps, status, records, final values).
     """
@@ -191,12 +225,12 @@ def reference_run(p0, params, cfg, half_interval):
                                   energy_ok=e <= e_prev + slack * max(since, 1)))
         e_prev, since = e, 0
 
-    r, v = st.residual_and_potential(values, params.kappa, m)
+    r, v = evaluated(st, values, params.kappa, m)
     sup = float(np.max(np.abs(r)))
     record(sup)
     status = FlowStatus.HORIZON_REACHED
     while t < cfg.t_max:
-        if full_gradient_blowup(make_profile(grid, values, p0.m, p0.n_end), cfg):
+        if full_gradient_blowup(make_profile(grid, values, p0.m, p0.n_end)):
             status = FlowStatus.BLOWUP_SUSPECTED
             break
         if sup < cfg.stationary_tol:
@@ -211,7 +245,7 @@ def reference_run(p0, params, cfg, half_interval):
         t += dt
         steps += 1
         since += 1
-        r, v = st.residual_and_potential(values, params.kappa, m)
+        r, v = evaluated(st, values, params.kappa, m)
         sup = float(np.max(np.abs(r)))
         if since >= cfg.record_every or sup < cfg.stationary_tol:
             record(sup)
@@ -259,14 +293,14 @@ def test_kernel_serves_every_step_size(grid256):
         assert np.array_equal(values, step(p, EnergyParams(5.0), dt).values)
 
 
-def full_gradient_blowup(p, cfg):
+def full_gradient_blowup(p):
     """detect_blowup as defined on np.gradient over every node."""
     v = p.values
     if not np.all(np.isfinite(v)):
         return True
     hp = np.gradient(v, p.grid.dtheta, edge_order=2)
     pole_slopes = np.concatenate((hp[:6], hp[-6:]))
-    return bool(np.max(np.abs(pole_slopes)) > cfg.blowup_grad_threshold)
+    return bool(np.max(np.abs(pole_slopes)) > flow.BLOWUP_GRAD_THRESHOLD)
 
 
 def bubble_profile(n=2048, lam=1e-4):
@@ -278,7 +312,7 @@ def bubble_profile(n=2048, lam=1e-4):
 
 
 class TestBlowupDetector:
-    def test_windowed_slopes_match_full_gradient(self, grid512, rng):
+    def test_windowed_slopes_match_full_gradient(self, grid512, rng, monkeypatch):
         vals = np.pi + rng.standard_normal(grid512.n + 1)
         vals[0] = vals[-1] = np.pi
         theta = builtin_profile("theta", grid512)
@@ -292,23 +326,24 @@ class TestBlowupDetector:
             steepest = np.max(np.abs(np.concatenate((hp[:6], hp[-6:]))))
             # the default threshold, and thresholds just either side of the steepest slope
             for threshold in (1e3, steepest * (1 - 1e-12), steepest * (1 + 1e-12)):
-                cfg = FlowConfig(blowup_grad_threshold=threshold)
-                assert detect_blowup(p, cfg) == full_gradient_blowup(p, cfg)
+                monkeypatch.setattr(flow, "BLOWUP_GRAD_THRESHOLD", threshold)
+                assert detect_blowup(p) == full_gradient_blowup(p)
 
     def test_bounded_profile(self, grid512):
         p = builtin_profile("two-theta", grid512)
-        assert not detect_blowup(p, FlowConfig())
+        assert not detect_blowup(p)
 
     def test_nonfinite_values(self, grid256):
         p = builtin_profile("theta", grid256)
         vals = p.values.copy()
         vals[7] = np.nan
-        assert detect_blowup(dataclasses.replace(p, values=vals), FlowConfig())
+        assert detect_blowup(dataclasses.replace(p, values=vals))
 
     def test_near_bubble_fires(self):
         # concentrated pole bubble with scale 1e-4; needs a grid fine enough
-        # to see a finite-difference slope beyond the threshold
-        assert detect_blowup(bubble_profile(), FlowConfig(blowup_grad_threshold=1e3))
+        # to see a finite-difference slope beyond the threshold of 1e3
+        assert flow.BLOWUP_GRAD_THRESHOLD == 1e3
+        assert detect_blowup(bubble_profile())
 
     def test_flow_reports_blowup_status(self):
         result = run(bubble_profile(), EnergyParams(1.0), FlowConfig(t_max=1.0))
@@ -366,3 +401,14 @@ def test_energy_trace_csv(tmp_path, grid256):
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(10.0 / 3.0, rel=1e-6)
     assert first[3] == "1"
+
+
+def test_energy_trace_csv_numpy_dt(tmp_path, grid256):
+    # a numpy scalar dt makes t a numpy scalar; the t column must still be a number
+    result = run(builtin_profile("pi", grid256), EnergyParams(5.0),
+                 FlowConfig(dt=np.float64(1e-2), t_max=0.05, record_every=1))
+    path = tmp_path / "trace.csv"
+    write_energy_trace_csv(result, path)
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    assert data[:, 0].tolist() == [r.t for r in result.records]
+    assert data[:, 1].tolist() == [r.energy for r in result.records]

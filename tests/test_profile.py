@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from axiferro.grid import make_grid
-from axiferro.profile import (W1, W2, WedgeSpec, antipodal_reflect,
-                              builtin_profile, degree, degree_integral,
+from axiferro.profile import (W1, W2, WedgeSpec, builtin_profile, degree,
                               hemispheric_deviation, is_hemispheric,
                               make_initial_first_type,
                               make_initial_second_type, make_profile,
                               node_derivative, perturbation_direction,
                               read_profile_csv, wedge_check,
                               write_profile_csv)
+from oracles import degree_quadrature
 
 
 def theta_profile(grid):
@@ -55,45 +55,21 @@ class TestDegree:
         assert degree(pi_profile(grid256)) == 0
 
     def test_integral_matches_exact(self):
+        # the boundary-integer formula is the quadrature of h' sin h, rounded
         g = make_grid(512)
-        assert abs(degree_integral(theta_profile(g)) - 1.0) < 1e-3
-        assert abs(degree_integral(make_initial_second_type(g))) < 1e-3
+        for name in ("theta", "two-theta", "pi", "first-type"):
+            p = builtin_profile(name, g, kappa=5.0)
+            assert abs(degree_quadrature(p.values) - degree(p)) < 1e-3, name
 
     def test_integral_zero_for_constant(self, grid256):
-        assert degree_integral(pi_profile(grid256)) == 0.0
+        p = pi_profile(grid256)
+        assert degree_quadrature(p.values) == 0.0 == degree(p)
 
     def test_integral_second_order(self):
-        errs = [abs(degree_integral(theta_profile(make_grid(n))) - 1.0)
+        errs = [abs(degree_quadrature(theta_profile(make_grid(n)).values) - 1.0)
                 for n in (128, 256, 512)]
         assert 3.0 < errs[0] / errs[1] < 5.0
         assert 3.0 < errs[1] / errs[2] < 5.0
-
-
-class TestAntipodalReflection:
-    def test_two_theta_fixed_point(self, grid256):
-        p = make_initial_second_type(grid256)
-        q = antipodal_reflect(p)
-        assert np.max(np.abs(q.values - p.values)) < 5e-16 * 2 * np.pi
-
-    def test_constant_pi_fixed_point(self, grid256):
-        p = pi_profile(grid256)
-        q = antipodal_reflect(p)
-        assert np.max(np.abs(q.values - p.values)) == 0.0
-
-    def test_odd_sum_rejected(self, grid256):
-        with pytest.raises(ValueError, match="hemispheric"):
-            antipodal_reflect(theta_profile(grid256))
-
-    def test_involution_bitwise(self, grid256, rng):
-        vals = np.pi + 0.3 * np.sin(grid256.nodes) * rng.uniform(0.5, 1.0)
-        p = make_profile(grid256, vals, 1, 1)
-        twice = antipodal_reflect(antipodal_reflect(p))
-        assert np.max(np.abs(twice.values - p.values)) <= 5e-16 * 2 * np.pi
-
-    def test_boundary_class_preserved(self, grid256):
-        p = make_initial_second_type(grid256)
-        q = antipodal_reflect(p)
-        assert (q.m, q.n_end) == (0, 2)
 
 
 class TestHemispheric:
@@ -206,6 +182,14 @@ class TestCsvRoundTrip:
         assert (q.m, q.n_end) == (1, 1)
         assert np.array_equal(q.values, p.values)
         assert q.grid.n == grid256.n
+
+    def test_numpy_scalar_kappa_round_trip(self, grid256, tmp_path):
+        path = tmp_path / "p.csv"
+        write_profile_csv(pi_profile(grid256), path, kappa=np.float64(5.0))
+        assert path.read_text().startswith("# m=1 n=1 kappa=5.0\n")
+        q, kappa = read_profile_csv(path)
+        assert kappa == 5.0 and type(kappa) is float
+        assert np.array_equal(q.values, pi_profile(grid256).values)
 
     def test_kappa_optional(self, grid256, tmp_path):
         p = pi_profile(grid256)

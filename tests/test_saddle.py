@@ -191,7 +191,8 @@ class TestSweep:
         # every bisection midpoint is both a first-type row and a report:
         # (6.5, 7.0) is halved four times down to width 1/32
         requested = {5.0, 6.0, 6.5, 7.0}
-        midpoints = [r.kappa for r in result.rows_of("first") if r.kappa not in requested]
+        midpoints = [r.kappa for r in result.rows
+                     if r.saddle_type == "first" and r.kappa not in requested]
         assert len(midpoints) == 4 and {lo, hi} <= requested | set(midpoints)
         assert sorted(midpoints) == sorted(r.kappa for r in result.reports
                                            if r.kappa not in requested)
@@ -242,8 +243,8 @@ class TestSweep:
     def test_second_type_rows_and_kappa1(self):
         grid = make_grid(256)
         result = sweep([4.0, 6.0], types=("second",), grid=grid)
-        rows = result.rows_of("second")
-        assert len(rows) == 2
+        rows = result.rows
+        assert [r.saddle_type for r in rows] == ["second", "second"]
         assert all(r.dir_value < 0 for r in rows)
         assert result.kappa1_estimate is not None
         lo, hi = result.kappa1_estimate
@@ -495,6 +496,6 @@ class TestRelaxation:
         assert sum(dt == dt0 for _, dt in trials) == expected.steps
 
     def test_blowup_raises(self, monkeypatch):
-        monkeypatch.setattr(flow, "detect_blowup", lambda p, cfg: True)
+        monkeypatch.setattr(flow, "detect_blowup", lambda p: True)
         with pytest.raises(BlowupError):
             find_first_type(5.0, grid=make_grid(256))

@@ -25,8 +25,9 @@ class TestNewton:
 
     def test_one_sin_cos_per_residual(self, grid1024, monkeypatch):
         # each Jacobian is built from the V of the residual evaluation that
-        # accepted its iterate, so it takes no sin and cos of 2h of its own
-        calls = {"trig": 0, "residual": 0, "jacobian": 0}
+        # accepted its iterate, so it takes no sin and cos of 2h (no stencil
+        # evaluation) of its own
+        calls = {"evaluate": 0, "residual": 0, "jacobian": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -34,7 +35,7 @@ class TestNewton:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(Stencil, "_trig", counted("trig", Stencil._trig))
+        monkeypatch.setattr(Stencil, "evaluate", counted("evaluate", Stencil.evaluate))
         monkeypatch.setattr(Stencil, "jacobian_bands",
                             counted("jacobian", Stencil.jacobian_bands))
         monkeypatch.setattr(stationary, "el_residual",
@@ -44,7 +45,7 @@ class TestNewton:
                              exact.values + 0.05 * np.sin(2 * grid1024.nodes), 0, 2)
         newton_solve(start, EnergyParams(4.0), NewtonConfig())
         assert calls["jacobian"] >= 3
-        assert calls["trig"] == calls["residual"] > calls["jacobian"]
+        assert calls["evaluate"] == calls["residual"] > calls["jacobian"]
 
     def test_identity_profile_unchanged(self, grid1024):
         p = builtin_profile("theta", grid1024)
@@ -122,8 +123,7 @@ class TestContinuation:
         assert branch.suspected_fold is None
         assert branch.reached == pytest.approx(3.8, abs=1e-12)
         assert len(branch.points) == 5
-        kappas = branch.kappas
-        assert np.all(np.diff(kappas) < 0)
+        assert np.all(np.diff([pt.kappa for pt in branch.points]) < 0)
         for pt in branch.points:
             assert residual_supnorm(pt.profile, EnergyParams(pt.kappa)) < 1e-9
             assert hemispheric_deviation(pt.profile) < 1e-8
@@ -141,7 +141,7 @@ class TestContinuation:
         start = make_initial_second_type(grid512)
         branch = continue_branch(4.0, start, 4.0, 0.05)
         assert len(branch.points) == 1
-        assert branch.direction == 0
+        assert branch.points[0].profile is start and branch.suspected_fold is None
 
     def test_eigenvalues_vary_continuously(self, grid512):
         start = make_initial_second_type(grid512)
@@ -179,7 +179,8 @@ def test_jacobian_matches_finite_differences(grid64, rng, kappa):
     vals = (2 * g.nodes + 0.2 * np.sin(2 * g.nodes)
             + 0.05 * rng.standard_normal(g.n + 1) * np.sin(g.nodes))
     p = make_profile(g, vals, 0, 2)
-    ab = g.stencil.jacobian_bands(g.stencil.potential(p.values[1:-1], kappa))
+    _, v = el_residual(p, EnergyParams(kappa), with_potential=True)
+    ab = g.stencil.jacobian_bands(v)
     m = g.n - 1
     dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
     eps = 1e-6

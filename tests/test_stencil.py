@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from axiferro.energy import EnergyParams, assemble_second_variation, el_residual
 from axiferro.grid import make_grid
+from axiferro.profile import make_profile
 
 KAPPA = 6.5
 
@@ -67,6 +69,19 @@ def case(request):
     return grid, h
 
 
+def evaluated(st, h, m):
+    """R and V at nodes 1..m by the buffered evaluation, into fresh arrays."""
+    r, v = np.empty((2, m))
+    st.evaluate(h, KAPPA, r, v, np.empty((4, m)))
+    return r, v
+
+
+def el_residual_and_potential(grid, h):
+    """R and V at every interior node through energy.el_residual."""
+    return el_residual(make_profile(grid, h, 1, 2), EnergyParams(KAPPA),
+                       with_potential=True)
+
+
 def evolved_counts(grid):
     """Nodes 1..m the flow evaluates: the full and the half interval."""
     return (grid.n - 1, grid.midpoint_index - 1)
@@ -92,36 +107,43 @@ def test_buffered_evaluation_is_bitwise_the_allocating_one(case):
     st = grid.stencil
     for m in evolved_counts(grid):
         expected = allocating_evaluation(st, h, KAPPA, m)
-        for actual, wanted in zip(st.residual_and_potential(h, KAPPA, m), expected):
+        for actual, wanted in zip(evaluated(st, h, m), expected):
             assert np.array_equal(actual, wanted)
     r, v = allocating_evaluation(st, h, KAPPA, grid.n - 1)
-    assert np.array_equal(st.residual(h, KAPPA), r)
-    assert np.array_equal(st.potential(h[1:-1], KAPPA), v)
+    p = make_profile(grid, h, 1, 2)
+    assert np.array_equal(el_residual(p, EnergyParams(KAPPA)), r)
+    for actual, wanted in zip(el_residual_and_potential(grid, h), (r, v)):
+        assert np.array_equal(actual, wanted)
+    # the second variation evaluates V alone
+    op = assemble_second_variation(p, EnergyParams(KAPPA))
+    assert np.array_equal(op.diag, st.divergence_bands[1] + v)
 
 
 def test_residual_matches_inline_formula(case):
     grid, h = case
     expected = reference_residual(grid, h, KAPPA)
-    assert_close(grid.stencil.residual(h, KAPPA), expected)
+    assert_close(el_residual(make_profile(grid, h, 1, 2), EnergyParams(KAPPA)), expected)
     for m in evolved_counts(grid):
-        r, _ = grid.stencil.residual_and_potential(h, KAPPA, m)
+        r, _ = evaluated(grid.stencil, h, m)
         assert_close(r, expected[:m])
 
 
 def test_potential_matches_inline_formula(case):
     grid, h = case
     expected = reference_potential(grid, h, KAPPA)
-    assert_close(grid.stencil.potential(h[1:-1], KAPPA), expected)
+    assert_close(el_residual_and_potential(grid, h)[1], expected)
+    st = grid.stencil
     for m in evolved_counts(grid):
-        assert_close(grid.stencil.potential(h[1:m + 1], KAPPA), expected[:m])
-        _, v = grid.stencil.residual_and_potential(h, KAPPA, m)
+        v = np.empty(m)
+        st.evaluate(h, KAPPA, None, v, np.empty((4, m)))  # V alone
         assert_close(v, expected[:m])
+        assert_close(evaluated(st, h, m)[1], expected[:m])
 
 
 def test_jacobian_bands_match_inline_formula(case):
     grid, h = case
-    assert_close(grid.stencil.jacobian_bands(grid.stencil.potential(h[1:-1], KAPPA)),
-                 reference_jacobian(grid, h, KAPPA))
+    _, v = el_residual_and_potential(grid, h)
+    assert_close(grid.stencil.jacobian_bands(v), reference_jacobian(grid, h, KAPPA))
 
 
 def test_divergence_bands_match_inline_formula(case):
