@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from axiferro.cli import _report_payload
 from axiferro.energy import (EnergyParams, assemble_second_variation,
                              el_residual, reduced_energy,
                              residual_supnorm, second_variation_form,
@@ -8,6 +9,7 @@ from axiferro.energy import (EnergyParams, assemble_second_variation,
 from axiferro.grid import make_grid, quad_sin
 from axiferro.profile import (builtin_profile, make_initial_second_type,
                               make_profile)
+from axiferro.saddle import find_second_type
 from oracles import fd_energy_derivative, trapezoid_sin_integral
 
 
@@ -32,6 +34,15 @@ class TestReducedEnergy:
         for kappa in (0.0, 5.0, 30.0):
             assert reduced_energy(p, EnergyParams(kappa)) == pytest.approx(
                 2.0 * kappa / 3.0, rel=1e-5, abs=1e-12)
+
+    def test_full_energy_factor(self, grid256):
+        # the saddle report's field energy is 2*pi times the reduced energy
+        # of its profile
+        report = find_second_type(4.0, grid=grid256)
+        payload = _report_payload(report, "0" * 16, {})
+        assert payload["full_energy"] == pytest.approx(
+            2 * np.pi * reduced_energy(report.profile, EnergyParams(4.0)),
+            rel=1e-14)
 
     def test_matches_reference_quadrature(self, grid1024, rng):
         # generic smooth profile against a high-resolution oracle
