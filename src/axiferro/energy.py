@@ -5,26 +5,22 @@ The reduced energy of a profile h with anisotropy kappa is
     E(h) = 1/2 * integral_0^pi [ h'^2 sin(t) + sin^2(h)/sin(t)
                                  + kappa sin^2(h - t) sin(t) ] dt,
 
-the full field energy being 2*pi*E(h).  Its critical points solve
+the full field energy being 2*pi*E(h).  On the grid it is E_w, whose
+gradient is exactly the stencil R of ``axiferro.stencil`` (dE_w/dh_i = -w_i R_i):
 
-    0 = h'' + cot(t) h' - sin(2h)/(2 sin^2 t) - kappa/2 sin(2h - 2t),
+    E_w(h) = sum_edges c/2 (h_{i+1} - h_i)^2
+             + sum_i w_i [sin^2(h_i) / (2 sin^2 t_i) + kappa/2 sin^2(h_i - t_i)],
 
-and the second variation at h in direction g (g vanishing at the poles) is
+with the stencil's node and edge weights w and c, so the flow, Newton and the
+stationarity test all seek critical points of E_w.  Its exact Hessian in a
+direction g vanishing at the poles, V the reaction potential, is
 
-    d2E[h](g) = integral [ g'^2 sin t
-                           + (cos(2h)/sin^2 t + kappa cos(2h - 2t)) g^2 sin t ] dt.
-
-Singular factors (1/sin, 1/sin^2) are only ever evaluated at interior nodes;
-the quadrature carries zero weight at the poles where all in-scope integrands
-have finite (zero) limits.
+    d2E_w[h](g) = sum_edges c (g_{i+1} - g_i)^2 + sum_i w_i V_i g_i^2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .grid import quad_sin
-from .profile import node_derivative
 
 CERTIFICATE_SLACK = 1e-12
 
@@ -76,12 +72,12 @@ class TridiagonalOperator:
 
 
 def reduced_energy(p, params):
-    """E(h) by sin-weighted trapezoid quadrature."""
-    v = p.values
-    hp = node_derivative(p)
-    integrand = hp ** 2 + params.kappa * np.sin(v - p.grid.nodes) ** 2
-    integrand[1:-1] += (np.sin(v[1:-1]) / p.grid.stencil.sin) ** 2
-    return 0.5 * quad_sin(p.grid, integrand)
+    """The discrete energy E_w(h), whose gradient is -w R."""
+    st = p.grid.stencil
+    h = p.values
+    reaction = (np.sin(h[1:-1]) ** 2 / st.twice_sin2
+                + 0.5 * params.kappa * np.sin(h[1:-1] - p.grid.interior) ** 2)
+    return float(0.5 * (st.edge_weight @ np.diff(h) ** 2) + st.weight @ reaction)
 
 
 def el_residual(p, params, with_potential=False):
@@ -114,27 +110,30 @@ def residual_noise_floor(grid):
 
 
 def _zeroed_direction(grid, g):
-    g = np.asarray(g, dtype=float)
+    g = np.array(g, dtype=float)  # a copy, whose endpoints are set to zero
     if g.shape != grid.nodes.shape:
         raise ValueError(f"direction has length {g.size}, expected {grid.n + 1}")
     slack = 1e-10 * (1.0 + np.max(np.abs(g)))
     if abs(g[0]) > slack or abs(g[-1]) > slack:
         raise ValueError("direction must vanish at both endpoints "
                          f"(got g(0) = {g[0]:.3g}, g(pi) = {g[-1]:.3g})")
-    g = g.copy()
-    g[0] = 0.0
-    g[-1] = 0.0
+    g[0] = g[-1] = 0.0
     return g
 
 
+def _potential(p, params):
+    m = p.grid.n - 1
+    v = np.empty(m)
+    p.grid.stencil.evaluate(p.values, params.kappa, None, v, np.empty((4, m)))
+    return v
+
+
 def second_variation_form(p, params, g):
-    """Quadratic form d2E[h](g) for a direction g vanishing at the poles."""
+    """d2E_w[h](g), the exact Hessian of E_w, for a direction g vanishing at the poles."""
     g = _zeroed_direction(p.grid, g)
-    v = p.values
-    gp = np.gradient(g, p.grid.dtheta, edge_order=2)
-    integrand = gp ** 2 + params.kappa * np.cos(2.0 * (v - p.grid.nodes)) * g ** 2
-    integrand[1:-1] += np.cos(2.0 * v[1:-1]) / p.grid.stencil.sin2 * g[1:-1] ** 2
-    return quad_sin(p.grid, integrand)
+    st = p.grid.stencil
+    return float(st.edge_weight @ np.diff(g) ** 2
+                 + st.weight @ (_potential(p, params) * g[1:-1] ** 2))
 
 
 def assemble_second_variation(p, params):
@@ -149,10 +148,7 @@ def assemble_second_variation(p, params):
     """
     grid = p.grid
     st = grid.stencil
-    m = grid.n - 1
-    v = np.empty(m)
-    st.evaluate(p.values, params.kappa, None, v, np.empty((4, m)))
-    diag = st.divergence_bands[1] + v
+    diag = st.divergence_bands[1] + _potential(p, params)
     weight = st.sin * grid.dtheta
     for a in (diag, weight):
         a.setflags(write=False)

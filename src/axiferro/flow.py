@@ -247,7 +247,7 @@ def run(p0, params, cfg=None, half_interval=False):
 
     def record(sup_res):
         nonlocal e_prev, steps_since_record
-        e = reduced_energy(p, params)
+        e = reduced_energy(p, params) if records else e_prev
         ok = e <= e_prev + slack * max(steps_since_record, 1)
         wedge_ok = None if cfg.wedge is None else wedge_check(p, cfg.wedge).inside
         dev = hemispheric_deviation(p) if track_hemi else None
@@ -351,7 +351,8 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
 
     The continuous flow preserves pointwise ordering of profiles; the
     discrete scheme should too, up to discretization slack.  Returns the
-    maximum of (lower - upper) seen at any recorded time.
+    maximum of (lower - upper) seen at any recorded time.  Refuses a
+    tolerance at or below the noise floor as ``run`` does.
     """
     cfg = cfg or FlowConfig()
     initial_gap = float(np.max(p_lower.values - p_upper.values))
@@ -359,6 +360,7 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
         raise ValueError(f"initial ordering violated by {initial_gap:.3g}")
     if p_lower.grid is not p_upper.grid and p_lower.grid.n != p_upper.grid.n:
         raise ValueError("profiles must share a grid")
+    _require_resolvable(p_lower.grid, cfg.stationary_tol)
     dt = cfg.effective_dt(params.kappa)
     m = p_lower.grid.n - 1
     kernel = _Kernel(p_lower, params.kappa, m)

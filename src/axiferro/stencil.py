@@ -13,6 +13,11 @@ implicit part of the flow): its residual of h = t is 1.3e-4 at n = 1024.
 The reaction potential V_i = cos(2 h_i) / sin^2 t_i + kappa cos(2 h_i - 2 t_i)
 is minus the derivative of the reaction terms of R_i with respect to h_i.
 
+R_i couples to h_{i+1} by a_i = 1/dt^2 + cot(t_i)/(2 dt) and to h_{i-1} by
+b_i = 1/dt^2 - cot(t_i)/(2 dt), both positive.  The node weights w_1 = sin(t_1) dt,
+w_{i+1} = w_i a_i / b_{i+1} and edge weights c_0 = w_1 b_1, c_i = w_i a_i make -w R
+the gradient of E_w (``axiferro.energy``); w = sin(t) dt to O(dt^2).
+
 Band arrays use the layout of ``scipy.linalg.solve_banded`` with one band on
 each side: row 0 is the superdiagonal (ab[0, j] couples row j - 1 to j),
 row 1 the diagonal, row 2 the subdiagonal (ab[2, j] couples row j + 1 to j).
@@ -39,10 +44,13 @@ class Stencil:
         self.cos_2theta = np.cos(2.0 * theta)
         self.sin_2theta = np.sin(2.0 * theta)
         s_half = self.sin_half = np.sin(grid.half_nodes)  # edge (i, i+1) at index i
-        # dR/dh without the potential: the second difference and cot d1
-        self.jacobian_offdiag = np.zeros((3, grid.n - 1))
-        self.jacobian_offdiag[0, 1:] = 1.0 / dth2 + self.cot[:-1] / (2.0 * dth)
-        self.jacobian_offdiag[2, :-1] = 1.0 / dth2 - self.cot[1:] / (2.0 * dth)
+        # a, b: R_i's couplings to h_{i+1}, h_{i-1}, the off-diagonals of dR/dh
+        a = 1.0 / dth2 + self.cot / (2.0 * dth)
+        b = 1.0 / dth2 - self.cot / (2.0 * dth)
+        self.jacobian_offdiag = np.array([np.r_[0.0, a[:-1]], np.zeros_like(a),
+                                          np.r_[b[1:], 0.0]])
+        w = self.weight = s[0] * dth * np.cumprod(np.r_[1.0, a[:-1] / b[1:]])
+        self.edge_weight = np.r_[w[0] * b[0], w * a]
         # -L with Dirichlet rows eliminated, and the off-diagonal of the
         # symmetric S (-L) S^{-1}, S = diag(sqrt(sin))
         self.divergence_bands = np.zeros((3, grid.n - 1))
@@ -50,10 +58,9 @@ class Stencil:
         self.divergence_bands[1] = (s_half[1:] + s_half[:-1]) / (s * dth2)
         self.divergence_bands[2, :-1] = -s_half[1:-1] / (s[1:] * dth2)
         self.symmetric_offdiag = -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:]))
-        for a in (s, self.cot, self.sin2, self.twice_sin2, self.cos_2theta,
-                  self.sin_2theta, s_half, self.jacobian_offdiag,
-                  self.divergence_bands, self.symmetric_offdiag):
-            a.setflags(write=False)
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
 
     def evaluate(self, h, kappa, r, v, work):
         """R into r and V into v at nodes 1..m from the full node array h.

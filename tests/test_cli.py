@@ -40,6 +40,16 @@ class TestFlowCommand:
         assert trace[1] == "t,E,sup_residual,wedge_ok"
         assert (tmp_path / "final_profile.csv").exists()
 
+    def test_first_type_at_kappa_100_energy_monotone(self, tmp_path):
+        # the trace's energy is the one whose gradient the flow follows
+        r = run_cli("flow", "--init", "first-type", "--kappa", "100", "--n", "1024",
+                    "--half-interval", "--wedge", "W1", "--tol", "1e-7",
+                    "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        record = json.loads((tmp_path / "run.json").read_text())
+        assert record["status"] == "stationary"
+        assert record["energy_monotone"] is True
+
     def test_exact_solution_exits_immediately(self, tmp_path):
         r = run_cli("flow", "--init", "two-theta", "--kappa", "4", "--n", "512",
                     "--out", str(tmp_path))

@@ -138,6 +138,44 @@ class TestVariationalConsistency:
             form = second_variation_form(p, params, direction)
             assert abs(fd2 - form) < 1e-4
 
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_energy_is_the_stencils_potential(self, n):
+        # dE/dh_i = -w_i R_i at every interior node, and the form is E's
+        # exact Hessian, on a coarse and a fine grid
+        g = make_grid(n)
+        rng = np.random.default_rng(n)
+        base = np.pi + sum(c * np.sin((i + 1) * g.nodes)
+                           for i, c in enumerate(rng.uniform(-0.3, 0.3, 3)))
+        params = EnergyParams(2.5)
+        p = make_profile(g, base, 1, 1)
+
+        def energy_of(vals):
+            return reduced_energy(make_profile(g, vals, 1, 1), params)
+
+        w_r = g.stencil.weight * el_residual(p, params)
+        fd = np.empty(n - 1)
+        for i in range(1, n):
+            e_i = np.zeros(n + 1)
+            e_i[i] = 1.0
+            fd[i - 1], _ = fd_energy_derivative(energy_of, base, e_i, 1e-5)
+        assert np.max(np.abs(fd + w_r)) <= 1e-7 * np.max(np.abs(w_r))
+        for _ in range(5):
+            direction = sum(c * np.sin((i + 1) * g.nodes)
+                            for i, c in enumerate(rng.uniform(-1, 1, 3)))
+            direction[0] = direction[-1] = 0.0
+            _, fd2 = fd_energy_derivative(energy_of, base, direction, 1e-4)
+            assert second_variation_form(p, params, direction) == pytest.approx(
+                fd2, rel=1e-6)
+
+    def test_weight_is_second_order_and_mirror_symmetric(self):
+        devs = []
+        for n in (64, 128, 256, 512, 1024, 2048, 4096):
+            g = make_grid(n)
+            w = g.stencil.weight
+            devs.append(np.max(np.abs(w / (np.sin(g.interior) * g.dtheta) - 1.0)))
+            assert np.max(np.abs(w - w[::-1]) / w) < 1e-12
+        assert all(a > 3.0 * b for a, b in zip(devs, devs[1:]))
+
 
 class TestSecondVariationForm:
     def test_negative_direction_at_saddle(self, grid1024):

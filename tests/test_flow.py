@@ -381,6 +381,14 @@ class TestComparison:
             worst = max(worst, verdict.max_violation)
         assert worst <= 1e-6
 
+    def test_tolerance_at_noise_floor_refused(self):
+        # at n = 4096 the default 1e-9 lies below the noise floor, 2.1e-9
+        grid = make_grid(4096)
+        lower = builtin_profile("pi", grid)
+        upper = make_profile(grid, np.pi + grid.nodes, 1, 2)
+        with pytest.raises(ValueError, match="noise floor"):
+            comparison_trial(lower, upper, EnergyParams(5.0), FlowConfig(t_max=0.05))
+
     def test_initial_violation_rejected(self, grid256):
         lower = builtin_profile("two-theta", grid256)
         upper = builtin_profile("theta", grid256)
@@ -399,7 +407,9 @@ def test_energy_trace_csv(tmp_path, grid256):
     assert lines[1] == "t,E,sup_residual,wedge_ok"
     first = lines[2].split(",")
     assert float(first[0]) == 0.0
-    assert float(first[1]) == pytest.approx(10.0 / 3.0, rel=1e-6)
+    assert float(first[1]) == reduced_energy(p0, EnergyParams(5.0))
+    # E_w(pi) = 2 kappa / 3 to second order, at validate's bar 1e-5 (1024/n)^2
+    assert float(first[1]) == pytest.approx(10.0 / 3.0, rel=1.6e-4)
     assert first[3] == "1"
 
 

@@ -160,5 +160,5 @@ def test_built_once_per_grid_and_read_only():
     assert make_grid(64) is grid
     for a in (st.sin, st.cot, st.sin2, st.twice_sin2, st.cos_2theta, st.sin_2theta,
               st.sin_half, st.divergence_bands, st.symmetric_offdiag,
-              st.jacobian_offdiag):
+              st.jacobian_offdiag, st.weight, st.edge_weight):
         assert not a.flags.writeable
