@@ -21,8 +21,8 @@ from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
                      find_first_type, find_second_type,
                      probe_second_branch_floor, sweep)
 from .spectrum import SpectrumResult, classify, eigs_lowest, legendre_validation
-from .stationary import (Branch, BranchPoint, NewtonConfig, NewtonError,
-                         continue_branch, newton_solve)
+from .stationary import (Branch, BranchPoint, NewtonError, continue_branch,
+                         newton_solve)
 
 __all__ = [
     "EnergyParams", "TridiagonalOperator", "assemble_second_variation",
@@ -40,6 +40,5 @@ __all__ = [
     "SaddleValidationError", "SweepResult", "find_first_type",
     "find_second_type", "probe_second_branch_floor", "sweep",
     "SpectrumResult", "classify", "eigs_lowest", "legendre_validation",
-    "Branch", "BranchPoint", "NewtonConfig", "NewtonError", "continue_branch",
-    "newton_solve",
+    "Branch", "BranchPoint", "NewtonError", "continue_branch", "newton_solve",
 ]

@@ -32,7 +32,7 @@ from .profile import (W1, W2, WedgeSpec, _csv_rows, builtin_profile, degree,
 from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
                      SaddleValidationError, find_first_type, find_second_type,
                      sweep)
-from .spectrum import eigs_lowest, legendre_validation
+from .spectrum import _require_pair_count, eigs_lowest, legendre_validation
 from .stationary import NewtonError
 
 OUTDIR_ENV = "AXIFERRO_OUTDIR"
@@ -75,16 +75,17 @@ def cmd_flow(args):
               "record_every": args.record_every, "wedge": args.wedge,
               "half_interval": args.half_interval, "seed": args.seed}
     h = config_hash(config)
-    grid = make_grid(args.n)
-    p0 = _load_initial(args.init, grid, args.kappa)
     wedge = {"none": None, "W1": WedgeSpec(W1, 1e-8), "W2": WedgeSpec(W2, 1e-8),
              "auto": _auto_wedge(args.init)}[args.wedge]
     cfg = FlowConfig(dt=args.dt, t_max=args.t_max, stationary_tol=args.tol,
                      record_every=args.record_every, wedge=wedge)
+    # a grid too fine for the tolerance is refused before it is built; bad
+    # input leaves no output directory, and an unusable one is refused before
+    # the flow runs
+    _require_resolvable(args.n, cfg.stationary_tol)
+    grid = make_grid(args.n)
+    p0 = _load_initial(args.init, grid, args.kappa)
     params = EnergyParams(args.kappa)
-    # a refused tolerance leaves no output directory; an unusable one is
-    # refused before the flow runs
-    _require_resolvable(grid, cfg.stationary_tol)
     out = _outdir(args)
     t0 = time.perf_counter()
     result = run(p0, params, cfg, half_interval=args.half_interval)
@@ -201,6 +202,9 @@ def cmd_spectrum(args):
     grid = make_grid(args.n)
     p = _load_initial(args.profile, grid, args.kappa)
     op = assemble_second_variation(p, EnergyParams(args.kappa))
+    # a bad --k leaves no output directory; an unusable one is refused
+    # before the eigensolve
+    _require_pair_count(op, args.k)
     out = _outdir(args)
     result = eigs_lowest(op, args.k)
     lines = [f"# config_hash={h}", "index,lambda"]

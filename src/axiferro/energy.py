@@ -99,14 +99,15 @@ def residual_supnorm(p, params):
     return float(np.max(np.abs(el_residual(p, params))))
 
 
-def residual_noise_floor(grid):
-    """Rounding scale of the residual evaluation itself.
+def residual_noise_floor(n):
+    """Rounding scale of the residual evaluation on the grid of n subintervals.
 
     The second difference of O(2*pi) values carries absolute noise of order
     eps/dtheta^2; residual targets below this are unattainable regardless of
-    solver quality (about 1.3e-10 at n = 1024, growing with n^2).
+    solver quality (about 1.3e-10 at n = 1024, growing with n^2).  It needs
+    only n, so a grid too fine for a tolerance is refused before it is built.
     """
-    return 4e-16 * np.pi / grid.dtheta ** 2
+    return 4e-16 * np.pi / (np.pi / n) ** 2
 
 
 def _zeroed_direction(grid, g):

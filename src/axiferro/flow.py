@@ -205,11 +205,11 @@ def detect_blowup(p):
     return bool(steepest / (2.0 * p.grid.dtheta) > BLOWUP_GRAD_THRESHOLD)
 
 
-def _require_resolvable(grid, tol):
-    """Refuse a stationarity tolerance the grid's residual cannot reach."""
-    floor = residual_noise_floor(grid)
+def _require_resolvable(n, tol):
+    """Refuse a stationarity tolerance the residual on n subintervals cannot reach."""
+    floor = residual_noise_floor(n)
     if floor >= tol:
-        raise ValueError(f"grid n={grid.n} is too fine for the stationarity tolerance "
+        raise ValueError(f"grid n={n} is too fine for the stationarity tolerance "
                          f"{tol:g}: its residual noise floor {floor:.3g} is not below "
                          "it, so the flow cannot become stationary")
 
@@ -224,7 +224,7 @@ def run(p0, params, cfg=None, half_interval=False):
     if ``cfg.stationary_tol`` is not above the grid's residual noise floor.
     """
     cfg = cfg or FlowConfig()
-    _require_resolvable(p0.grid, cfg.stationary_tol)
+    _require_resolvable(p0.grid.n, cfg.stationary_tol)
     dt = cfg.effective_dt(params.kappa)
     track_hemi = is_hemispheric(p0, 1e-12)
     if half_interval and not track_hemi:
@@ -297,7 +297,7 @@ def _relax(p0, params, cfg):
     nothing; returns the final profile and its FlowStatus.  Refuses a
     tolerance at or below the noise floor as ``run`` does.
     """
-    _require_resolvable(p0.grid, cfg.stationary_tol)
+    _require_resolvable(p0.grid.n, cfg.stationary_tol)
     dt0 = dt = cfg.effective_dt(params.kappa)
     m = p0.grid.midpoint_index - 1
     kernel = _Kernel(p0, params.kappa, m)
@@ -360,7 +360,7 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
         raise ValueError(f"initial ordering violated by {initial_gap:.3g}")
     if p_lower.grid is not p_upper.grid and p_lower.grid.n != p_upper.grid.n:
         raise ValueError("profiles must share a grid")
-    _require_resolvable(p_lower.grid, cfg.stationary_tol)
+    _require_resolvable(p_lower.grid.n, cfg.stationary_tol)
     dt = cfg.effective_dt(params.kappa)
     m = p_lower.grid.n - 1
     kernel = _Kernel(p_lower, params.kappa, m)

@@ -15,13 +15,13 @@ import numpy as np
 
 from .energy import (EnergyParams, assemble_second_variation, reduced_energy,
                      residual_noise_floor, residual_supnorm)
-from .flow import FlowConfig, FlowStatus, _relax
+from .flow import FlowConfig, FlowStatus, _relax, _require_resolvable
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
                       make_initial_first_type, make_initial_second_type,
                       wedge_check)
 from .spectrum import classify, negative_count
-from .stationary import NewtonConfig, continue_branch, newton_solve
+from .stationary import continue_branch, newton_solve
 
 FIRST = "first"
 SECOND = "second"
@@ -81,7 +81,7 @@ class SaddleReport:
         # the 1e-9 bar holds wherever double precision can evaluate it; on
         # very fine grids (kappa beyond ~2000 at the enforced resolution) the
         # bar follows the residual evaluation noise floor instead
-        bar = max(RESIDUAL_BAR, 10.0 * residual_noise_floor(self.profile.grid))
+        bar = max(RESIDUAL_BAR, 10.0 * residual_noise_floor(self.profile.grid.n))
         if self.residual_sup >= bar:
             problems.append(f"sup residual {self.residual_sup:.3g} >= {bar:.3g}")
         expected = (1, 1) if self.saddle_type == FIRST else (0, 2)
@@ -106,20 +106,21 @@ def _require_finite(kappa):
 
 
 def grid_for_kappa(kappa):
-    """Default grid: n >= 1024, at least 32 nodes per sqrt(kappa) domain-wall width."""
+    """Default grid: n >= 1024, at least 32 nodes per sqrt(kappa) domain-wall width.
+
+    An n whose residual noise floor is not below the pipeline flow's
+    tolerance is refused before its grid is built.
+    """
     _require_finite(kappa)
     n = max(1024, 32 * math.ceil(math.sqrt(max(kappa, 1.0))))
-    return make_grid(n + n % 2)
-
-
-def _pipeline_newton_cfg(grid):
-    """Newton target: tight, but never below the evaluation noise floor."""
-    return NewtonConfig(residual_tol=max(5e-10, 4.0 * residual_noise_floor(grid)))
+    n += n % 2
+    _require_resolvable(n, _FLOW_TOL)
+    return make_grid(n)
 
 
 def _polish_and_report(profile, kappa, saddle_type, provenance):
     params = EnergyParams(kappa)
-    profile = newton_solve(profile, params, _pipeline_newton_cfg(profile.grid))
+    profile = newton_solve(profile, params)
     spectrum = classify(profile, params)
     dev = hemispheric_deviation(profile)
     verdict = wedge_check(profile, WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
@@ -187,7 +188,7 @@ def find_second_type(kappa, grid=None):
     if kappa > 4:
         return _flow_then_polish(kappa, SECOND, grid)
     start = make_initial_second_type(grid)
-    branch = continue_branch(4.0, start, kappa, -_BRANCH_DK, _pipeline_newton_cfg(grid))
+    branch = continue_branch(4.0, start, kappa, -_BRANCH_DK)
     if abs(branch.reached - kappa) > 1e-12:
         raise ContinuationError(
             f"continuation from (4, 2*theta) failed at kappa="
@@ -270,8 +271,7 @@ def probe_second_branch_floor(grid=None):
     the walk makes no eigensolve.
     """
     grid = grid or make_grid(1024)
-    branch = continue_branch(4.0, make_initial_second_type(grid), 1.0, -_BRANCH_DK,
-                             _pipeline_newton_cfg(grid))
+    branch = continue_branch(4.0, make_initial_second_type(grid), 1.0, -_BRANCH_DK)
     prev = 4.0
     for pt in branch.points:
         if not _is_index_one_saddle(pt):

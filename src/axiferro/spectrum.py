@@ -78,6 +78,11 @@ def _tridiag_apply(diag, off, y):
     return out
 
 
+def _require_pair_count(op, k):
+    if not 1 <= k <= op.dimension:
+        raise ValueError(f"k = {k} out of range 1..{op.dimension}")
+
+
 def eigs_lowest(op, k):
     """Lowest k eigenpairs of a TridiagonalOperator.
 
@@ -89,8 +94,7 @@ def eigs_lowest(op, k):
     eigenvalues below -tol, tol = 1e-12 times the operator scale, and is
     certified by an inertia count.
     """
-    if not 1 <= k <= op.dimension:
-        raise ValueError(f"k = {k} out of range 1..{op.dimension}")
+    _require_pair_count(op, k)
     diag = np.asarray(op.diag, dtype=float)
     off = np.asarray(op.offdiag, dtype=float)
     scale = op.norm_estimate()

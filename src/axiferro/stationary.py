@@ -6,14 +6,14 @@ center value), so Newton converges quadratically for the discrete problem,
 not merely for its continuum limit.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
-from .energy import EnergyParams, assemble_second_variation, el_residual
+from .energy import EnergyParams, el_residual, residual_noise_floor
 
+MAX_ITER = 50
 MIN_DAMPING = 2.0 ** -20
 
 
@@ -25,37 +25,28 @@ class NewtonError(RuntimeError):
         self.residual_norm = residual_norm
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    # the residual evaluation itself carries second-difference rounding noise
-    # of order eps/dtheta^2 (~1e-10 at n = 1024); tolerances below that floor
-    # are unattainable on fine grids
-    max_iter: int = 50
-    residual_tol: float = 5e-10
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.residual_tol <= 0:
-            raise ValueError("residual_tol must be positive")
+def _residual_tol(grid):
+    """Newton target: tight, but never below the residual evaluation noise floor."""
+    return max(5e-10, 4.0 * residual_noise_floor(grid.n))
 
 
-def newton_solve(p0, params, cfg=None):
+def newton_solve(p0, params):
     """Damped Newton iteration on the interior residual.
 
-    Each iteration tries the full step; backtracking halves it until the
-    residual sup-norm decreases.  Failure below the minimum damping factor,
-    a singular Jacobian (a fold point suspect), or exhausting max_iter
-    raises NewtonError.
+    Stops once the residual sup-norm is below max(5e-10, 4 x the grid's
+    residual noise floor).  Each iteration tries the full step; backtracking
+    halves it until the residual sup-norm decreases.  Failure below the
+    minimum damping factor, a singular Jacobian (a fold point suspect), or
+    exhausting MAX_ITER iterations raises NewtonError.
     """
-    cfg = cfg or NewtonConfig()
+    tol = _residual_tol(p0.grid)
     p = p0
     # each residual comes with V, so the Jacobian at an accepted trial takes
     # no second sin and cos of 2h
     r, v = el_residual(p, params, with_potential=True)
     norm = float(np.max(np.abs(r)))
-    for _ in range(cfg.max_iter):
-        if norm < cfg.residual_tol:
+    for _ in range(MAX_ITER):
+        if norm < tol:
             return p
         ab = p.grid.stencil.jacobian_bands(v)
         try:
@@ -80,33 +71,16 @@ def newton_solve(p0, params, cfg=None):
         else:
             raise NewtonError(f"line search stalled at residual {norm:.3g}",
                               residual_norm=norm)
-    if norm < cfg.residual_tol:
+    if norm < tol:
         return p
-    raise NewtonError(f"no convergence in {cfg.max_iter} iterations; "
+    raise NewtonError(f"no convergence in {MAX_ITER} iterations; "
                       f"last residual {norm:.3g}", residual_norm=norm)
 
 
 @dataclass(frozen=True)
 class BranchPoint:
-    """A solved point of a branch; its two lowest eigenvalues are computed
-    (and their Morse index certified) on first read, then kept."""
     kappa: float
     profile: object
-
-    @functools.cached_property
-    def _two_lowest(self):
-        from .spectrum import eigs_lowest
-        op = assemble_second_variation(self.profile, EnergyParams(self.kappa))
-        res = eigs_lowest(op, 2)
-        return float(res.eigenvalues[0]), float(res.eigenvalues[1])
-
-    @property
-    def lambda1(self):
-        return self._two_lowest[0]
-
-    @property
-    def lambda2(self):
-        return self._two_lowest[1]
 
 
 @dataclass(frozen=True)
@@ -119,18 +93,16 @@ class Branch:
         return self.points[-1].kappa
 
 
-def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
+def continue_branch(start_kappa, start, target_kappa, dk):
     """Natural-parameter continuation of a solution family in kappa.
 
-    Each accepted point seeds Newton at the next kappa; the two lowest
-    eigenvalues of the second-variation operator there are computed when the
-    point's lambda1 or lambda2 is first read.  Newton failure past the first
-    step ends the branch with a bracketing interval (suspected fold or
-    bifurcation); failure on the very first step raises.
+    The start must be stationary to Newton's tolerance (or 1e-9, if that is
+    larger).  Each accepted point seeds Newton at the next kappa.  Newton
+    failure past the first step ends the branch with a bracketing interval
+    (suspected fold or bifurcation); failure on the very first step raises.
     """
-    cfg = cfg or NewtonConfig()
     r0 = float(np.max(np.abs(el_residual(start, EnergyParams(start_kappa)))))
-    if r0 >= max(cfg.residual_tol, 1e-9):
+    if r0 >= max(_residual_tol(start.grid), 1e-9):
         raise ValueError(f"start profile is not stationary at kappa={start_kappa} "
                          f"(sup residual {r0:.3g})")
     if target_kappa != start_kappa and dk == 0:
@@ -152,7 +124,7 @@ def continue_branch(start_kappa, start, target_kappa, dk, cfg=None):
         if (nxt - target_kappa) * direction > 0:
             nxt = target_kappa
         try:
-            profile = newton_solve(profile, EnergyParams(nxt), cfg)
+            profile = newton_solve(profile, EnergyParams(nxt))
         except NewtonError as exc:
             if first_step:
                 raise

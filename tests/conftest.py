@@ -25,5 +25,19 @@ def grid1024():
 
 
 @pytest.fixture
+def no_huge_grids(monkeypatch):
+    """Fail the test if any grid with n above 1e7 is built."""
+    from axiferro import grid
+    real = grid._build_grid
+
+    def guarded(n):
+        if n > 1e7:
+            pytest.fail(f"a grid with n = {n} was built")
+        return real(n)
+
+    monkeypatch.setattr(grid, "_build_grid", guarded)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -20,7 +20,7 @@ from axiferro.profile import (W1, WedgeSpec, builtin_profile, degree,
                               node_derivative, wedge_check)
 from axiferro.saddle import find_first_type, find_second_type, sweep
 from axiferro.spectrum import classify, eigs_lowest, legendre_validation
-from axiferro.stationary import NewtonConfig, continue_branch
+from axiferro.stationary import continue_branch
 from oracles import dense_spectrum, fd_energy_derivative
 
 
@@ -189,7 +189,7 @@ def test_criterion_10_second_type_certificate():
 def test_criterion_11_continuation_below_four():
     grid = make_grid(1024)
     start = make_initial_second_type(grid)
-    branch = continue_branch(4.0, start, 3.8, -0.05, NewtonConfig())
+    branch = continue_branch(4.0, start, 3.8, -0.05)
     ok = branch.reached == pytest.approx(3.8, abs=1e-12)
     worst_res = 0.0
     worst_hemi = 0.0
@@ -199,7 +199,9 @@ def test_criterion_11_continuation_below_four():
         worst_res = max(worst_res,
                         residual_supnorm(pt.profile, EnergyParams(pt.kappa)))
         worst_hemi = max(worst_hemi, hemispheric_deviation(pt.profile))
-        morse_ok = morse_ok and (pt.lambda1 < 0 < pt.lambda2)
+        lambda1, lambda2 = eigs_lowest(
+            assemble_second_variation(pt.profile, EnergyParams(pt.kappa)), 2).eigenvalues
+        morse_ok = morse_ok and (lambda1 < 0 < lambda2)
     ok = ok and worst_res < 1e-9 and worst_hemi < 1e-8 and morse_ok
     verdict(11, "continuation from (4, 2*theta) down to 3.8", ok,
             f"reached {branch.reached}, residual {worst_res:.2e} < 1e-9, "

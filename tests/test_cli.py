@@ -183,12 +183,35 @@ def test_nonfinite_kappa_refused_before_any_output(tmp_path, argv):
     (("spectrum", "--profile", "pi", "--kappa", "nan"), "kappa must be finite"),
     # the residual noise floor at n = 4096, 2.1e-9, is above the default --tol 1e-9
     (("flow", "--init", "first-type", "--kappa", "5", "--n", "4096", "--half-interval"),
-     "noise floor")])
+     "noise floor"),
+    # the operator at n = 64 has 63 interior nodes
+    (("spectrum", "--profile", "pi", "--kappa", "5", "--n", "64", "--k", "0"),
+     "k = 0 out of range 1..63"),
+    (("spectrum", "--profile", "pi", "--kappa", "5", "--n", "64", "--k", "64"),
+     "k = 64 out of range 1..63")])
 def test_flow_and_spectrum_refuse_bad_input_before_any_output(tmp_path, argv, message):
     out = tmp_path / "out"
     r = run_cli(*argv, "--out", str(out))
     assert_one_line_error(r)
     assert message in r.stderr
+    assert not out.exists()
+
+
+# n = 3.2e9 (the default grid at kappa = 1e16 too) would be three arrays of
+# 25.6 GB each; its noise floor is above both tolerances
+@pytest.mark.parametrize("argv", [
+    ("flow", "--init", "pi", "--kappa", "5", "--n", "3200000000"),
+    ("saddle", "--type", "first", "--kappa", "1e16")])
+def test_unresolvable_grid_refused_before_it_is_built(tmp_path, no_huge_grids, capsys,
+                                                      argv):
+    from axiferro import cli
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--out", str(out)])
+    assert info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "noise floor" in err
     assert not out.exists()
 
 

@@ -242,7 +242,7 @@ def test_residual_noise_floor_covers_measurements():
         g = make_grid(n)
         p = make_initial_second_type(g)
         measured = residual_supnorm(p, EnergyParams(4.0))
-        assert measured <= 2.0 * residual_noise_floor(g)
+        assert measured <= 2.0 * residual_noise_floor(g.n)
 
 
 class TestWedgeCertificates:

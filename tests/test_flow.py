@@ -157,7 +157,7 @@ class TestRun:
     def test_tolerance_at_noise_floor_refused(self, relax):
         # at n = 4096 the noise floor, 2.1e-9, lies above the default 1e-9
         grid = make_grid(4096)
-        floor = residual_noise_floor(grid)
+        floor = residual_noise_floor(grid.n)
         p0 = builtin_profile("first-type", grid, kappa=5.0)
         relaxer = flow._relax if relax else run
         for tol in (1e-9, floor):

@@ -24,7 +24,7 @@ from axiferro.profile import (make_initial_first_type, make_profile,
                               read_profile_csv, write_profile_csv)
 
 GRIDS = {n: make_grid(n) for n in (16, 64, 128)}
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True)
+PROPERTY = settings(max_examples=30, deadline=None, database=None)
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from axiferro import flow, saddle, spectrum
-from axiferro.energy import EnergyParams, reduced_energy
+from axiferro.energy import EnergyParams, assemble_second_variation, reduced_energy
 from axiferro.flow import FlowConfig, run
 from axiferro.grid import make_grid
 from axiferro.profile import (W1, W2, WedgeSpec, WedgeVerdict, builtin_profile,
@@ -15,6 +15,7 @@ from axiferro.profile import (W1, W2, WedgeSpec, WedgeVerdict, builtin_profile,
 from axiferro.saddle import (BlowupError, ContinuationError, find_first_type,
                              find_second_type, grid_for_kappa,
                              probe_second_branch_floor, sweep)
+from axiferro.spectrum import eigs_lowest
 from axiferro.stationary import BranchPoint, continue_branch
 
 
@@ -258,15 +259,20 @@ def test_probe_second_branch_floor():
     assert 0 < lo < hi < 4.0
 
 
+def two_lowest(pt):
+    op = assemble_second_variation(pt.profile, EnergyParams(pt.kappa))
+    return eigs_lowest(op, 2).eigenvalues.tolist()
+
+
 @pytest.mark.parametrize("n", [256, 1024])
 def test_probe_inertia_test_matches_eigenvalues(n):
     grid = make_grid(n)
     branch = continue_branch(4.0, make_initial_second_type(grid), 1.0,
-                             -saddle._BRANCH_DK, saddle._pipeline_newton_cfg(grid))
+                             -saddle._BRANCH_DK)
     assert len(branch.points) == 16
     for pt in branch.points:
-        assert saddle._is_index_one_saddle(pt) == (pt.lambda1 < -1e-8
-                                                   and pt.lambda2 > 1e-8)
+        lambda1, lambda2 = two_lowest(pt)
+        assert saddle._is_index_one_saddle(pt) == (lambda1 < -1e-8 and lambda2 > 1e-8)
 
 
 @pytest.mark.parametrize("n", [256, 1024])
@@ -280,21 +286,22 @@ def test_inertia_test_off_the_branch(n):
     def point(name, kappa):
         return BranchPoint(kappa=kappa, profile=builtin_profile(name, grid))
 
-    def root(name, eigenvalue, target, lo, hi):
+    def root(name, index, target, lo, hi):
         def f(k):
-            return getattr(point(name, k), eigenvalue) - target
+            return two_lowest(point(name, k))[index] - target
         kappa = brentq(f, lo, hi, xtol=1e-14)
         assert abs(f(kappa)) < 1e-10
         return point(name, kappa)
 
     cases = [(point("theta", 0.0), True), (point("theta", 10.0), False),
-             (root("theta", "lambda1", 0.0, 0.0, 1.0), False),
-             (root("theta", "lambda1", -5e-8, 0.0, 1.0), True),
-             (root("two-theta", "lambda2", 0.0, 8.0, 12.0), False),
-             (root("two-theta", "lambda2", 5e-8, 8.0, 12.0), True)]
+             (root("theta", 0, 0.0, 0.0, 1.0), False),
+             (root("theta", 0, -5e-8, 0.0, 1.0), True),
+             (root("two-theta", 1, 0.0, 8.0, 12.0), False),
+             (root("two-theta", 1, 5e-8, 8.0, 12.0), True)]
     for pt, expected in cases:
+        lambda1, lambda2 = two_lowest(pt)
         assert saddle._is_index_one_saddle(pt) is expected
-        assert (pt.lambda1 < -1e-8 and pt.lambda2 > 1e-8) is expected
+        assert (lambda1 < -1e-8 and lambda2 > 1e-8) is expected
 
 
 def test_probe_brackets_loss_of_saddle_structure(monkeypatch):
@@ -303,7 +310,7 @@ def test_probe_brackets_loss_of_saddle_structure(monkeypatch):
     # the first to fail the test, and the bracket ends at the point before it
     grid = make_grid(256)
     stable = BranchPoint(kappa=10.0, profile=builtin_profile("theta", grid))
-    assert stable.lambda1 > 1e-8
+    assert two_lowest(stable)[0] > 1e-8
     real = saddle.continue_branch
     before = []
 
@@ -338,6 +345,15 @@ def test_first_type_at_very_large_kappa():
 def test_nonfinite_kappa_rejected(call, kappa):
     with pytest.raises(ValueError, match="kappa must be finite"):
         call(kappa)
+
+
+# kappa = 1e16 asks for n = 3.2e9, three arrays of 25.6 GB each, whose
+# noise floor is far above the flow tolerance
+@pytest.mark.parametrize("call", [grid_for_kappa, find_first_type, find_second_type,
+                                  lambda kappa: sweep([5.0, kappa])])
+def test_unresolvable_grid_refused_before_it_is_built(no_huge_grids, call):
+    with pytest.raises(ValueError, match="noise floor"):
+        call(1e16)
 
 
 def test_grid_for_kappa_scaling():

@@ -3,15 +3,33 @@ import pytest
 from scipy.linalg import solve_banded
 
 from axiferro import stationary
-from axiferro.energy import EnergyParams, el_residual, residual_supnorm
+from axiferro.energy import (EnergyParams, assemble_second_variation,
+                             el_residual, residual_supnorm)
 from axiferro.flow import FlowConfig, run
 from axiferro.grid import make_grid
 from axiferro.profile import (builtin_profile, degree, hemispheric_deviation,
                               make_initial_first_type,
                               make_initial_second_type, make_profile)
-from axiferro.stationary import (Branch, NewtonConfig, NewtonError,
-                                 continue_branch, newton_solve)
+from axiferro.spectrum import eigs_lowest
+from axiferro.stationary import NewtonError, continue_branch, newton_solve
 from axiferro.stencil import Stencil
+
+
+def two_lowest(pt):
+    op = assemble_second_variation(pt.profile, EnergyParams(pt.kappa))
+    return eigs_lowest(op, 2).eigenvalues.tolist()
+
+
+def counting_solves(monkeypatch):
+    """Count the Jacobian solves of newton_solve; returns the live count."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, "solve_banded", counted)
+    return calls
 
 
 class TestNewton:
@@ -20,7 +38,7 @@ class TestNewton:
         start = make_profile(grid1024,
                              exact.values + 0.05 * np.sin(2 * grid1024.nodes),
                              0, 2)
-        sol = newton_solve(start, EnergyParams(4.0), NewtonConfig())
+        sol = newton_solve(start, EnergyParams(4.0))
         assert np.max(np.abs(sol.values - exact.values)) < 1e-8
 
     def test_one_sin_cos_per_residual(self, grid1024, monkeypatch):
@@ -43,34 +61,45 @@ class TestNewton:
         exact = make_initial_second_type(grid1024)
         start = make_profile(grid1024,
                              exact.values + 0.05 * np.sin(2 * grid1024.nodes), 0, 2)
-        newton_solve(start, EnergyParams(4.0), NewtonConfig())
+        newton_solve(start, EnergyParams(4.0))
         assert calls["jacobian"] >= 3
         assert calls["evaluate"] == calls["residual"] > calls["jacobian"]
 
     def test_identity_profile_unchanged(self, grid1024):
         p = builtin_profile("theta", grid1024)
         for kappa in (0.5, 9.0):
-            sol = newton_solve(p, EnergyParams(kappa), NewtonConfig())
+            sol = newton_solve(p, EnergyParams(kappa))
             assert np.array_equal(sol.values, p.values)
 
-    def test_polish_after_flow_converges_fast(self, grid512):
+    def test_polish_after_flow_converges_fast(self, grid512, monkeypatch):
         # near-root start: a couple of Newton steps reach the rounding floor
         p0 = make_initial_first_type(grid512, 9.0)
         flow = run(p0, EnergyParams(9.0), FlowConfig(stationary_tol=1e-6),
                    half_interval=True)
-        cfg = NewtonConfig(max_iter=5, residual_tol=5e-11)
-        sol = newton_solve(flow.final, EnergyParams(9.0), cfg)
+        solves = counting_solves(monkeypatch)
+        sol = newton_solve(flow.final, EnergyParams(9.0))
+        assert solves[0] <= 5
         assert residual_supnorm(sol, EnergyParams(9.0)) < 5e-11
 
-    def test_polish_to_1e12_where_floor_permits(self, grid64):
+    def test_polish_to_1e12_where_floor_permits(self, grid64, monkeypatch):
         # the residual evaluation floor ~eps/dtheta^2 sits below 1e-12 only
         # on coarse grids; there the polish reaches it in very few steps
         p0 = make_initial_first_type(grid64, 9.0)
         flow = run(p0, EnergyParams(9.0), FlowConfig(stationary_tol=1e-6),
                    half_interval=True)
-        cfg = NewtonConfig(max_iter=5, residual_tol=1e-12)
-        sol = newton_solve(flow.final, EnergyParams(9.0), cfg)
+        solves = counting_solves(monkeypatch)
+        sol = newton_solve(flow.final, EnergyParams(9.0))
+        assert solves[0] <= 5
         assert residual_supnorm(sol, EnergyParams(9.0)) < 1e-12
+
+    def test_stops_at_the_noise_floor_of_a_fine_grid(self):
+        # at n = 4096 the residual of the exact solution alone is 1.75e-9,
+        # above a fixed 5e-10; the tolerance is 4 x the noise floor, 8.5e-9
+        grid = make_grid(4096)
+        exact = make_initial_second_type(grid)
+        start = make_profile(grid, exact.values + 0.05 * np.sin(2 * grid.nodes), 0, 2)
+        sol = newton_solve(start, EnergyParams(4.0))
+        assert residual_supnorm(sol, EnergyParams(4.0)) < 8.5e-9
 
     def test_quadratic_convergence(self, grid256):
         exact = make_initial_second_type(grid256)
@@ -97,29 +126,23 @@ class TestNewton:
         start = make_profile(grid256,
                              2 * grid256.nodes + 0.1 * np.sin(grid256.nodes),
                              0, 2)
-        sol = newton_solve(start, EnergyParams(4.0), NewtonConfig())
+        sol = newton_solve(start, EnergyParams(4.0))
         assert (sol.m, sol.n_end) == (0, 2)
         assert sol.values[0] == 0.0 and sol.values[-1] == 2 * np.pi
 
-    def test_failure_carries_residual(self, grid256):
+    def test_failure_carries_residual(self, grid256, monkeypatch):
         # one iteration cannot solve from far away
+        monkeypatch.setattr(stationary, "MAX_ITER", 1)
         start = make_profile(grid256, np.pi + 0.9 * np.sin(grid256.nodes), 1, 1)
-        with pytest.raises(NewtonError) as info:
-            newton_solve(start, EnergyParams(25.0),
-                         NewtonConfig(max_iter=1, residual_tol=1e-12))
+        with pytest.raises(NewtonError, match="no convergence in 1 iterations") as info:
+            newton_solve(start, EnergyParams(25.0))
         assert info.value.residual_norm is not None
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            NewtonConfig(residual_tol=0.0)
 
 
 class TestContinuation:
     def test_branch_down_to_3_8(self, grid1024):
         start = make_initial_second_type(grid1024)
-        branch = continue_branch(4.0, start, 3.8, -0.05, NewtonConfig())
+        branch = continue_branch(4.0, start, 3.8, -0.05)
         assert branch.suspected_fold is None
         assert branch.reached == pytest.approx(3.8, abs=1e-12)
         assert len(branch.points) == 5
@@ -127,13 +150,14 @@ class TestContinuation:
         for pt in branch.points:
             assert residual_supnorm(pt.profile, EnergyParams(pt.kappa)) < 1e-9
             assert hemispheric_deviation(pt.profile) < 1e-8
-            assert pt.lambda1 < 0 < pt.lambda2
+            lambda1, lambda2 = two_lowest(pt)
+            assert lambda1 < 0 < lambda2
             assert (pt.profile.m, pt.profile.n_end) == (0, 2)
             assert degree(pt.profile) == 0
 
     def test_branch_up(self, grid512):
         start = make_initial_second_type(grid512)
-        branch = continue_branch(4.0, start, 4.5, 0.05, NewtonConfig())
+        branch = continue_branch(4.0, start, 4.5, 0.05)
         assert branch.reached == pytest.approx(4.5, abs=1e-12)
         assert len(branch.points) == 11
 
@@ -145,11 +169,18 @@ class TestContinuation:
 
     def test_eigenvalues_vary_continuously(self, grid512):
         start = make_initial_second_type(grid512)
-        branch = continue_branch(4.0, start, 3.8, -0.05, NewtonConfig())
-        l1 = [pt.lambda1 for pt in branch.points]
-        l2 = [pt.lambda2 for pt in branch.points]
+        branch = continue_branch(4.0, start, 3.8, -0.05)
+        l1, l2 = np.transpose([two_lowest(pt) for pt in branch.points])
         assert np.max(np.abs(np.diff(l1))) <= 10 * 0.05
         assert np.max(np.abs(np.diff(l2))) <= 10 * 0.05
+
+    def test_exact_start_accepted_on_a_fine_grid(self):
+        # 2*theta at kappa = 4 has sup residual 1.75e-9 at n = 4096, pure
+        # rounding noise; the start check follows the grid's noise floor
+        grid = make_grid(4096)
+        branch = continue_branch(4.0, make_initial_second_type(grid), 3.9, -0.05)
+        assert branch.suspected_fold is None
+        assert branch.reached == pytest.approx(3.9, abs=1e-12)
 
     def test_wrong_direction_rejected(self, grid512):
         start = make_initial_second_type(grid512)
@@ -166,7 +197,7 @@ class TestContinuation:
     def test_failure_reported_as_fold(self, grid512):
         # the branch dies somewhere above kappa = 1; expect a bracket, not a raise
         start = make_initial_second_type(grid512)
-        branch = continue_branch(4.0, start, 1.0, -0.1, NewtonConfig())
+        branch = continue_branch(4.0, start, 1.0, -0.1)
         assert branch.suspected_fold is not None
         good, failed = branch.suspected_fold
         assert failed < good <= 4.0
