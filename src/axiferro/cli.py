@@ -3,8 +3,9 @@
 Outputs are plot-ready CSV plus JSON run records.  Every CSV starts with a
 comment header carrying a hash of the canonical config, and the same hash is
 the first field of every JSON record, so outputs can be traced back to the
-exact configuration that produced them.  With a fixed seed all outputs are
-reproducible byte for byte (the wall_time_s field of run records excepted).
+exact configuration that produced them.  The same configuration reproduces
+every output byte for byte (the wall_time_s field of run records excepted);
+only ``validate``, whose property checks draw random data, takes a seed.
 
 Exit codes: 0 success / stationary, 1 configuration or pipeline error,
 2 flow horizon reached, 3 suspected blowup.
@@ -30,8 +31,8 @@ from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, _csv_rows, builtin_profile, degree,
                       make_profile, read_profile_csv, write_profile_csv)
 from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
-                     SaddleValidationError, find_first_type, find_second_type,
-                     sweep)
+                     SaddleValidationError, _pipeline_grid, find_first_type,
+                     find_second_type, sweep)
 from .spectrum import _require_pair_count, eigs_lowest, legendre_validation
 from .stationary import NewtonError
 
@@ -73,7 +74,7 @@ def cmd_flow(args):
     config = {"command": "flow", "init": args.init, "kappa": args.kappa,
               "n": args.n, "dt": args.dt, "t_max": args.t_max, "tol": args.tol,
               "record_every": args.record_every, "wedge": args.wedge,
-              "half_interval": args.half_interval, "seed": args.seed}
+              "half_interval": args.half_interval}
     h = config_hash(config)
     wedge = {"none": None, "W1": WedgeSpec(W1, 1e-8), "W2": WedgeSpec(W2, 1e-8),
              "auto": _auto_wedge(args.init)}[args.wedge]
@@ -133,9 +134,9 @@ def _report_payload(report, h, config):
 
 def cmd_saddle(args):
     config = {"command": "saddle", "type": args.type, "kappa": args.kappa,
-              "n": args.n, "seed": args.seed}
+              "n": args.n}
     h = config_hash(config)
-    grid = make_grid(args.n) if args.n else None
+    grid = _pipeline_grid(args.n, [args.kappa], [args.type])
     if args.type == FIRST:
         report = find_first_type(args.kappa, grid=grid)
     else:
@@ -164,13 +165,14 @@ def cmd_sweep(args):
     kappas = np.arange(args.kappa_from, args.kappa_to + 0.5 * args.step, args.step)
     config = {"command": "sweep", "types": args.type, "from": args.kappa_from,
               "to": args.kappa_to, "step": args.step, "n": args.n,
-              "seed": args.seed, "kappa1_probe": args.kappa1_probe}
+              "kappa1_probe": args.kappa1_probe}
     h = config_hash(config)
+    # an unresolvable grid is refused before the run directory is made
+    grid = _pipeline_grid(args.n, kappas, args.type)
     out = _outdir(args)
     os.makedirs(os.path.join(out, "profiles"), exist_ok=True)
     _write_json(os.path.join(out, "config.json"),
                 {"config_hash": h, "config": config, "tool_version": __version__})
-    grid = make_grid(args.n) if args.n else None
     result = sweep(kappas, types=tuple(args.type), grid=grid,
                    estimate_kappa1=args.kappa1_probe)
     lines = [f"# config_hash={h}"]
@@ -197,7 +199,7 @@ def cmd_sweep(args):
 def cmd_spectrum(args):
     config = {"command": "spectrum", "profile": args.profile,
               "kappa": args.kappa, "k": args.k, "n": args.n,
-              "seed": args.seed, "vectors": args.vectors}
+              "vectors": args.vectors}
     h = config_hash(config)
     grid = make_grid(args.n)
     p = _load_initial(args.profile, grid, args.kappa)
@@ -279,7 +281,7 @@ def _validate_properties(n, seed):
     cert_ok = True
     detail = []
     for kappa in (4.0, 7.0):
-        rep = wedge_certificates(kappa, samples=400)
+        rep = wedge_certificates(kappa)
         cert_ok = cert_ok and rep.all_hold
         detail.append(f"kappa={kappa:g} {'ok' if rep.all_hold else 'VIOLATED'}")
     yield ("wedge-certificates", cert_ok, ", ".join(detail))
@@ -317,12 +319,11 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", default=None,
-                        help=f"output directory (default: ${OUTDIR_ENV} or .)")
-        sp.add_argument("--seed", type=int, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None,
+                     help=f"output directory (default: ${OUTDIR_ENV} or .)")
 
-    p = sub.add_parser("flow", help="integrate the profile heat flow")
+    p = sub.add_parser("flow", parents=[out], help="integrate the profile heat flow")
     p.add_argument("--init", required=True,
                    help="pi | theta | two-theta | first-type | <profile.csv>")
     p.add_argument("--kappa", type=float, required=True)
@@ -333,17 +334,16 @@ def build_parser():
     p.add_argument("--record-every", type=int, default=10)
     p.add_argument("--wedge", choices=["auto", "none", "W1", "W2"], default="auto")
     p.add_argument("--half-interval", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("saddle", help="run one saddle pipeline")
+    p = sub.add_parser("saddle", parents=[out], help="run one saddle pipeline")
     p.add_argument("--type", choices=[FIRST, SECOND], required=True)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--n", type=int, default=None)
-    common(p)
     p.set_defaults(func=cmd_saddle)
 
-    p = sub.add_parser("sweep", help="sweep kappa and bracket the thresholds")
+    p = sub.add_parser("sweep", parents=[out],
+                       help="sweep kappa and bracket the thresholds")
     p.add_argument("--type", nargs="+", choices=[FIRST, SECOND],
                    default=[FIRST, SECOND])
     p.add_argument("--from", dest="kappa_from", type=float, required=True)
@@ -352,22 +352,20 @@ def build_parser():
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--kappa1-probe", action=argparse.BooleanOptionalAction,
                    default=True)
-    common(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("spectrum", help="lowest eigenvalues at a profile")
+    p = sub.add_parser("spectrum", parents=[out], help="lowest eigenvalues at a profile")
     p.add_argument("--profile", required=True,
                    help="pi | theta | two-theta | first-type | <profile.csv>")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--n", type=int, default=1024)
     p.add_argument("--vectors", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("validate", help="run the numerical property suite")
     p.add_argument("--n", type=int, default=512)
-    common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_validate)
     return parser
 

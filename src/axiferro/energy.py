@@ -22,7 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .profile import W1, W2, WedgeSpec
+
 CERTIFICATE_SLACK = 1e-12
+_WEDGE_SAMPLES = 400    # wedge_certificates' samples per axis
 
 
 @dataclass(frozen=True)
@@ -38,11 +41,11 @@ class EnergyParams:
 class TridiagonalOperator:
     """Discrete second-variation operator on the interior nodes.
 
-    ``diag`` holds the operator diagonal; ``offdiag`` holds the off-diagonal
-    of the similarity-symmetrized matrix B = S A S^{-1} with S = diag(sqrt(w)),
-    so symmetry of B is exact by construction.  ``weight`` are the sin-weighted
-    quadrature weights w_i = sin(theta_i) * dtheta the operator is self-adjoint
-    against.
+    Stored as the similarity-symmetrized matrix B = S A S^{-1} with
+    S = diag(sqrt(w)), so symmetry is exact by construction: ``diag`` is its
+    diagonal (also A's) and ``offdiag`` its off-diagonal.  ``weight`` are the
+    grid's quadrature weights w_i = sin(theta_i) * dtheta at the interior
+    nodes, the inner product A is self-adjoint against.
     """
 
     dimension: int
@@ -50,18 +53,17 @@ class TridiagonalOperator:
     offdiag: np.ndarray
     weight: np.ndarray
 
-    def apply(self, v):
-        """Matvec in the physical (unsymmetrized) representation."""
-        v = np.asarray(v, dtype=float)
-        s = np.sqrt(self.weight)
-        out = self.diag * v
-        out[:-1] += self.offdiag * (s[1:] / s[:-1]) * v[1:]
-        out[1:] += self.offdiag * (s[:-1] / s[1:]) * v[:-1]
+    def _matvec(self, y):
+        """B y, the one matrix-vector product of the operator."""
+        out = self.diag * y
+        out[:-1] += self.offdiag * y[1:]
+        out[1:] += self.offdiag * y[:-1]
         return out
 
     def quadratic_form(self, v):
-        """<A v, v> in the sin-weighted inner product."""
-        return float(np.dot(self.weight * v, self.apply(v)))
+        """<A v, v> in the sin-weighted inner product, as y.B y with y = S v."""
+        y = np.sqrt(self.weight) * v
+        return float(np.dot(y, self._matvec(y)))
 
     def norm_estimate(self):
         """Gershgorin bound on the spectral radius of the symmetrized matrix."""
@@ -150,11 +152,10 @@ def assemble_second_variation(p, params):
     grid = p.grid
     st = grid.stencil
     diag = st.divergence_bands[1] + _potential(p, params)
-    weight = st.sin * grid.dtheta
-    for a in (diag, weight):
-        a.setflags(write=False)
+    diag.setflags(write=False)
     return TridiagonalOperator(dimension=grid.n - 1, diag=diag,
-                               offdiag=st.symmetric_offdiag, weight=weight)
+                               offdiag=st.symmetric_offdiag,
+                               weight=grid.weights[1:-1])
 
 
 @dataclass(frozen=True)
@@ -187,13 +188,12 @@ def _certificate_lambda(x, y, kappa):
             - kappa * np.sin(2 * (y - x)) * np.sin(x) * np.cos(x))
 
 
-def _sample_wedge(x_max, lower, upper, samples):
-    x = np.linspace(0.0, x_max, samples)
-    u = np.linspace(0.0, 1.0, samples)
-    xx = np.broadcast_to(x, (samples, samples))
-    lo = lower(xx)
-    yy = lo + u[:, None] * (upper(xx) - lo)
-    return xx, yy
+def _sample_wedge(kind, x_max):
+    x = np.linspace(0.0, x_max, _WEDGE_SAMPLES)
+    u = np.linspace(0.0, 1.0, _WEDGE_SAMPLES)
+    xx = np.broadcast_to(x, (_WEDGE_SAMPLES, _WEDGE_SAMPLES))
+    lo, hi = WedgeSpec(kind).bounds(xx)
+    return xx, lo + u[:, None] * (hi - lo)
 
 
 def _check(name, claim, fn, xx, yy, kappa):
@@ -211,7 +211,7 @@ def _check(name, claim, fn, xx, yy, kappa):
                             max_value=vmax, holds=holds, worst_point=worst)
 
 
-def wedge_certificates(kappa, samples=400):
+def wedge_certificates(kappa):
     """Dense-sample verification of the sign certificates on the wedges.
 
     For kappa >= 4 the derivative-bound function
@@ -220,21 +220,17 @@ def wedge_certificates(kappa, samples=400):
     kernel
         lambda(x, y) = cos 2x - cos 2y - kappa sin(2y - 2x) sin x cos x
     is nonnegative on W1 intersected with {x <= pi/4} and nonpositive on W2.
-    Violations beyond a -1e-12 slack are reported with their worst point.
+    Each wedge is sampled on a 400 x 400 grid; violations beyond a -1e-12
+    slack are reported with their worst point.
     """
     if kappa < 4:
         raise ValueError(f"certificates are claimed for kappa >= 4, got {kappa}")
-    if samples < 100:
-        raise ValueError(f"need at least 100 samples per axis, got {samples}")
-    half_pi = 0.5 * np.pi
-    w1 = _sample_wedge(half_pi, lambda x: np.pi + 0.0 * x, lambda x: np.pi + x, samples)
-    w1q = _sample_wedge(0.25 * np.pi, lambda x: np.pi + 0.0 * x, lambda x: np.pi + x,
-                        samples)
-    w2 = _sample_wedge(half_pi, lambda x: x, lambda x: 2.0 * x, samples)
+    w1, w2 = (_sample_wedge(kind, 0.5 * np.pi) for kind in (W1, W2))
+    w1q = _sample_wedge(W1, 0.25 * np.pi)
     checks = (
         _check("f_on_W1", ">=0", _certificate_f, *w1, kappa),
         _check("f_on_W2", "<=0", _certificate_f, *w2, kappa),
         _check("lambda_on_W1_quarter", ">=0", _certificate_lambda, *w1q, kappa),
         _check("lambda_on_W2", "<=0", _certificate_lambda, *w2, kappa),
     )
-    return CertificateReport(kappa=kappa, samples=samples, checks=checks)
+    return CertificateReport(kappa=kappa, samples=_WEDGE_SAMPLES, checks=checks)

@@ -207,7 +207,7 @@ def detect_blowup(p):
 
 def _require_resolvable(n, tol):
     """Refuse a stationarity tolerance the residual on n subintervals cannot reach."""
-    floor = residual_noise_floor(n)
+    floor = residual_noise_floor(n) if n else 0.0  # n = 0 is make_grid's to refuse
     if floor >= tol:
         raise ValueError(f"grid n={n} is too fine for the stationarity tolerance "
                          f"{tol:g}: its residual noise floor {floor:.3g} is not below "

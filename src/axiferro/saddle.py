@@ -118,6 +118,19 @@ def grid_for_kappa(kappa):
     return make_grid(n)
 
 
+def _pipeline_grid(n, kappa_values, types):
+    """The grid of n subintervals, or ``grid_for_kappa`` at the largest kappa.
+
+    When the request runs a flow (first type, or second type above kappa = 4)
+    n is refused as ``grid_for_kappa`` refuses, before its grid is built.
+    """
+    if n is None:
+        return grid_for_kappa(max(kappa_values))
+    if FIRST in types or max(kappa_values) > 4:
+        _require_resolvable(n, _FLOW_TOL)
+    return make_grid(n)
+
+
 def _polish_and_report(profile, kappa, saddle_type, provenance):
     params = EnergyParams(kappa)
     profile = newton_solve(profile, params)
@@ -231,24 +244,6 @@ def _failed_row(kappa, saddle_type, exc):
                     status=f"failed: {exc}")
 
 
-def _bisect_kappa0(lo, hi, val_lo, runner):
-    """Shrink a sign-change bracket of the explicit-direction certificate.
-
-    ``runner`` returns None for a midpoint whose pipeline failed (it records
-    the failed row); the bracket certified before it is kept.
-    """
-    while hi - lo > _KAPPA0_WIDTH:
-        mid = 0.5 * (lo + hi)
-        report = runner(mid)
-        if report is None:
-            break
-        if (report.explicit_direction_value < 0) == (val_lo < 0):
-            lo, val_lo = mid, report.explicit_direction_value
-        else:
-            hi = mid
-    return (lo, hi)
-
-
 def _is_index_one_saddle(pt):
     """lambda1 < -1e-8 and lambda2 > 1e-8 at a branch point, without an eigensolve.
 
@@ -289,10 +284,10 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     kappa0: bracket (width <= 0.05) where the first-type explicit-direction
     certificate changes sign, refined by bisection; every midpoint adds a
     first-type row and report, and a midpoint whose pipeline fails adds a
-    failed row and ends the bisection.  kappa1: bracket where the downward
-    second-type continuation ends.  Per-kappa pipeline failures are recorded
-    in the rows, not raised; a kappa requested twice gives two rows and one
-    report, and its pipeline runs once.
+    failed row and ends the bisection at the bracket certified before it.
+    kappa1: bracket where the downward second-type continuation ends.
+    Per-kappa pipeline failures are recorded in the rows, not raised; a kappa
+    requested twice gives two rows and one report, and its pipeline runs once.
     """
     kappa_values = sorted(float(k) for k in kappa_values)
     if any(k <= 0 for k in kappa_values):
@@ -329,10 +324,18 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     kappa0 = None
     firsts = [r for r in reports.values() if r.saddle_type == FIRST]  # kappa ascending
     for a, b in zip(firsts, firsts[1:]):
-        va = a.explicit_direction_value
-        if (va < 0) != (b.explicit_direction_value < 0):
-            kappa0 = _bisect_kappa0(a.kappa, b.kappa, va, lambda k: run_pipeline(k, FIRST))
+        negative_at_lo = a.explicit_direction_value < 0
+        if negative_at_lo != (b.explicit_direction_value < 0):
+            kappa0 = (a.kappa, b.kappa)
             break
+    while kappa0 is not None and kappa0[1] - kappa0[0] > _KAPPA0_WIDTH:
+        lo, hi = kappa0
+        mid = 0.5 * (lo + hi)
+        report = run_pipeline(mid, FIRST)
+        if report is None:
+            break
+        negative = report.explicit_direction_value < 0
+        kappa0 = (mid, hi) if negative == negative_at_lo else (lo, mid)
 
     kappa1 = None
     if SECOND in types and estimate_kappa1:

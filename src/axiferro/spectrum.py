@@ -71,13 +71,6 @@ def _certified_morse(op, eigenvalues, tol):
     return morse
 
 
-def _tridiag_apply(diag, off, y):
-    out = diag * y
-    out[:-1] += off * y[1:]
-    out[1:] += off * y[:-1]
-    return out
-
-
 def _require_pair_count(op, k):
     if not 1 <= k <= op.dimension:
         raise ValueError(f"k = {k} out of range 1..{op.dimension}")
@@ -95,10 +88,8 @@ def eigs_lowest(op, k):
     certified by an inertia count.
     """
     _require_pair_count(op, k)
-    diag = np.asarray(op.diag, dtype=float)
-    off = np.asarray(op.offdiag, dtype=float)
     scale = op.norm_estimate()
-    eigenvalues, ys = eigh_tridiagonal(diag, off, select="i",
+    eigenvalues, ys = eigh_tridiagonal(op.diag, op.offdiag, select="i",
                                        select_range=(0, k - 1))
     # deterministic sign: the first component above 1e-8 of the largest is
     # positive.  Not the largest itself: modes antisymmetric under the
@@ -107,7 +98,7 @@ def eigs_lowest(op, k):
     mags = np.abs(ys)
     first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
     ys[ys[np.arange(k), first] < 0] *= -1.0
-    residuals = np.array([np.linalg.norm(_tridiag_apply(diag, off, y) - lam * y)
+    residuals = np.array([np.linalg.norm(op._matvec(y) - lam * y)
                           for lam, y in zip(eigenvalues, ys)])
     vectors = np.zeros((k, op.dimension + 2))
     vectors[:, 1:-1] = ys / np.sqrt(op.weight)

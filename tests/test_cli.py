@@ -97,7 +97,7 @@ class TestFlowCommand:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
             r = run_cli("flow", "--init", "pi", "--kappa", "5", "--n", "256",
-                        "--seed", "3", "--out", str(out))
+                        "--out", str(out))
             assert r.returncode == 0
         for name in ("energy_trace.csv", "final_profile.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -188,7 +188,9 @@ def test_nonfinite_kappa_refused_before_any_output(tmp_path, argv):
     (("spectrum", "--profile", "pi", "--kappa", "5", "--n", "64", "--k", "0"),
      "k = 0 out of range 1..63"),
     (("spectrum", "--profile", "pi", "--kappa", "5", "--n", "64", "--k", "64"),
-     "k = 64 out of range 1..63")])
+     "k = 64 out of range 1..63"),
+    # n = 0 is refused by make_grid, not divided by in the noise-floor check
+    (("flow", "--init", "pi", "--kappa", "5", "--n", "0"), "n = 0 too coarse")])
 def test_flow_and_spectrum_refuse_bad_input_before_any_output(tmp_path, argv, message):
     out = tmp_path / "out"
     r = run_cli(*argv, "--out", str(out))
@@ -198,10 +200,15 @@ def test_flow_and_spectrum_refuse_bad_input_before_any_output(tmp_path, argv, me
 
 
 # n = 3.2e9 (the default grid at kappa = 1e16 too) would be three arrays of
-# 25.6 GB each; its noise floor is above both tolerances
+# 25.6 GB each; its noise floor is above both tolerances.  Each of these
+# requests runs a flow; the sweep over (5, 1e16) makes no run directory
 @pytest.mark.parametrize("argv", [
     ("flow", "--init", "pi", "--kappa", "5", "--n", "3200000000"),
-    ("saddle", "--type", "first", "--kappa", "1e16")])
+    ("saddle", "--type", "first", "--kappa", "1e16"),
+    ("saddle", "--type", "first", "--kappa", "5", "--n", "3200000000"),
+    ("saddle", "--type", "second", "--kappa", "10", "--n", "3200000000"),
+    ("sweep", "--from", "5", "--to", "6", "--step", "1", "--n", "3200000000"),
+    ("sweep", "--type", "first", "--from", "5", "--to", "1e16", "--step", "5e15")])
 def test_unresolvable_grid_refused_before_it_is_built(tmp_path, no_huge_grids, capsys,
                                                       argv):
     from axiferro import cli
@@ -212,6 +219,22 @@ def test_unresolvable_grid_refused_before_it_is_built(tmp_path, no_huge_grids, c
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "noise floor" in err
+    assert not out.exists()
+
+
+# validate keeps --seed: its property checks draw random data
+@pytest.mark.parametrize("argv", [
+    ("flow", "--init", "pi", "--kappa", "5", "--n", "256"),
+    ("saddle", "--type", "second", "--kappa", "4", "--n", "256"),
+    ("sweep", "--from", "4", "--to", "5", "--step", "1", "--n", "256"),
+    ("spectrum", "--profile", "pi", "--kappa", "5", "--n", "64")])
+def test_seed_refused_where_nothing_reads_it(tmp_path, capsys, argv):
+    from axiferro import cli
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        cli.main([*argv, "--seed", "3", "--out", str(out)])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from axiferro.cli import _report_payload
-from axiferro.energy import (EnergyParams, assemble_second_variation,
-                             el_residual, reduced_energy,
-                             residual_supnorm, second_variation_form,
-                             wedge_certificates)
+from axiferro.energy import (_WEDGE_SAMPLES, EnergyParams,
+                             assemble_second_variation, el_residual,
+                             reduced_energy, residual_supnorm,
+                             second_variation_form, wedge_certificates)
 from axiferro.grid import make_grid, quad_sin
 from axiferro.profile import (builtin_profile, make_initial_second_type,
                               make_profile)
@@ -215,6 +215,31 @@ class TestOperatorAssembly:
             quad = op.quadratic_form(g[1:-1])
             assert abs(form - quad) < 2e-4 * (1 + abs(form))
 
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_matvec_is_the_dense_symmetrized_matrix(self, n, rng):
+        op = assemble_second_variation(make_initial_second_type(make_grid(n)),
+                                       EnergyParams(4.0))
+        # built as oracles.dense_spectrum builds it
+        off = np.asarray(op.offdiag, dtype=float)
+        mat = np.diag(np.asarray(op.diag, dtype=float)) + np.diag(off, 1) + np.diag(off, -1)
+        y = rng.standard_normal(op.dimension)
+        bound = 1e-13 * np.max(np.abs(mat)) * np.max(np.abs(y))
+        assert np.max(np.abs(op._matvec(y) - mat @ y)) <= bound
+
+    @pytest.mark.parametrize("n", [64, 1024])
+    def test_quadratic_form_of_the_dense_physical_matrix(self, n, rng):
+        # A written out from the divergence-form formula, with V from its definition
+        g = make_grid(n)
+        h = np.pi + 0.2 * np.sin(g.nodes)
+        op = assemble_second_variation(make_profile(g, h, 1, 1), EnergyParams(3.0))
+        t, s, sh, dt2 = g.interior, np.sin(g.interior), np.sin(g.half_nodes), g.dtheta ** 2
+        v_pot = np.cos(2 * h[1:-1]) / s ** 2 + 3.0 * np.cos(2 * h[1:-1] - 2 * t)
+        a = (np.diag((sh[1:] + sh[:-1]) / (s * dt2) + v_pot)
+             - np.diag(sh[1:-1] / (s[:-1] * dt2), 1) - np.diag(sh[1:-1] / (s[1:] * dt2), -1))
+        w = s * g.dtheta
+        for v in (np.sin(t), rng.standard_normal(op.dimension)):
+            assert op.quadratic_form(v) == pytest.approx((w * v) @ (a @ v), rel=1e-10)
+
     def test_potential_identity_at_saddle(self, grid1024):
         # at h = 2 theta, kappa = 4 the potential collapses to 1/sin^2 - 4
         p = make_initial_second_type(grid1024)
@@ -248,7 +273,8 @@ def test_residual_noise_floor_covers_measurements():
 class TestWedgeCertificates:
     def test_all_hold_at_and_above_four(self):
         for kappa in (4.0, 6.0, 25.0):
-            report = wedge_certificates(kappa, samples=200)
+            report = wedge_certificates(kappa)
+            assert report.samples == _WEDGE_SAMPLES
             assert report.all_hold, [c for c in report.checks if not c.holds]
 
     def test_corner_value_zero(self):
@@ -267,5 +293,3 @@ class TestWedgeCertificates:
     def test_preconditions(self):
         with pytest.raises(ValueError, match="kappa"):
             wedge_certificates(3.0)
-        with pytest.raises(ValueError, match="samples"):
-            wedge_certificates(5.0, samples=10)

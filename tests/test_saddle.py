@@ -182,8 +182,8 @@ class TestSweep:
     def test_rows_and_kappa0_bracket(self):
         grid = make_grid(512)
         result = sweep([5.0, 6.0, 6.5, 7.0], types=("first",), grid=grid)
-        assert [r.kappa for r in result.rows if r.status != "skipped"] \
-            == sorted(r.kappa for r in result.rows)
+        # first-type rows, bisection midpoints among them, come in kappa order
+        assert [r.kappa for r in result.rows] == sorted(r.kappa for r in result.rows)
         bracket = result.kappa0_estimate
         assert bracket is not None
         lo, hi = bracket
@@ -234,6 +234,23 @@ class TestSweep:
             (5.0, "marginal"), (6.0, "failed: midpoint pipeline failed"),
             (7.0, "saddle")]
         assert [r.kappa for r in result.reports] == [5.0, 7.0]
+
+    def test_failed_second_midpoint_keeps_the_narrowed_bracket(self, monkeypatch):
+        real = saddle.find_first_type
+
+        def failing_at_six_and_a_half(kappa, grid=None):
+            if kappa == 6.5:
+                raise RuntimeError("midpoint pipeline failed")
+            return real(kappa, grid=grid)
+
+        monkeypatch.setattr(saddle, "find_first_type", failing_at_six_and_a_half)
+        result = sweep([5.0, 7.0], types=("first",), grid=make_grid(512))
+        # the first midpoint narrows (5, 7) to (6, 7); the second, 6.5, fails
+        assert result.kappa0_estimate == (6.0, 7.0)
+        assert [(r.kappa, r.status) for r in result.rows] == [
+            (5.0, "marginal"), (6.0, "marginal"),
+            (6.5, "failed: midpoint pipeline failed"), (7.0, "saddle")]
+        assert [r.kappa for r in result.reports] == [5.0, 6.0, 7.0]
 
     def test_first_type_skipped_below_four(self):
         grid = make_grid(512)
