@@ -37,6 +37,8 @@ from .spectrum import _require_pair_count, eigs_lowest, legendre_validation
 from .stationary import NewtonError
 
 OUTDIR_ENV = "AXIFERRO_OUTDIR"
+# kappas one sweep may ask for; each is at least one pipeline run
+_MAX_SWEEP_POINTS = 100_000
 
 
 def config_hash(config):
@@ -162,6 +164,11 @@ def cmd_sweep(args):
     if not 0 < args.kappa_from <= args.kappa_to:
         raise ValueError(f"kappa range needs 0 < --from <= --to, got --from "
                          f"{args.kappa_from} --to {args.kappa_to}")
+    # the ratio is compared as a float, since it may be inf; np.arange would
+    # allocate that many kappas before anything else looked at them
+    if (args.kappa_to - args.kappa_from) / args.step > _MAX_SWEEP_POINTS:
+        raise ValueError(f"--step {args.step} asks for more than {_MAX_SWEEP_POINTS} "
+                         f"kappas from --from {args.kappa_from} to --to {args.kappa_to}")
     kappas = np.arange(args.kappa_from, args.kappa_to + 0.5 * args.step, args.step)
     config = {"command": "sweep", "types": args.type, "from": args.kappa_from,
               "to": args.kappa_to, "step": args.step, "n": args.n,

@@ -8,6 +8,9 @@ import numpy as np
 from .stencil import Stencil
 
 MIN_SUBDIVISIONS = 16
+# a grid with its stencil and node text holds about 0.22 kB a node, so the
+# finest one takes about 0.23 GB
+MAX_SUBDIVISIONS = 2**20
 # grids kept alive for reuse; one at n = 4096 with its stencil and node
 # text holds about 0.9 MB
 _CACHED_GRIDS = 4
@@ -60,7 +63,8 @@ class Grid:
 def make_grid(n):
     """Build a Grid with ``n`` subintervals.
 
-    ``n`` must be even (so theta = pi/2 is a node) and at least 16.  Calls
+    ``n`` must be even (so theta = pi/2 is a node), at least 16 and at most
+    ``MAX_SUBDIVISIONS``; a larger n is refused before any array is made.  Calls
     with equal n return the same Grid (the four most recently used n are
     kept), so its stencil and node text are built once.  That pays only in a
     process that makes a grid at the same n more than once, such as a script
@@ -75,6 +79,8 @@ def make_grid(n):
                          "so that pi/2 is a node")
     if n < MIN_SUBDIVISIONS:
         raise ValueError(f"n = {n} too coarse; need n >= {MIN_SUBDIVISIONS}")
+    if n > MAX_SUBDIVISIONS:
+        raise ValueError(f"n = {n} too fine; need n <= {MAX_SUBDIVISIONS}")
     return _build_grid(n)
 
 

@@ -1,23 +1,30 @@
 import csv
+import io
 import json
-import os
-import subprocess
 import sys
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 
+from axiferro import cli
 from axiferro.grid import make_grid
 from axiferro.profile import make_profile, write_profile_csv
 from axiferro.saddle import sweep
 
+# a warning used to break the one-line stderr checks; it still fails the test
+pytestmark = pytest.mark.filterwarnings("error")
 
-def run_cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run([sys.executable, "-m", "axiferro.cli", *args],
-                          capture_output=True, text=True, env=env)
+CliResult = namedtuple("CliResult", "returncode stdout stderr")
+
+
+def run_cli(*args):
+    """Run ``axiferro *args`` in this process; ``main`` always ends in ``sys.exit``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as info:
+        cli.main(list(args))
+    return CliResult(info.value.code, out.getvalue(), err.getvalue())
 
 
 def assert_one_line_error(r):
@@ -107,9 +114,9 @@ class TestFlowCommand:
         rec2.pop("wall_time_s")
         assert rec1 == rec2
 
-    def test_outdir_from_environment(self, tmp_path):
-        r = run_cli("flow", "--init", "two-theta", "--kappa", "4", "--n", "256",
-                    env_extra={"AXIFERRO_OUTDIR": str(tmp_path / "envout")})
+    def test_outdir_from_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("AXIFERRO_OUTDIR", str(tmp_path / "envout"))
+        r = run_cli("flow", "--init", "two-theta", "--kappa", "4", "--n", "256")
         assert r.returncode == 0
         assert (tmp_path / "envout" / "run.json").exists()
 
@@ -209,17 +216,30 @@ def test_flow_and_spectrum_refuse_bad_input_before_any_output(tmp_path, argv, me
     ("saddle", "--type", "second", "--kappa", "10", "--n", "3200000000"),
     ("sweep", "--from", "5", "--to", "6", "--step", "1", "--n", "3200000000"),
     ("sweep", "--type", "first", "--from", "5", "--to", "1e16", "--step", "5e15")])
-def test_unresolvable_grid_refused_before_it_is_built(tmp_path, no_huge_grids, capsys,
-                                                      argv):
-    from axiferro import cli
+def test_unresolvable_grid_refused_before_it_is_built(tmp_path, no_huge_grids, argv):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as info:
-        cli.main([*argv, "--out", str(out)])
-    assert info.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "noise floor" in err
+    r = run_cli(*argv, "--out", str(out))
+    assert_one_line_error(r)
+    assert "noise floor" in r.stderr
     assert not out.exists()
+
+
+# requests that run no flow, or a flow whose --tol is above the noise floor,
+# meet the grid's own ceiling; validate takes no --out, so the directory that
+# must not appear is named by the environment
+@pytest.mark.parametrize("argv", [
+    ("validate", "--n", "3200000000"),
+    ("spectrum", "--profile", "pi", "--kappa", "5", "--n", "3200000000"),
+    ("saddle", "--type", "second", "--kappa", "3.5", "--n", "3200000000"),
+    ("sweep", "--type", "second", "--from", "3", "--to", "3.5", "--step", "0.5",
+     "--n", "3200000000"),
+    ("flow", "--init", "pi", "--kappa", "5", "--n", "3200000000", "--tol", "1e4")])
+def test_oversize_grid_refused_before_it_is_built(tmp_path, monkeypatch, no_huge_grids, argv):
+    monkeypatch.setenv("AXIFERRO_OUTDIR", str(tmp_path / "out"))
+    r = run_cli(*argv)
+    assert_one_line_error(r)
+    assert "n = 3200000000 too fine; need n <= 1048576" in r.stderr
+    assert not (tmp_path / "out").exists()
 
 
 # validate keeps --seed: its property checks draw random data
@@ -228,30 +248,42 @@ def test_unresolvable_grid_refused_before_it_is_built(tmp_path, no_huge_grids, c
     ("saddle", "--type", "second", "--kappa", "4", "--n", "256"),
     ("sweep", "--from", "4", "--to", "5", "--step", "1", "--n", "256"),
     ("spectrum", "--profile", "pi", "--kappa", "5", "--n", "64")])
-def test_seed_refused_where_nothing_reads_it(tmp_path, capsys, argv):
-    from axiferro import cli
+def test_seed_refused_where_nothing_reads_it(tmp_path, argv):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as info:
-        cli.main([*argv, "--seed", "3", "--out", str(out)])
-    assert info.value.code == 1
-    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    r = run_cli(*argv, "--seed", "3", "--out", str(out))
+    assert r.returncode == 1
+    assert "unrecognized arguments: --seed 3" in r.stderr
     assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, stage", [
     (("flow", "--init", "pi", "--kappa", "5", "--n", "256"), "run"),
     (("spectrum", "--profile", "pi", "--kappa", "5", "--n", "256"), "eigs_lowest")])
-def test_unusable_outdir_refused_before_the_computation(tmp_path, monkeypatch, capsys,
-                                                        argv, stage):
-    from axiferro import cli
+def test_unusable_outdir_refused_before_the_computation(tmp_path, monkeypatch, argv, stage):
     out = tmp_path / "taken"
     out.write_text("")
     monkeypatch.setattr(cli, stage, lambda *a, **k: pytest.fail(f"{stage} was called"))
-    with pytest.raises(SystemExit) as info:
-        cli.main([*argv, "--out", str(out)])
-    assert info.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    r = run_cli(*argv, "--out", str(out))
+    assert_one_line_error(r)
+
+
+def test_process_boundary(tmp_path):
+    # the only test that starts interpreters: the module entry points, and
+    # a refusal that crosses the process boundary as one line and exit 1
+    import subprocess
+
+    def python_m(*args):
+        return subprocess.run([sys.executable, "-m", *args], capture_output=True, text=True)
+
+    out = tmp_path / "flow"
+    r = python_m("axiferro.cli", "flow", "--init", "pi", "--kappa", "5", "--n", "256",
+                 "--out", str(out))
+    assert r.returncode == 0, r.stderr
+    assert (out / "run.json").exists()
+    out = tmp_path / "bad"
+    r = python_m("axiferro", "saddle", "--type", "first", "--kappa", "inf", "--out", str(out))
+    assert_one_line_error(r)
+    assert not out.exists()
 
 
 class TestSweepCommand:
@@ -305,7 +337,8 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("bounds", [("4", "5", "0"), ("4", "5", "-1"),
                                         ("4", "5", "nan"), ("5", "4", "1"),
-                                        ("0", "1", "0.5")])
+                                        ("0", "1", "0.5"), ("4", "5", "1e-12"),
+                                        ("4", "1e300", "1"), ("4", "1e300", "1e-300")])
     def test_bad_range_refused_before_any_output(self, tmp_path, bounds):
         kappa_from, kappa_to, step = bounds
         out = tmp_path / "out"

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from axiferro.grid import make_grid, quad_sin
+from axiferro.grid import MAX_SUBDIVISIONS, make_grid, quad_sin
 
 
 def test_nodes_span_interval():
@@ -103,7 +103,9 @@ def test_one_shared_grid_per_n():
                                              (np.float64(64.0), TypeError, "integer"),
                                              ("64", TypeError, "integer"),
                                              (63, ValueError, "odd"),
-                                             (14, ValueError, "coarse")])
+                                             (14, ValueError, "coarse"),
+                                             (MAX_SUBDIVISIONS + 2, ValueError,
+                                              "too fine; need n <= 1048576")])
 def test_validation_runs_before_the_shared_grid(n, error, match):
     make_grid(64)
     make_grid(np.int64(64))
