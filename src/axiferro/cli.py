@@ -27,7 +27,7 @@ from .energy import (EnergyParams, el_residual, reduced_energy,
                      assemble_second_variation, wedge_certificates)
 from .flow import (FlowConfig, FlowStatus, _require_resolvable, comparison_trial, run,
                    write_energy_trace_csv)
-from .grid import make_grid
+from .grid import MAX_SUBDIVISIONS, make_grid
 from .profile import (W1, W2, WedgeSpec, _csv_rows, builtin_profile, degree,
                       make_profile, read_profile_csv, write_profile_csv)
 from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
@@ -235,6 +235,10 @@ def cmd_spectrum(args):
 def _validate_properties(n, seed):
     """The property suite behind cmd_validate; yields (name, ok, detail)."""
     grid = make_grid(n)
+    # the Legendre check refines to 2n: refuse that grid before any result line
+    if 2 * n > MAX_SUBDIVISIONS:
+        raise ValueError(f"--n {n} too fine for validate, whose Legendre check uses "
+                         f"n = {2 * n}; need --n <= {MAX_SUBDIVISIONS // 2}")
     rng = np.random.default_rng(seed)
 
     # exact solutions stay residual-free

@@ -139,8 +139,8 @@ def _polish_and_report(profile, kappa, saddle_type, provenance):
     verdict = wedge_check(profile, WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
     res_sup = residual_supnorm(profile, params)
     dir_value = spectrum.explicit_direction_value
-    # marginal: neither dir_value (of E_w's Hessian) nor lambda1 (of the divergence
-    # operator) certifies a saddle; dir_value < 0 implies lambda1 < 0 up to their gap
+    # marginal: neither dir_value nor lambda1 certifies a saddle; both come from
+    # one operator, so dir_value < 0 implies lambda1 < 0 (a Rayleigh bound)
     marginal = bool(dir_value >= -1e-10 and spectrum.eigenvalues[0] >= -spectrum.tol)
     report = SaddleReport(kappa=kappa, saddle_type=saddle_type, profile=profile,
                           energy=reduced_energy(profile, params),

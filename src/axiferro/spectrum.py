@@ -7,9 +7,10 @@ eigenvalues is certified independently by an LDL^T pivot count (Sylvester's
 law of inertia), and a disagreement is an error.  The same count answers the
 kappa1 probe's saddle test on its own: lambda1 < -1e-8 < 1e-8 < lambda2
 holds exactly when the counts at shifts -1e-8 and +1e-8 are both 1, so the
-probe makes no eigensolve.  The dense eigensolve in the test suite
-(``numpy.linalg.eigvalsh``, LAPACK syevd) is a separate LAPACK path and stays
-an independent oracle.
+probe makes no eigensolve.  ``classify``'s certificate is a quadratic form
+of the same operator, so a negative one implies lambda1 < 0 exactly.  The
+dense eigensolve in the test suite (``numpy.linalg.eigvalsh``, LAPACK syevd)
+is a separate LAPACK path and stays an independent oracle.
 """
 
 from dataclasses import dataclass, replace
@@ -17,8 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .energy import (EnergyParams, assemble_second_variation,
-                     residual_supnorm, second_variation_form)
+from .energy import EnergyParams, assemble_second_variation, residual_supnorm
 from .grid import make_grid
 from .profile import make_initial_second_type, perturbation_direction
 
@@ -162,9 +162,9 @@ def classify(p, params, k=4):
     """Spectrum of the second variation at an (approximately) stationary profile.
 
     Rejects input whose sup residual is not below 1e-6: off critical points
-    the Morse data is meaningless.  The returned result also carries the
-    value of the second variation in the explicit direction
-    (h' - 1) sin(theta), the certificate the saddle pipelines report.
+    the Morse data is meaningless.  The result also carries the certificate
+    the saddle pipelines report, <A g, g> for g = (h' - 1) sin(theta) on the
+    operator A it solves, so lambda1 <= <A g, g> / <g, g> holds exactly.
     """
     res_sup = residual_supnorm(p, params)
     if res_sup >= 1e-6:
@@ -174,8 +174,7 @@ def classify(p, params, k=4):
     # zero-classification slack on the scale of the low spectrum itself, not
     # of the operator norm (which grows like 1/dtheta^2)
     tol = 1e-6 * max(1.0, float(np.max(np.abs(result.eigenvalues))))
-    direction = perturbation_direction(p)
-    value = second_variation_form(p, params, direction)
+    value = op.quadratic_form(perturbation_direction(p)[1:-1])
     return replace(result, explicit_direction_value=value,
                    morse_index=_certified_morse(op, result.eigenvalues, tol),
                    tol=tol)

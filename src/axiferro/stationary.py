@@ -61,6 +61,7 @@ def newton_solve(p0, params):
         while alpha >= MIN_DAMPING:
             values = p.values.copy()
             values[1:-1] += alpha * delta
+            values.setflags(write=False)
             trial = type(p)(grid=p.grid, values=values, m=p.m, n_end=p.n_end)
             r_trial, v_trial = el_residual(trial, params, with_potential=True)
             norm_trial = float(np.max(np.abs(r_trial)))

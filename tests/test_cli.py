@@ -387,6 +387,13 @@ class TestValidateCommand:
         assert len(lines) == 7
         assert all(ln.startswith("PASS") for ln in lines)
 
+    def test_refinement_grid_refused_before_any_result(self):
+        # the Legendre check refines to 2n, so --n is capped at 2**19
+        r = run_cli("validate", "--n", "524290")
+        assert_one_line_error(r)
+        assert "need --n <= 524288" in r.stderr
+        assert r.stdout == ""
+
     def test_coarser_grid_still_passes(self):
         r = run_cli("validate", "--n", "256", "--seed", "3")
         assert r.returncode == 0, r.stdout + r.stderr

@@ -11,7 +11,7 @@ from axiferro.grid import make_grid
 from axiferro.profile import (W1, W2, WedgeSpec, WedgeVerdict, builtin_profile,
                               degree, make_initial_first_type,
                               make_initial_second_type, node_derivative,
-                              wedge_check)
+                              perturbation_direction, wedge_check)
 from axiferro.saddle import (BlowupError, ContinuationError, find_first_type,
                              find_second_type, grid_for_kappa,
                              probe_second_branch_floor, sweep)
@@ -127,6 +127,29 @@ class TestTypesDiffer:
         gap = np.max(np.abs(first_type_10.profile.values
                             - second_type_10.profile.values))
         assert gap >= 0.1
+
+
+# the certificate is the Rayleigh numerator of the operator the spectrum
+# comes from, so dir_value < 0 implies lambda1 < 0 with no discretization gap
+@pytest.mark.parametrize("find, kappa", [
+    *((find_first_type, k) for k in (5.0, 6.5, 6.66, 6.67, 8.0)),
+    *((find_second_type, k) for k in (3.5, 4.0, 10.0))])
+def test_certificate_is_a_form_of_the_reported_operator(find, kappa):
+    report = find(kappa, grid=make_grid(512))
+    g = perturbation_direction(report.profile)[1:-1]
+    op = assemble_second_variation(report.profile, EnergyParams(kappa))
+    assert report.explicit_direction_value == op.quadratic_form(g)
+    norm2 = float(op.weight @ g ** 2)
+    rounding = 1e-12 * report.spectrum.operator_scale * norm2
+    assert report.explicit_direction_value >= report.lambda1 * norm2 - rounding
+
+
+def test_newton_results_are_read_only(first_type_10, second_type_10):
+    below_four = find_second_type(3.9, grid=make_grid(512))
+    branch = continue_branch(4.0, make_initial_second_type(make_grid(256)), 3.8, -0.05)
+    profiles = [first_type_10.profile, second_type_10.profile, below_four.profile,
+                *(pt.profile for pt in branch.points[1:])]
+    assert not any(p.values.flags.writeable for p in profiles)
 
 
 @pytest.fixture(scope="module")
