@@ -27,7 +27,7 @@ from .energy import (EnergyParams, el_residual, reduced_energy,
                      assemble_second_variation, wedge_certificates)
 from .flow import (FlowConfig, FlowStatus, _require_resolvable, comparison_trial, run,
                    write_energy_trace_csv)
-from .grid import MAX_SUBDIVISIONS, make_grid
+from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, _csv_rows, builtin_profile, degree,
                       make_profile, read_profile_csv, write_profile_csv)
 from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
@@ -39,6 +39,9 @@ from .stationary import NewtonError
 OUTDIR_ENV = "AXIFERRO_OUTDIR"
 # kappas one sweep may ask for; each is at least one pipeline run
 _MAX_SWEEP_POINTS = 100_000
+# the finest grid validate's fixed bars hold on: from n = 32768 the Legendre
+# table's refinement ratio falls below 3 on a correct build
+_MAX_VALIDATE_N = 16384
 
 
 def config_hash(config):
@@ -234,11 +237,10 @@ def cmd_spectrum(args):
 
 def _validate_properties(n, seed):
     """The property suite behind cmd_validate; yields (name, ok, detail)."""
+    if n > _MAX_VALIDATE_N:
+        raise ValueError(f"--n {n} too fine for validate; need --n <= {_MAX_VALIDATE_N}, "
+                         "the finest grid its fixed bars hold on")
     grid = make_grid(n)
-    # the Legendre check refines to 2n: refuse that grid before any result line
-    if 2 * n > MAX_SUBDIVISIONS:
-        raise ValueError(f"--n {n} too fine for validate, whose Legendre check uses "
-                         f"n = {2 * n}; need --n <= {MAX_SUBDIVISIONS // 2}")
     rng = np.random.default_rng(seed)
 
     # exact solutions stay residual-free

@@ -151,7 +151,7 @@ def assemble_second_variation(p, params):
     """
     grid = p.grid
     st = grid.stencil
-    diag = st.divergence_bands[1] + _potential(p, params)
+    diag = st.divergence_diag + _potential(p, params)
     diag.setflags(write=False)
     return TridiagonalOperator(dimension=grid.n - 1, diag=diag,
                                offdiag=st.symmetric_offdiag,

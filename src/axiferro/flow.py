@@ -1,43 +1,49 @@
 """Time integration of the profile heat flow to stationarity.
 
 The PDE  h_t = h'' + cot(t) h' - sin(2h)/(2 sin^2 t) - kappa/2 sin(2h - 2t)
-is integrated with a stabilized IMEX Euler step: the divergence-form
-Laplacian L h = (1/sin)(sin h')' plus the damping (positive) part of the
-diagonal reaction Jacobian are treated implicitly (tridiagonal M-matrix
-solve), the rest explicitly.  The update is
+is integrated by a convex-splitting step (Eyre 1998) on the discrete energy
+E_w, whose gradient is -w R (``axiferro.energy``):
 
-    (I - dt L + dt D) (h_new - h) = dt R(h),    D = diag(max(V, 0)),
+    (I - dt J0 + dt S) (h_new - h) = dt R(h),
 
-with R, L and V as in ``axiferro.stencil``, evaluated together on the evolved
-nodes only.  R is the residual the stationarity test has just computed, so
-the fixed points satisfy R(h) = 0 for exactly that stencil.  Without D the
-explicit pole potential -cos(2h)/sin^2(t), of size 1/dtheta^2 at the first
-interior node, imposes a dt = O(dtheta^2) stability ceiling; with it the
-step limit is set by the physical growth rates alone (dt of order 1/kappa).
+R as in ``axiferro.stencil``, evaluated on the evolved nodes only.  J0 is the
+linear part of Newton's Jacobian dR/dh (its off-diagonals and the diagonal
+-2/dtheta^2), and S_i = max over h of the reaction potential V_i,
+
+    S_i = sqrt(1/sin^4 t_i + kappa^2 + 2 kappa cos(2 t_i) / sin^2 t_i).
+
+R is the residual the stationarity test has just computed, so the fixed
+points satisfy R(h) = 0 for exactly that stencil.  W(-J0), w the node
+weights, is the Dirichlet part of E_w's Hessian (symmetric, positive
+semidefinite), and S - V >= 0, so for every dt, up to rounding:
+
+- energy decay: E_w(h_new) <= E_w(h) - ||h_new - h||_w^2 / dt;
+- order: the matrix is an M-matrix and h + dt (S h - f(h)), f the reaction
+  terms, is nondecreasing in h, so ordered profiles stay ordered (the
+  discrete comparison principle), and a wedge whose bounds are discrete sub-
+  and supersolutions is never left.
+
+The matrix does not depend on the state, so each run factors it once
+(``_Kernel``), and the flow never evaluates V.  At large dt the step is a
+fixed-point iteration toward R = 0, which the saddle pipelines use.
 Dirichlet endpoints are never touched, so the boundary class is preserved
-bitwise.  Each run builds one step workspace (``_Kernel``) and updates the
-evolved values in place; the monitors read that state where it is, and a
-profile is built only for the result.
+bitwise.  Each run updates the evolved values in place; the monitors read
+that state where it is, and a profile is built only for the result.
 
 Saddle-point limits carry one flow-unstable direction that is antisymmetric
 under the hemispheric reflection; rounding noise seeds it in full-interval
 runs.  Hemispheric initial data can therefore be evolved on [0, pi/2] with
 the midpoint pinned (``half_interval=True``), which removes that subspace
 exactly and lets the flow settle onto the saddle to solver accuracy.
-
-The saddle pipelines need only the flow's end point, a zero of R whatever the
-step, so they relax with growing steps (``_relax``) instead of ``run``'s
-fixed one; ``run`` keeps the time axis and the energy trace.
 """
 
 import enum
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .energy import reduced_energy, residual_noise_floor
 from .profile import (WedgeSpec, hemispheric_deviation, is_hemispheric,
@@ -104,84 +110,62 @@ class FlowResult:
 
 
 class _Kernel:
-    """One run's step workspace for the evolved nodes 1..m, built once.
+    """One run's step workspace for the evolved nodes 1..m at step size dt, built once.
 
-    ``evaluate`` writes R and V of a node array into given buffers and
-    ``advance`` takes one stabilized IMEX step from a node array into another
-    (or the same) one, both in place: the scratch for 2h, its sin and cos,
-    |R|, and the gtsv diagonal, right-hand side and off-diagonal copies are
-    allocated here and reused by every step.  When m = n/2 - 1 the update is
-    a half-interval one: the midpoint is pinned at k*pi, k = (p0.m + p0.n_end)/2,
-    and the right half is the reflection of the left.
+    ``evaluate`` writes R of a node array into a given buffer and ``advance``
+    takes one convex-splitting step of a node array in place.  The step
+    matrix I - dt J0 + dt S does not depend on the state, so it is factored
+    here, once, by LAPACK gttrf; each step is one gttrs solve.  The scratch
+    for 2h, its sin and cos, |R| and the right-hand side is allocated here
+    and reused by every step.  When m = n/2 - 1 the update is a half-interval
+    one: the midpoint is pinned at k*pi, k = (p0.m + p0.n_end)/2, and the
+    right half is the reflection of the left.
     """
 
-    def __init__(self, p0, kappa, m):
-        self.stencil = p0.grid.stencil
+    def __init__(self, p0, kappa, m, dt):
+        st = self.stencil = p0.grid.stencil
         self.kappa = kappa
         self.m = m
+        self.dt = dt
         self.work = np.empty((4, m))
         self.abs_r = np.empty(m)
-        self.dl, self.du = np.empty((2, m - 1))
-        self.d, self.rhs = np.empty((2, m))
-        self.bands = np.empty((3, m))
-        self.dt = None
+        self.rhs = np.empty(m)
+        # I - dt (J0 - S): Newton's Jacobian with V replaced by its bound S
+        ab = st.jacobian_bands(st.potential_bound(kappa))[:, :m]
+        ab *= -dt
+        ab[1] += 1.0
+        *self.factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        if info != 0:
+            raise LinAlgError(f"flow step matrix: gttrf returned info = {info}")
         mid = p0.grid.midpoint_index
         self.mid = mid if m == mid - 1 else None
         self.k = (p0.m + p0.n_end) // 2
 
-    def evaluate(self, h, r, v):
-        """R and V of the node array h at nodes 1..m into r and v; returns sup |R|."""
-        self.stencil.evaluate(h, self.kappa, r, v, self.work)
+    def evaluate(self, h, r):
+        """R of the node array h at nodes 1..m into r; returns sup |R|."""
+        self.stencil.evaluate(h, self.kappa, r, None, self.work)
         return float(np.abs(r, out=self.abs_r).max())
 
-    def advance(self, src, dst, dt, r, v):
-        """One step of nodes 1..m from node array src into dst (which may be src).
+    def advance(self, h, r):
+        """One step of nodes 1..m of the node array h, in place.
 
-        ``r`` and ``v`` are R and V of ``src`` at nodes 1..m.  The system
-        (I - dt L + dt D) delta = dt R, D = diag(max(V, 0)), is solved by
-        LAPACK gtsv, called directly: the routine solve_banded((1, 1), ...)
-        dispatches to, without its wrapper's validation and copies.  Raises
-        ValueError, leaving dst as it was, when the update is not finite.
-        Endpoints are never written.
+        ``r`` is R of ``h`` at nodes 1..m.  (I - dt J0 + dt S) delta = dt R
+        is solved by one LAPACK gttrs call on the factors.  Raises ValueError,
+        leaving h as it was, when the update is not finite.  Endpoints are
+        never written.
         """
         m = self.m
-        if dt != self.dt:
-            # I - dt L on nodes 1..m, Dirichlet outside
-            np.multiply(dt, self.stencil.divergence_bands[:, :m], out=self.bands)
-            self.bands[1] += 1.0
-            self.dt = dt
-        np.copyto(self.dl, self.bands[2, :-1])
-        np.copyto(self.du, self.bands[0, 1:])
-        # the positive part of the potential V is the implicit damping D
-        d = np.maximum(v, 0.0, out=self.d)
-        np.multiply(dt, d, out=d)
-        np.add(self.bands[1], d, out=d)
-        np.multiply(dt, r, out=self.rhs)
-        *_, delta, info = dgtsv(self.dl, d, self.du, self.rhs, overwrite_dl=1,
-                                overwrite_d=1, overwrite_du=1, overwrite_b=1)
+        np.multiply(self.dt, r, out=self.rhs)
+        delta, info = dgttrs(*self.factors, self.rhs, overwrite_b=1)
         if info != 0:
-            raise LinAlgError(f"flow update: gtsv returned info = {info}")
+            raise LinAlgError(f"flow update: gttrs returned info = {info}")
         if not np.isfinite(delta).all():
             raise ValueError("flow update is not finite")
-        np.add(src[1:m + 1], delta, out=dst[1:m + 1])
+        h[1:m + 1] += delta
         mid = self.mid
         if mid is not None:
-            dst[mid] = self.k * np.pi
-            np.subtract(2.0 * np.pi * self.k, dst[mid - 1:0:-1], out=dst[mid + 1:-1])
-
-
-def _live(p):
-    """p over a writable copy of its values: a state a _Kernel updates in place."""
-    return type(p)(grid=p.grid, values=p.values.copy(), m=p.m, n_end=p.n_end)
-
-
-def _frozen(p):
-    """The state p, read-only from here on: the profile to hand out.
-
-    Its endpoints were never written, so it needs no re-validation.
-    """
-    p.values.setflags(write=False)
-    return p
+            h[mid] = self.k * np.pi
+            np.subtract(2.0 * np.pi * self.k, h[mid - 1:0:-1], out=h[mid + 1:-1])
 
 
 def detect_blowup(p):
@@ -233,11 +217,13 @@ def run(p0, params, cfg=None, half_interval=False):
     # the evolved nodes 1..m; in half-interval runs the right half is the
     # reflection, whose residual is -R up to rounding and is never used
     m = p0.grid.midpoint_index - 1 if half_interval else p0.grid.n - 1
-    kernel = _Kernel(p0, params.kappa, m)
-    # p is the state, updated in place; records read it, and it is returned
-    p = _live(p0)
+    kernel = _Kernel(p0, params.kappa, m, dt)
+    # p is the state, over a writable copy of p0's values that the kernel
+    # updates in place; records read it, and it is returned read-only.  Its
+    # endpoints are never written, so it needs no re-validation
+    p = type(p0)(grid=p0.grid, values=p0.values.copy(), m=p0.m, n_end=p0.n_end)
     h = p.values
-    r, v = np.empty((2, m))
+    r = np.empty(m)
     t = 0.0
     steps = 0
     e_prev = reduced_energy(p0, params)
@@ -258,9 +244,9 @@ def run(p0, params, cfg=None, half_interval=False):
         steps_since_record = 0
 
     status = FlowStatus.HORIZON_REACHED
-    # one evaluation of R and V per step: the stationarity test's R, reused
-    # by the next update
-    sup_res = kernel.evaluate(h, r, v)
+    # one evaluation of R per step: the stationarity test's R, reused by the
+    # next update
+    sup_res = kernel.evaluate(h, r)
     record(sup_res)
     while t < cfg.t_max:
         if detect_blowup(p):
@@ -269,74 +255,18 @@ def run(p0, params, cfg=None, half_interval=False):
         if sup_res < cfg.stationary_tol:
             status = FlowStatus.STATIONARY
             break
-        kernel.advance(h, h, dt, r, v)
+        kernel.advance(h, r)
         t += dt
         steps += 1
         steps_since_record += 1
-        sup_res = kernel.evaluate(h, r, v)
+        sup_res = kernel.evaluate(h, r)
         if steps_since_record >= cfg.record_every or sup_res < cfg.stationary_tol:
             record(sup_res)
     if records[-1].t < t:
         record(sup_res)
-    return FlowResult(final=_frozen(p), status=status, records=tuple(records),
+    h.setflags(write=False)
+    return FlowResult(final=p, status=status, records=tuple(records),
                       steps=steps)
-
-
-def _relax(p0, params, cfg):
-    """Relax hemispheric p0 on the half interval with switched-evolution steps.
-
-    The step is ``run``'s, at a step size dt that grows as the residual falls
-    (Mulder & van Leer 1985): after an accepted step dt becomes
-    dt * min(2, r_old / r_new), r the sup residual on the evolved nodes.  A
-    trial whose update is not finite, whose r exceeds the current one, or
-    that leaves ``cfg.wedge`` is rejected: the state is kept and dt halves.
-    dt never falls below dt0 = ``cfg.effective_dt(kappa)``, and a trial at
-    dt0 is ``run``'s own step, taken whenever it is finite, so at worst this
-    is ``run``.  Stops on suspected blowup, at r < ``cfg.stationary_tol``, or
-    after ceil(t_max / dt0) trials; t itself is not tracked.  Records
-    nothing; returns the final profile and its FlowStatus.  Refuses a
-    tolerance at or below the noise floor as ``run`` does.
-    """
-    _require_resolvable(p0.grid.n, cfg.stationary_tol)
-    dt0 = dt = cfg.effective_dt(params.kappa)
-    m = p0.grid.midpoint_index - 1
-    kernel = _Kernel(p0, params.kappa, m)
-    # the current state and the trial, each with its R and V; an accepted
-    # trial swaps with the state, a rejected one leaves the state untouched
-    cur = (_live(p0), *np.empty((2, m)))
-    nxt = (_live(p0), *np.empty((2, m)))
-    sup = kernel.evaluate(cur[0].values, cur[1], cur[2])
-
-    def attempt(dt):
-        """The trial from the state at dt into nxt: its r, or None if rejected."""
-        above = dt > dt0
-        (p, r, v), (q, r_q, v_q) = cur, nxt
-        try:
-            kernel.advance(p.values, q.values, dt, r, v)
-        except ValueError:  # a non-finite update, or gtsv failed (LinAlgError)
-            if not above:
-                raise
-            return None
-        if above and cfg.wedge is not None and not wedge_check(q, cfg.wedge).inside:
-            return None
-        sup_q = kernel.evaluate(q.values, r_q, v_q)
-        if above and sup_q > sup:
-            return None
-        return sup_q
-
-    for _ in range(math.ceil(cfg.t_max / dt0)):
-        if detect_blowup(cur[0]):
-            return _frozen(cur[0]), FlowStatus.BLOWUP_SUSPECTED
-        if sup < cfg.stationary_tol:
-            return _frozen(cur[0]), FlowStatus.STATIONARY
-        sup_new = attempt(dt)
-        if sup_new is None:
-            dt = max(dt0, 0.5 * dt)
-            continue
-        cur, nxt = nxt, cur
-        dt = max(dt0, 2.0 * dt if 2.0 * sup_new <= sup else dt * sup / sup_new)
-        sup = sup_new
-    return _frozen(cur[0]), FlowStatus.HORIZON_REACHED
 
 
 @dataclass(frozen=True)
@@ -349,10 +279,10 @@ class ComparisonVerdict:
 def comparison_trial(p_lower, p_upper, params, cfg=None):
     """Co-evolve an ordered pair with identical steps and track the ordering.
 
-    The continuous flow preserves pointwise ordering of profiles; the
-    discrete scheme should too, up to discretization slack.  Returns the
-    maximum of (lower - upper) seen at any recorded time.  Refuses a
-    tolerance at or below the noise floor as ``run`` does.
+    The continuous flow preserves pointwise ordering of profiles, and so
+    does the step, for every dt, up to rounding (see the module docstring).
+    Returns the maximum of (lower - upper) seen at any recorded time.
+    Refuses a tolerance at or below the noise floor as ``run`` does.
     """
     cfg = cfg or FlowConfig()
     initial_gap = float(np.max(p_lower.values - p_upper.values))
@@ -363,19 +293,19 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
     _require_resolvable(p_lower.grid.n, cfg.stationary_tol)
     dt = cfg.effective_dt(params.kappa)
     m = p_lower.grid.n - 1
-    kernel = _Kernel(p_lower, params.kappa, m)
+    kernel = _Kernel(p_lower, params.kappa, m, dt)
     lo, up = p_lower.values.copy(), p_upper.values.copy()
-    r_lo, v_lo, r_up, v_up = np.empty((4, m))
+    r_lo, r_up = np.empty((2, m))
     t = 0.0
     steps = 0
     worst = max(initial_gap, 0.0)
     while t < cfg.t_max:
-        sup_lo = kernel.evaluate(lo, r_lo, v_lo)
-        sup_up = kernel.evaluate(up, r_up, v_up)
+        sup_lo = kernel.evaluate(lo, r_lo)
+        sup_up = kernel.evaluate(up, r_up)
         if sup_lo < cfg.stationary_tol and sup_up < cfg.stationary_tol:
             break
-        kernel.advance(lo, lo, dt, r_lo, v_lo)
-        kernel.advance(up, up, dt, r_up, v_up)
+        kernel.advance(lo, r_lo)
+        kernel.advance(up, r_up)
         t += dt
         steps += 1
         if steps % cfg.record_every == 0:

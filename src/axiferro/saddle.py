@@ -15,7 +15,7 @@ import numpy as np
 
 from .energy import (EnergyParams, assemble_second_variation, reduced_energy,
                      residual_noise_floor, residual_supnorm)
-from .flow import FlowConfig, FlowStatus, _relax, _require_resolvable
+from .flow import FlowConfig, FlowStatus, _require_resolvable, run
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
                       make_initial_first_type, make_initial_second_type,
@@ -29,6 +29,7 @@ SECOND = "second"
 RESIDUAL_BAR = 1e-9     # stationarity bar every emitted report must clear
 SYMMETRY_TOL = 1e-8     # wedge and hemisphericity slack on emitted reports
 _FLOW_TOL = 1e-7        # sup residual at which the pipeline flow hands over to Newton
+_FLOW_DT = 1e3          # the pipeline flow's step; only its end point is used
 _BRANCH_DK = 0.05       # kappa step of the second-type walk below kappa = 4
 _KAPPA0_WIDTH = 0.05    # width the kappa0 bracket is bisected down to
 _WEDGE = {FIRST: W1, SECOND: W2}
@@ -164,19 +165,21 @@ def _flow_then_polish(kappa, saddle_type, grid):
     The start is the sawtooth for the first type and 2*theta for the second;
     both are hemispheric, so the flow runs on the half interval; a grid
     whose residual noise floor is not below its tolerance is refused there.
+    At dt = 1e3 the step is a fixed-point iteration toward R = 0 that still
+    lowers the energy and keeps order; it runs for at most 1000 steps.
     """
     if saddle_type == FIRST:
         start = make_initial_first_type(grid, kappa)
     else:
         start = make_initial_second_type(grid)
-    cfg = FlowConfig(stationary_tol=_FLOW_TOL,
+    cfg = FlowConfig(dt=_FLOW_DT, t_max=1e3 * _FLOW_DT, stationary_tol=_FLOW_TOL,
                      wedge=WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
-    final, status = _relax(start, EnergyParams(kappa), cfg)
-    if status is FlowStatus.BLOWUP_SUSPECTED:
+    result = run(start, EnergyParams(kappa), cfg, half_interval=True)
+    if result.status is FlowStatus.BLOWUP_SUSPECTED:
         raise BlowupError(f"flow from the {saddle_type}-type start at kappa={kappa} "
                           "reported blowup; theory rules this out for kappa >= 4, "
                           "so this is a discretization failure to investigate")
-    return _polish_and_report(final, kappa, saddle_type, "flow_then_newton")
+    return _polish_and_report(result.final, kappa, saddle_type, "flow_then_newton")
 
 
 def find_first_type(kappa, grid=None):

@@ -8,10 +8,13 @@ non-divergence stencil
 
 which the exact solution h = t satisfies to rounding.  The divergence-form
 Laplacian L g = (1/sin)(sin g')', with sines at the half nodes, is used only
-where discrete self-adjointness matters (the second variation and the
-implicit part of the flow): its residual of h = t is 1.3e-4 at n = 1024.
-The reaction potential V_i = cos(2 h_i) / sin^2 t_i + kappa cos(2 h_i - 2 t_i)
-is minus the derivative of the reaction terms of R_i with respect to h_i.
+where discrete self-adjointness matters (the second variation): its residual
+of h = t is 1.3e-4 at n = 1024.  The reaction potential
+V_i = cos(2 h_i) / sin^2 t_i + kappa cos(2 h_i - 2 t_i) is minus the
+derivative of the reaction terms of R_i with respect to h_i.  As a function
+of h_i it is alpha_i cos 2h_i + beta_i sin 2h_i, with alpha_i = 1/sin^2 t_i
++ kappa cos 2t_i and beta_i = kappa sin 2t_i, so its maximum over h_i is
+S_i = hypot(alpha_i, beta_i), which the flow's step uses in place of V.
 
 R_i couples to h_{i+1} by a_i = 1/dt^2 + cot(t_i)/(2 dt) and to h_{i-1} by
 b_i = 1/dt^2 - cot(t_i)/(2 dt), both positive.  The node weights w_1 = sin(t_1) dt,
@@ -51,12 +54,9 @@ class Stencil:
                                           np.r_[b[1:], 0.0]])
         w = self.weight = s[0] * dth * np.cumprod(np.r_[1.0, a[:-1] / b[1:]])
         self.edge_weight = np.r_[w[0] * b[0], w * a]
-        # -L with Dirichlet rows eliminated, and the off-diagonal of the
-        # symmetric S (-L) S^{-1}, S = diag(sqrt(sin))
-        self.divergence_bands = np.zeros((3, grid.n - 1))
-        self.divergence_bands[0, 1:] = -s_half[1:-1] / (s[:-1] * dth2)
-        self.divergence_bands[1] = (s_half[1:] + s_half[:-1]) / (s * dth2)
-        self.divergence_bands[2, :-1] = -s_half[1:-1] / (s[1:] * dth2)
+        # the diagonal of -L with Dirichlet rows eliminated, and the
+        # off-diagonal of the symmetric S (-L) S^{-1}, S = diag(sqrt(sin))
+        self.divergence_diag = (s_half[1:] + s_half[:-1]) / (s * dth2)
         self.symmetric_offdiag = -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:]))
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
@@ -104,6 +104,11 @@ class Stencil:
             np.multiply(kappa, t, out=t)
             np.divide(c, self.sin2[:m], out=v)
             np.add(v, t, out=v)
+
+    def potential_bound(self, kappa):
+        """S = max over h of V at every interior node: hypot(alpha, beta) as above."""
+        return np.hypot(1.0 / self.sin2 + kappa * self.cos_2theta,
+                        kappa * self.sin_2theta)
 
     def jacobian_bands(self, v):
         """Banded dR/dh on the interior, given V there; diagonal d2 - V."""

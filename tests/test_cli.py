@@ -225,8 +225,8 @@ def test_unresolvable_grid_refused_before_it_is_built(tmp_path, no_huge_grids, a
 
 
 # requests that run no flow, or a flow whose --tol is above the noise floor,
-# meet the grid's own ceiling; validate takes no --out, so the directory that
-# must not appear is named by the environment
+# meet the grid's own ceiling, and validate its lower one; validate takes no
+# --out, so the directory that must not appear is named by the environment
 @pytest.mark.parametrize("argv", [
     ("validate", "--n", "3200000000"),
     ("spectrum", "--profile", "pi", "--kappa", "5", "--n", "3200000000"),
@@ -238,7 +238,9 @@ def test_oversize_grid_refused_before_it_is_built(tmp_path, monkeypatch, no_huge
     monkeypatch.setenv("AXIFERRO_OUTDIR", str(tmp_path / "out"))
     r = run_cli(*argv)
     assert_one_line_error(r)
-    assert "n = 3200000000 too fine; need n <= 1048576" in r.stderr
+    assert "3200000000 too fine" in r.stderr
+    ceiling = "need --n <= 16384" if argv[0] == "validate" else "need n <= 1048576"
+    assert ceiling in r.stderr
     assert not (tmp_path / "out").exists()
 
 
@@ -388,11 +390,20 @@ class TestValidateCommand:
         assert all(ln.startswith("PASS") for ln in lines)
 
     def test_refinement_grid_refused_before_any_result(self):
-        # the Legendre check refines to 2n, so --n is capped at 2**19
-        r = run_cli("validate", "--n", "524290")
-        assert_one_line_error(r)
-        assert "need --n <= 524288" in r.stderr
-        assert r.stdout == ""
+        # the fixed bars hold up to n = 16384, so a finer --n is refused
+        # before its grid is built
+        for n in ("16386", "524290"):
+            r = run_cli("validate", "--n", n)
+            assert_one_line_error(r)
+            assert "need --n <= 16384" in r.stderr
+            assert r.stdout == ""
+
+    def test_finest_accepted_grid_passes(self):
+        r = run_cli("validate", "--n", "16384")
+        assert r.returncode == 0, r.stdout + r.stderr
+        lines = [ln for ln in r.stdout.splitlines() if ln]
+        assert len(lines) == 7
+        assert all(ln.startswith("PASS") for ln in lines)
 
     def test_coarser_grid_still_passes(self):
         r = run_cli("validate", "--n", "256", "--seed", "3")

@@ -27,13 +27,13 @@ def random_ordered_pair(grid, rng):
 
 
 def step(p, params, dt):
-    """One stabilized IMEX step of every interior node, on a fresh run workspace."""
+    """One convex-splitting step of every interior node, on a fresh run workspace."""
     m = p.grid.n - 1
-    kernel = flow._Kernel(p, params.kappa, m)
+    kernel = flow._Kernel(p, params.kappa, m, dt)
     values = p.values.copy()
-    r, v = np.empty((2, m))
-    kernel.evaluate(values, r, v)
-    kernel.advance(values, values, dt, r, v)
+    r = np.empty(m)
+    kernel.evaluate(values, r)
+    kernel.advance(values, r)
     return dataclasses.replace(p, values=values)
 
 
@@ -153,29 +153,27 @@ class TestRun:
         with pytest.raises(ValueError, match=field):
             FlowConfig(**{field: value})
 
-    @pytest.mark.parametrize("relax", [False, True])
-    def test_tolerance_at_noise_floor_refused(self, relax):
+    def test_tolerance_at_noise_floor_refused(self):
         # at n = 4096 the noise floor, 2.1e-9, lies above the default 1e-9
         grid = make_grid(4096)
         floor = residual_noise_floor(grid.n)
         p0 = builtin_profile("first-type", grid, kappa=5.0)
-        relaxer = flow._relax if relax else run
         for tol in (1e-9, floor):
             with pytest.raises(ValueError, match="noise floor") as info:
-                relaxer(p0, EnergyParams(5.0), FlowConfig(stationary_tol=tol))
+                run(p0, EnergyParams(5.0), FlowConfig(stationary_tol=tol))
             assert "n=4096" in str(info.value)
             assert f"{tol:g}" in str(info.value) and f"{floor:.3g}" in str(info.value)
         tol = 1.01 * floor
-        relaxer(p0, EnergyParams(5.0), FlowConfig(stationary_tol=tol, t_max=0.05))
+        run(p0, EnergyParams(5.0), FlowConfig(stationary_tol=tol, t_max=0.05))
 
     @pytest.mark.parametrize("half_interval", [False, True])
     def test_one_residual_per_step(self, grid256, monkeypatch, half_interval):
         calls = []
         evaluate = flow._Kernel.evaluate
 
-        def counting(self, h, r, v):
-            calls.append((self.work.shape[1], len(r), len(v)))
-            return evaluate(self, h, r, v)
+        def counting(self, h, r):
+            calls.append((self.work.shape[1], len(r)))
+            return evaluate(self, h, r)
 
         monkeypatch.setattr(flow._Kernel, "evaluate", counting)
         result = run(builtin_profile("pi", grid256), EnergyParams(5.0),
@@ -185,18 +183,18 @@ class TestRun:
         assert len(calls) == result.steps + 1
         # only the evolved nodes are evaluated
         evolved = grid256.midpoint_index - 1 if half_interval else grid256.n - 1
-        assert set(calls) == {(evolved, evolved, evolved)}
+        assert set(calls) == {(evolved, evolved)}
 
 
-def evaluated(st, values, kappa, m):
-    """R and V at nodes 1..m by the stencil's evaluation, into fresh arrays."""
-    r, v = np.empty((2, m))
-    st.evaluate(values, kappa, r, v, np.empty((4, m)))
-    return r, v
+def step_matrix(st, kappa, dt, m):
+    """I - dt J0 + dt S on nodes 1..m in solve_banded's layout, as the kernel builds it."""
+    ab = -dt * st.jacobian_bands(st.potential_bound(kappa))[:, :m]
+    ab[1] += 1.0
+    return ab
 
 
 def reference_run(p0, params, cfg, half_interval):
-    """``run`` as one allocating loop over the stencil's evaluation and solve_banded.
+    """``run`` as one allocating loop over the stencil's residual and solve_banded.
 
     Returns (steps, status, records, final values).
     """
@@ -205,8 +203,7 @@ def reference_run(p0, params, cfg, half_interval):
     dt = cfg.effective_dt(params.kappa)
     mid = grid.midpoint_index
     m = mid - 1 if half_interval else grid.n - 1
-    implicit = dt * st.divergence_bands[:, :m]
-    implicit[1] += 1.0
+    ab = step_matrix(st, params.kappa, dt, m)
     k = (p0.m + p0.n_end) // 2
     track_hemi = is_hemispheric(p0, 1e-12)
     values = p0.values.copy()
@@ -225,8 +222,12 @@ def reference_run(p0, params, cfg, half_interval):
                                   energy_ok=e <= e_prev + slack * max(since, 1)))
         e_prev, since = e, 0
 
-    r, v = evaluated(st, values, params.kappa, m)
-    sup = float(np.max(np.abs(r)))
+    def residual():
+        r = np.empty(m)
+        st.evaluate(values, params.kappa, r, None, np.empty((4, m)))
+        return r, float(np.max(np.abs(r)))
+
+    r, sup = residual()
     record(sup)
     status = FlowStatus.HORIZON_REACHED
     while t < cfg.t_max:
@@ -236,8 +237,6 @@ def reference_run(p0, params, cfg, half_interval):
         if sup < cfg.stationary_tol:
             status = FlowStatus.STATIONARY
             break
-        ab = implicit.copy()
-        ab[1] += dt * np.maximum(v, 0.0)
         values[1:m + 1] += solve_banded((1, 1), ab, dt * r)
         if half_interval:
             values[mid] = k * np.pi
@@ -245,8 +244,7 @@ def reference_run(p0, params, cfg, half_interval):
         t += dt
         steps += 1
         since += 1
-        r, v = evaluated(st, values, params.kappa, m)
-        sup = float(np.max(np.abs(r)))
+        r, sup = residual()
         if since >= cfg.record_every or sup < cfg.stationary_tol:
             record(sup)
     if records[-1].t < t:
@@ -254,22 +252,21 @@ def reference_run(p0, params, cfg, half_interval):
     return steps, status, records, values
 
 
-@pytest.mark.parametrize("record_every", [1, 10])
-@pytest.mark.parametrize("init,kappa,wedge,half_interval", [
+REFERENCE_CASES = pytest.mark.parametrize("init,kappa,wedge,half_interval", [
     ("pi", 5.0, W1, False), ("first-type", 5.0, W1, True),
     ("two-theta", 6.0, W2, True)])
-def test_run_matches_reference_loop_bitwise(grid256, init, kappa, wedge,
-                                            half_interval, record_every):
-    p0 = builtin_profile(init, grid256, kappa=kappa)
+
+
+def assert_matches_reference_loop(grid, init, kappa, wedge, half_interval, **config):
+    p0 = builtin_profile(init, grid, kappa=kappa)
     if half_interval:
         # a midpoint off k*pi within the hemispheric tolerance, which the
         # first step pins
         vals = p0.values.copy()
-        vals[grid256.midpoint_index] += 4e-13
-        p0 = make_profile(grid256, vals, p0.m, p0.n_end)
+        vals[grid.midpoint_index] += 4e-13
+        p0 = make_profile(grid, vals, p0.m, p0.n_end)
     params = EnergyParams(kappa)
-    cfg = FlowConfig(stationary_tol=1e-8, record_every=record_every,
-                     wedge=WedgeSpec(wedge, 1e-8))
+    cfg = FlowConfig(stationary_tol=1e-8, wedge=WedgeSpec(wedge, 1e-8), **config)
     result = run(p0, params, cfg, half_interval=half_interval)
     steps, status, records, values = reference_run(p0, params, cfg, half_interval)
     assert result.status is status is FlowStatus.STATIONARY
@@ -279,18 +276,76 @@ def test_run_matches_reference_loop_bitwise(grid256, init, kappa, wedge,
     assert not result.final.values.flags.writeable
 
 
-def test_kernel_serves_every_step_size(grid256):
-    # _relax changes dt between trials on one workspace: each step must
-    # equal a fresh workspace's step at that dt
-    p = builtin_profile("first-type", grid256, kappa=5.0)
-    m = grid256.n - 1
-    kernel = flow._Kernel(p, 5.0, m)
-    r, v = np.empty((2, m))
-    kernel.evaluate(p.values, r, v)
-    for dt in (1e-2, 4e-2, 4e-2, 1e-2):
-        values = p.values.copy()
-        kernel.advance(p.values, values, dt, r, v)
-        assert np.array_equal(values, step(p, EnergyParams(5.0), dt).values)
+@pytest.mark.parametrize("record_every", [1, 10])
+@REFERENCE_CASES
+def test_run_matches_reference_loop_bitwise(grid256, init, kappa, wedge,
+                                            half_interval, record_every):
+    assert_matches_reference_loop(grid256, init, kappa, wedge, half_interval,
+                                  record_every=record_every)
+
+
+@REFERENCE_CASES
+def test_large_step_matches_reference_loop_bitwise(grid256, init, kappa, wedge,
+                                                   half_interval):
+    assert_matches_reference_loop(grid256, init, kappa, wedge, half_interval,
+                                  dt=1e3, t_max=1e6, record_every=1)
+
+
+@pytest.mark.parametrize("n", [64, 1024])
+@pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3])
+@pytest.mark.parametrize("init,kappa,half_interval", [
+    ("pi", 5.0, False), ("first-type", 6.0, True), ("two-theta", 10.0, True),
+    ("two-theta", 1000.0, True)])
+def test_every_step_decreases_energy(init, kappa, half_interval, dt, n):
+    # E_w(h + delta) <= E_w(h) - ||delta||_w^2 / dt, up to rounding, at any dt
+    grid = make_grid(n)
+    params = EnergyParams(kappa)
+    p = builtin_profile(init, grid, kappa=kappa)
+    m = grid.midpoint_index - 1 if half_interval else n - 1
+    kernel = flow._Kernel(p, kappa, m, dt)
+    values, r = p.values.copy(), np.empty(m)
+    e = reduced_energy(p, params)
+    drops = 0
+    for _ in range(40):
+        if kernel.evaluate(values, r) < 1e-7:
+            break
+        before = values.copy()
+        kernel.advance(values, r)
+        e_next = reduced_energy(make_profile(grid, values, p.m, p.n_end), params)
+        delta = (values - before)[1:-1]
+        decrease = grid.stencil.weight @ delta ** 2 / dt
+        assert e_next <= e - decrease + 16 * np.finfo(float).eps * (1 + abs(e))
+        drops += decrease > 0
+        e = e_next
+    assert drops > 0
+
+
+@pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3])
+def test_every_step_keeps_order(grid256, rng, dt):
+    # the discrete comparison principle holds at any dt: no node ever crosses
+    for _ in range(5):
+        lower, upper = random_ordered_pair(grid256, rng)
+        verdict = comparison_trial(lower, upper, EnergyParams(5.0),
+                                   FlowConfig(dt=dt, t_max=40 * dt, record_every=1))
+        assert verdict.max_violation <= 0.0
+        assert verdict.steps > 0
+
+
+@pytest.mark.parametrize("n,init,kappa,wedge", [
+    (256, "first-type", 5.0, W1), (256, "first-type", 100.0, W1),
+    (256, "two-theta", 4.01, W2), (256, "two-theta", 1000.0, W2),
+    # the flow from 2*theta cannot blow up, but a step that is not energy
+    # stable at dt = 1e3 leaves W2 here and reports blowup
+    (1024, "two-theta", 1000.0, W2)])
+def test_large_step_stays_in_wedge(n, init, kappa, wedge):
+    p0 = builtin_profile(init, make_grid(n), kappa=kappa)
+    cfg = FlowConfig(dt=1e3, t_max=1e6, stationary_tol=1e-7, record_every=1,
+                     wedge=WedgeSpec(wedge, 1e-8))
+    result = run(p0, EnergyParams(kappa), cfg, half_interval=True)
+    assert result.status is FlowStatus.STATIONARY
+    assert len(result.records) == result.steps + 1
+    assert result.wedge_always_ok
+    assert result.energy_monotone
 
 
 def full_gradient_blowup(p):

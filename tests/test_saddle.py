@@ -8,10 +8,9 @@ from axiferro import flow, saddle, spectrum
 from axiferro.energy import EnergyParams, assemble_second_variation, reduced_energy
 from axiferro.flow import FlowConfig, run
 from axiferro.grid import make_grid
-from axiferro.profile import (W1, W2, WedgeSpec, WedgeVerdict, builtin_profile,
-                              degree, make_initial_first_type,
-                              make_initial_second_type, node_derivative,
-                              perturbation_direction, wedge_check)
+from axiferro.profile import (W2, WedgeSpec, builtin_profile, degree,
+                              make_initial_first_type, make_initial_second_type,
+                              node_derivative, perturbation_direction, wedge_check)
 from axiferro.saddle import (BlowupError, ContinuationError, find_first_type,
                              find_second_type, grid_for_kappa,
                              probe_second_branch_floor, sweep)
@@ -402,24 +401,10 @@ def test_grid_for_kappa_scaling():
     assert grid_for_kappa(1e4).n == 3200
 
 
-def _fixed_step_flow(start, params, cfg):
-    """Reference for _relax: run's fixed step on the half interval."""
-    result = run(start, params, cfg, half_interval=True)
-    return result.final, result.status
-
-
-@pytest.fixture
-def trials(monkeypatch):
-    """Every relaxer trial, as (a copy of the state it starts from, dt), in order."""
-    log = []
-    real = flow._Kernel.advance
-
-    def recording(self, src, dst, dt, r, v):
-        log.append((src.copy(), dt))
-        return real(self, src, dst, dt, r, v)
-
-    monkeypatch.setattr(flow._Kernel, "advance", recording)
-    return log
+def _default_step_flow(start, params, cfg, half_interval):
+    """The pipeline's flow at the flow's own default dt and horizon."""
+    cfg = replace(cfg, dt=None, t_max=FlowConfig().t_max)
+    return run(start, params, cfg, half_interval=half_interval)
 
 
 class TestRelaxation:
@@ -429,9 +414,9 @@ class TestRelaxation:
         calls = []
         real = flow._Kernel.evaluate
 
-        def counting(self, h, r, v):
+        def counting(self, h, r):
             calls.append(len(r))
-            return real(self, h, r, v)
+            return real(self, h, r)
 
         monkeypatch.setattr(flow._Kernel, "evaluate", counting)
         pipeline(kappa)
@@ -443,7 +428,7 @@ class TestRelaxation:
         (find_second_type, 1000.0)])
     def test_matches_fixed_step_flow(self, monkeypatch, pipeline, kappa):
         relaxed = pipeline(kappa)
-        monkeypatch.setattr(saddle, "_relax", _fixed_step_flow)
+        monkeypatch.setattr(saddle, "run", _default_step_flow)
         reference = pipeline(kappa)
         assert np.max(np.abs(relaxed.profile.values - reference.profile.values)) <= 1e-12
         ref_eigs = reference.spectrum.eigenvalues
@@ -451,105 +436,6 @@ class TestRelaxation:
                       <= 1e-10 * np.abs(ref_eigs))
         assert relaxed.spectrum.morse_index == reference.spectrum.morse_index
         assert relaxed.marginal == reference.marginal
-
-    @pytest.mark.parametrize("reason", ["wedge", "not finite", "residual rise"])
-    def test_rejected_trial_halves_dt_and_keeps_state(self, monkeypatch, trials,
-                                                       first_type_10, reason):
-        dt0 = FlowConfig().effective_dt(10.0)
-        failed = []
-
-        def fail_now():
-            # fail the first check made on a trial above dt0
-            if not failed and trials and trials[-1][1] > dt0:
-                failed.append(len(trials) - 1)
-                return True
-            return False
-
-        if reason == "wedge":
-            real_wedge = flow.wedge_check
-            monkeypatch.setattr(flow, "wedge_check", lambda p, spec: (
-                WedgeVerdict(inside=False, node=1, excess=1.0) if fail_now()
-                else real_wedge(p, spec)))
-        elif reason == "not finite":
-            real_advance = flow._Kernel.advance
-
-            def advance(*args):
-                real_advance(*args)
-                if fail_now():
-                    raise ValueError("flow update is not finite")
-
-            monkeypatch.setattr(flow._Kernel, "advance", advance)
-        else:
-            real_eval = flow._Kernel.evaluate
-
-            def evaluate(self, h, r, v):
-                sup = real_eval(self, h, r, v)
-                if fail_now():
-                    r.fill(1e300)
-                    return 1e300
-                return sup
-
-            monkeypatch.setattr(flow._Kernel, "evaluate", evaluate)
-        report = find_first_type(10.0, grid=make_grid(512))
-        i = failed[0]
-        (p_rejected, dt_rejected), (p_next, dt_next) = trials[i], trials[i + 1]
-        assert dt_rejected > dt0
-        assert np.array_equal(p_next, p_rejected)
-        assert dt_next == max(dt0, 0.5 * dt_rejected)
-        assert min(dt for _, dt in trials) == dt0
-        assert np.max(np.abs(report.profile.values
-                             - first_type_10.profile.values)) <= 1e-12
-        assert np.allclose(report.spectrum.eigenvalues,
-                           first_type_10.spectrum.eigenvalues, rtol=1e-10, atol=0)
-
-    def test_trial_at_dt0_taken_when_residual_rises(self, monkeypatch, trials,
-                                                    first_type_10):
-        # the first trial (at dt0) reports its residual scaled by 2**40, a
-        # rise; the next update still sees the true residual
-        dt0 = FlowConfig().effective_dt(10.0)
-        scale = 2.0 ** 40
-        real_eval = flow._Kernel.evaluate
-        record = flow._Kernel.advance
-        inflated = []
-
-        def evaluate(self, h, r, v):
-            sup = real_eval(self, h, r, v)
-            if len(trials) == 1 and not inflated:
-                r *= scale
-                inflated.append(r)
-                return scale * sup
-            return sup
-
-        def advance(self, src, dst, dt, r, v):
-            if inflated and r is inflated[0]:
-                r /= scale
-                inflated[0] = None
-            return record(self, src, dst, dt, r, v)
-
-        monkeypatch.setattr(flow._Kernel, "evaluate", evaluate)
-        monkeypatch.setattr(flow._Kernel, "advance", advance)
-        report = find_first_type(10.0, grid=make_grid(512))
-        (p0, dt_first), (p1, dt_second) = trials[:2]
-        assert dt_first == dt_second == dt0
-        assert not np.array_equal(p1, p0)
-        assert np.max(np.abs(report.profile.values
-                             - first_type_10.profile.values)) <= 1e-12
-
-    def test_worst_case_is_the_fixed_step_flow(self, monkeypatch, trials):
-        # with every trial above dt0 rejected, the accepted steps are run's
-        grid, kappa = make_grid(512), 5.0
-        start = make_initial_first_type(grid, kappa)
-        cfg = FlowConfig(stationary_tol=1e-7, wedge=WedgeSpec(W1, 1e-8))
-        expected = run(start, EnergyParams(kappa), cfg, half_interval=True)
-        trials.clear()
-        monkeypatch.setattr(flow, "wedge_check",
-                            lambda p, spec: WedgeVerdict(inside=False, node=1, excess=1.0))
-        final, status = flow._relax(start, EnergyParams(kappa), cfg)
-        dt0 = cfg.effective_dt(kappa)
-        assert status is expected.status
-        assert np.array_equal(final.values, expected.final.values)
-        assert min(dt for _, dt in trials) == dt0
-        assert sum(dt == dt0 for _, dt in trials) == expected.steps
 
     def test_blowup_raises(self, monkeypatch):
         monkeypatch.setattr(flow, "detect_blowup", lambda p: True)

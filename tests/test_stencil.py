@@ -41,16 +41,13 @@ def reference_jacobian(grid, h, kappa):
 
 
 def reference_divergence(grid):
-    """Bands of -L and the symmetrized off-diagonal, as the flow and
+    """Diagonal of -L and the symmetrized off-diagonal, as
     assemble_second_variation wrote them inline."""
     s = np.sin(grid.nodes[1:-1])
     s_half = np.sin(grid.half_nodes)
     dth2 = grid.dtheta ** 2
-    ab = np.zeros((3, grid.n - 1))
-    ab[1] = (s_half[1:] + s_half[:-1]) / (s * dth2)
-    ab[0, 1:] = -s_half[1:-1] / (s[:-1] * dth2)
-    ab[2, :-1] = -s_half[1:-1] / (s[1:] * dth2)
-    return ab, -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:]))
+    return ((s_half[1:] + s_half[:-1]) / (s * dth2),
+            -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:])))
 
 
 def assert_close(actual, expected, rtol=1e-12):
@@ -116,7 +113,7 @@ def test_buffered_evaluation_is_bitwise_the_allocating_one(case):
         assert np.array_equal(actual, wanted)
     # the second variation evaluates V alone
     op = assemble_second_variation(p, EnergyParams(KAPPA))
-    assert np.array_equal(op.diag, st.divergence_bands[1] + v)
+    assert np.array_equal(op.diag, st.divergence_diag + v)
 
 
 def test_residual_matches_inline_formula(case):
@@ -148,9 +145,26 @@ def test_jacobian_bands_match_inline_formula(case):
 
 def test_divergence_bands_match_inline_formula(case):
     grid, _ = case
-    bands, offdiag = reference_divergence(grid)
-    assert_close(grid.stencil.divergence_bands, bands)
+    diag, offdiag = reference_divergence(grid)
+    assert_close(grid.stencil.divergence_diag, diag)
     assert_close(grid.stencil.symmetric_offdiag, offdiag)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 1.0, KAPPA, 1e4])
+def test_potential_bound_is_the_maximum_of_v(kappa):
+    grid = make_grid(256)
+    th = grid.nodes[1:-1]
+    bound = grid.stencil.potential_bound(kappa)
+    # the closed form of the maximum over h of V
+    s2 = np.sin(th) ** 2
+    assert_close(bound, np.sqrt(1 / s2 ** 2 + kappa ** 2 + 2 * kappa * np.cos(2 * th) / s2))
+    # V on 720 constant profiles h never exceeds it beyond rounding, and
+    # comes within 1e-4 of it; both terms of V are at most 1/sin^2 + kappa
+    v = np.array([reference_potential(grid, np.full(grid.n + 1, x), kappa)
+                  for x in np.linspace(0.0, np.pi, 720, endpoint=False)])
+    scale = 1 / s2 + kappa
+    assert np.all(v <= bound + 1e-14 * scale)
+    assert np.all(v.max(axis=0) >= bound - 1e-4 * scale)
 
 
 def test_built_once_per_grid_and_read_only():
@@ -159,6 +173,6 @@ def test_built_once_per_grid_and_read_only():
     assert grid.stencil is st
     assert make_grid(64) is grid
     for a in (st.sin, st.cot, st.sin2, st.twice_sin2, st.cos_2theta, st.sin_2theta,
-              st.sin_half, st.divergence_bands, st.symmetric_offdiag,
+              st.sin_half, st.divergence_diag, st.symmetric_offdiag,
               st.jacobian_offdiag, st.weight, st.edge_weight):
         assert not a.flags.writeable
