@@ -199,7 +199,8 @@ def cmd_sweep(args):
                           repr(r.lambda2), repr(r.dir_value), r.status]
                          for r in result.rows)
     for report in result.reports:
-        name = f"kappa_{report.kappa:g}_{report.saddle_type}.csv"
+        # the kappa column's text, so that no two reports share a file name
+        name = f"kappa_{report.kappa!r}_{report.saddle_type}.csv"
         write_profile_csv(report.profile, os.path.join(out, "profiles", name),
                           kappa=report.kappa, extra_header=f"# config_hash={h}")
     print(f"swept {len(result.rows)} rows; kappa0={k0}; kappa1={k1}")

@@ -30,6 +30,7 @@ RESIDUAL_BAR = 1e-9     # stationarity bar every emitted report must clear
 SYMMETRY_TOL = 1e-8     # wedge and hemisphericity slack on emitted reports
 _FLOW_TOL = 1e-7        # sup residual at which the pipeline flow hands over to Newton
 _FLOW_DT = 1e3          # the pipeline flow's step; only its end point is used
+_FLOW_STEPS = 1000      # the pipeline flow's step cap
 _BRANCH_DK = 0.05       # kappa step of the second-type walk below kappa = 4
 _KAPPA0_WIDTH = 0.05    # width the kappa0 bracket is bisected down to
 _WEDGE = {FIRST: W1, SECOND: W2}
@@ -166,13 +167,15 @@ def _flow_then_polish(kappa, saddle_type, grid):
     both are hemispheric, so the flow runs on the half interval; a grid
     whose residual noise floor is not below its tolerance is refused there.
     At dt = 1e3 the step is a fixed-point iteration toward R = 0 that still
-    lowers the energy and keeps order; it runs for at most 1000 steps.
+    lowers the energy and keeps order; it runs for at most 1000 steps and
+    records only its start and its end, since only the end point is used.
     """
     if saddle_type == FIRST:
         start = make_initial_first_type(grid, kappa)
     else:
         start = make_initial_second_type(grid)
-    cfg = FlowConfig(dt=_FLOW_DT, t_max=1e3 * _FLOW_DT, stationary_tol=_FLOW_TOL,
+    cfg = FlowConfig(dt=_FLOW_DT, t_max=_FLOW_STEPS * _FLOW_DT,
+                     stationary_tol=_FLOW_TOL, record_every=_FLOW_STEPS,
                      wedge=WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
     result = run(start, EnergyParams(kappa), cfg, half_interval=True)
     if result.status is FlowStatus.BLOWUP_SUSPECTED:
@@ -250,9 +253,9 @@ def _failed_row(kappa, saddle_type, exc):
 def _is_index_one_saddle(pt):
     """lambda1 < -1e-8 and lambda2 > 1e-8 at a branch point, without an eigensolve.
 
-    By Sylvester's law of inertia the pivot count at a shift is the number of
-    eigenvalues below it, so the test holds exactly when the counts at
-    -1e-8 and +1e-8 are both 1.
+    LAPACK's Sturm count (``negative_count``, stebz in value mode) at a shift
+    is the number of eigenvalues at or below it, so the test holds exactly
+    when the counts at -1e-8 and +1e-8 are both 1.
     """
     op = assemble_second_variation(pt.profile, EnergyParams(pt.kappa))
     return all(negative_count(op.diag, op.offdiag, shift) == 1
@@ -265,8 +268,8 @@ def probe_second_branch_floor(grid=None):
     Returns (lo, hi) bracketing either a Newton failure or the loss of the
     saddle eigenvalue structure (lambda1 < -1e-8 and lambda2 > 1e-8); None if
     the branch persists all the way down to kappa = 1.  The structure is read
-    off two LDL^T pivot counts per point (see ``_is_index_one_saddle``), so
-    the walk makes no eigensolve.
+    off two Sturm counts per point, each one LAPACK stebz call in value mode
+    (see ``_is_index_one_saddle``), so the walk makes no eigensolve.
     """
     grid = grid or make_grid(1024)
     branch = continue_branch(4.0, make_initial_second_type(grid), 1.0, -_BRANCH_DK)

@@ -2,21 +2,22 @@
 
 The lowest eigenpairs of the symmetrized tridiagonal matrix come from
 LAPACK's bisection (stebz) and inverse iteration (stein) through
-``scipy.linalg.eigh_tridiagonal``.  The Morse index read off those
-eigenvalues is certified independently by an LDL^T pivot count (Sylvester's
-law of inertia), and a disagreement is an error.  The same count answers the
-kappa1 probe's saddle test on its own: lambda1 < -1e-8 < 1e-8 < lambda2
-holds exactly when the counts at shifts -1e-8 and +1e-8 are both 1, so the
-probe makes no eigensolve.  ``classify``'s certificate is a quadratic form
-of the same operator, so a negative one implies lambda1 < 0 exactly.  The
-dense eigensolve in the test suite (``numpy.linalg.eigvalsh``, LAPACK syevd)
-is a separate LAPACK path and stays an independent oracle.
+``scipy.linalg.eigh_tridiagonal``.  The Morse index read off them is
+certified by a separate call that asks a different question, LAPACK's Sturm
+count at the shift (stebz in value mode; Sylvester's law of inertia), and a
+disagreement is an error.  The same count answers the kappa1 probe's saddle
+test on its own: lambda1 < -1e-8 < 1e-8 < lambda2 holds exactly when the
+counts at -1e-8 and +1e-8 are both 1, so the probe makes no eigensolve.
+``classify``'s certificate is a quadratic form of the same operator, so a
+negative one implies lambda1 < 0 exactly.  The dense eigensolve in the test
+suite (``numpy.linalg.eigvalsh``, LAPACK syevd) stays an independent oracle.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from .energy import EnergyParams, assemble_second_variation, residual_supnorm
 from .grid import make_grid
@@ -35,30 +36,23 @@ class SpectrumResult:
 
 
 def negative_count(diag, off, shift):
-    """Number of eigenvalues below shift, from the pivots of T - shift = L D L^T.
+    """Number of eigenvalues at or below shift: LAPACK's Sturm count (stebz).
 
-    By Sylvester's law of inertia the count of negative pivots is the count
-    of negative eigenvalues.  One scalar pass over plain floats; tiny pivots
-    are replaced by -pivmin as in LAPACK's dlaebz.
+    In value mode on (-1e300, shift], with a tolerance wider than that, stebz
+    counts the negative pivots of T - shift = L D L^T (Sylvester's law of
+    inertia; tiny pivots become -pivmin as in dlaebz) and refines nothing.
     """
-    off2 = (np.asarray(off, dtype=float) ** 2).tolist()
-    pivmin = np.finfo(float).tiny * max(1.0, max(off2, default=0.0))
-    count = 0
-    q = 1.0
-    for d, e2 in zip(np.asarray(diag, dtype=float).tolist(), [0.0] + off2):
-        q = d - shift - e2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q <= 0.0:
-            count += 1
-    return count
+    m, _, _, _, info = dstebz(diag, off, 1, -1e300, shift, 0, 0, 1e300, b"E")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz returned info = {info}")
+    return int(m)
 
 
 def _certified_morse(op, eigenvalues, tol):
-    """Morse index below -tol, certified by the pivot count at shift -tol.
+    """Morse index below -tol, certified by the Sturm count at shift -tol.
 
     ``eigenvalues`` are the k lowest.  With fewer than k of them below -tol
-    the pivot count must equal that number; with all k below, it must be at
+    the count must equal that number; with all k below, it must be at
     least k.  Any disagreement raises rather than being corrected.
     """
     morse = int(np.sum(eigenvalues < -tol))

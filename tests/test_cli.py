@@ -337,6 +337,19 @@ class TestSweepCommand:
         lo, hi = map(float, lines[1].split("=")[1].split(","))
         assert hi - lo <= 0.05
 
+    def test_one_profile_file_per_report(self, tmp_path):
+        # the five kappas agree to six significant digits, so a file name
+        # built from kappa:g would give all five reports the same file
+        r = run_cli("sweep", "--type", "second", "--from", "3.9", "--to", "3.900004",
+                    "--step", "0.000001", "--n", "256", "--no-kappa1-probe",
+                    "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        with open(tmp_path / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+        assert len(rows) == 5 and all(row["status"] == "saddle" for row in rows)
+        names = sorted(p.name for p in (tmp_path / "profiles").iterdir())
+        assert names == sorted(f"kappa_{row['kappa']}_second.csv" for row in rows)
+
     @pytest.mark.parametrize("bounds", [("4", "5", "0"), ("4", "5", "-1"),
                                         ("4", "5", "nan"), ("5", "4", "1"),
                                         ("0", "1", "0.5"), ("4", "5", "1e-12"),

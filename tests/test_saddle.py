@@ -423,6 +423,22 @@ class TestRelaxation:
         assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("pipeline,kappa", [
+        (find_first_type, 5.0), (find_first_type, 8.0), (find_second_type, 4.5),
+        (find_second_type, 10.0)])
+    def test_flow_records_only_start_and_end(self, monkeypatch, pipeline, kappa):
+        # the pipeline keeps only the flow's end point, so the flow's
+        # monitors run at its start and its end only
+        calls = {name: 0 for name in ("reduced_energy", "wedge_check",
+                                      "hemispheric_deviation")}
+        for name in calls:
+            def counting(*args, _name=name, _real=getattr(flow, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(flow, name, counting)
+        pipeline(kappa)
+        assert calls == dict.fromkeys(calls, 2)
+
+    @pytest.mark.parametrize("pipeline,kappa", [
         (find_first_type, 4.0), (find_first_type, 5.0), (find_first_type, 6.67),
         (find_second_type, 4.01), (find_second_type, 10.0),
         (find_second_type, 1000.0)])

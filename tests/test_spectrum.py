@@ -6,6 +6,7 @@ from axiferro.grid import make_grid
 from axiferro import spectrum
 from axiferro.profile import (builtin_profile, make_initial_first_type,
                               make_initial_second_type, make_profile)
+from axiferro.saddle import find_first_type, find_second_type
 from axiferro.spectrum import classify, eigs_lowest, legendre_validation
 from oracles import dense_spectrum
 
@@ -152,6 +153,55 @@ class TestInertiaCertificate:
                 expected = int(np.sum(ref < shift))
                 assert spectrum.negative_count(op.diag, op.offdiag,
                                                 shift) == expected
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    def test_count_matches_dense_oracle_at_the_code_shifts(self, n):
+        # the saddle operators of both types, at the shifts of the probe
+        # (+-1e-8), of eigs_lowest (-1e-12 x scale) and of classify (-tol),
+        # 1e-6 on either side of lambda1 and lambda2, and below and above
+        # the whole spectrum
+        grid = make_grid(n)
+        reports = [find_first_type(5.0, grid), find_first_type(6.67, grid),
+                   find_second_type(3.5, grid), find_second_type(4.0, grid),
+                   find_second_type(10.0, grid)]
+        for report in reports:
+            op = assemble_second_variation(report.profile, EnergyParams(report.kappa))
+            ref = dense_spectrum(op)
+            shifts = [-1e-8, 1e-8, -1e-12 * op.norm_estimate(), -report.spectrum.tol,
+                      *(ref[:2] - 1e-6), *(ref[:2] + 1e-6), ref[0] - 1.0, ref[-1] + 1.0]
+            for shift in shifts:
+                # no eigenvalue lies within the dense solve's error of a shift
+                assert np.min(np.abs(ref - shift)) > 1e-7
+                assert spectrum.negative_count(op.diag, op.offdiag,
+                                                shift) == int(np.sum(ref < shift))
+
+    def test_nonzero_info_raises(self, monkeypatch):
+        op, _ = saddle_operator(256)
+        real = spectrum.dstebz
+
+        def failing(*args):
+            return (*real(*args)[:4], 1)
+
+        monkeypatch.setattr(spectrum, "dstebz", failing)
+        with pytest.raises(np.linalg.LinAlgError, match="info = 1"):
+            spectrum.negative_count(op.diag, op.offdiag, 0.0)
+
+    def test_dropped_lowest_eigenvalue_raises(self, monkeypatch, grid256):
+        # the eigensolve skips lambda1 < 0 of the saddle at kappa = 4, so it
+        # finds no negative eigenvalue; the count at the shift still finds one
+        p = make_initial_second_type(grid256)
+        params = EnergyParams(4.0)
+        real = spectrum.eigh_tridiagonal
+
+        def drop_lowest(diag, off, select, select_range):
+            lo, hi = select_range
+            return real(diag, off, select=select, select_range=(lo + 1, hi + 1))
+
+        monkeypatch.setattr(spectrum, "eigh_tridiagonal", drop_lowest)
+        with pytest.raises(np.linalg.LinAlgError, match="Morse index 0 .* count 1"):
+            eigs_lowest(assemble_second_variation(p, params), 3)
+        with pytest.raises(np.linalg.LinAlgError, match="Morse index 0 .* count 1"):
+            classify(p, params, k=3)
 
     def test_disagreement_raises(self, monkeypatch):
         op, _ = saddle_operator(256)
