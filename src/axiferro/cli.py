@@ -311,7 +311,7 @@ def _validate_properties(n, seed):
         lo = make_profile(cgrid, lo_vals, 1, 1)
         up = make_profile(cgrid, up_vals, 1, 1)
         verdict = comparison_trial(lo, up, EnergyParams(5.0),
-                                   FlowConfig(t_max=5.0, record_every=10))
+                                   FlowConfig(dt=1e-2, t_max=5.0, record_every=10))
         worst = max(worst, verdict.max_violation)
     yield ("comparison-trials", worst <= 1e-6, f"worst violation {worst:.3g}")
 
@@ -342,7 +342,7 @@ def build_parser():
                    help="pi | theta | two-theta | first-type | <profile.csv>")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dt", type=float, default=None)
+    p.add_argument("--dt", type=float, default=FlowConfig.dt)
     p.add_argument("--t-max", type=float, default=1e3)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--record-every", type=int, default=10)

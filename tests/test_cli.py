@@ -114,6 +114,23 @@ class TestFlowCommand:
         rec2.pop("wall_time_s")
         assert rec1 == rec2
 
+    def test_run_record_carries_the_step(self, tmp_path):
+        records = {}
+        for name, dt in (("default", ()), ("one", ("--dt", "1")),
+                         ("small", ("--dt", "0.01"))):
+            r = run_cli("flow", "--init", "pi", "--kappa", "5", "--n", "256", *dt,
+                        "--out", str(tmp_path / name))
+            assert r.returncode == 0, r.stderr
+            records[name] = json.loads((tmp_path / name / "run.json").read_text())
+        assert records["default"]["config"]["dt"] == 1.0
+        assert records["small"]["config"]["dt"] == 0.01
+        for record in records.values():
+            assert record["config_hash"] == cli.config_hash(record["config"])
+        # an omitted --dt is the same configuration as the default step given
+        assert records["default"]["config_hash"] == records["one"]["config_hash"]
+        assert records["default"]["config_hash"] != records["small"]["config_hash"]
+        assert records["small"]["steps"] > records["default"]["steps"]
+
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AXIFERRO_OUTDIR", str(tmp_path / "envout"))
         r = run_cli("flow", "--init", "two-theta", "--kappa", "4", "--n", "256")

@@ -134,10 +134,23 @@ class TestRun:
         assert result.wedge_always_ok
         assert result.energy_monotone
 
-    def test_default_dt_scales_with_kappa(self):
-        assert FlowConfig().effective_dt(2.0) == pytest.approx(1e-2)
-        assert FlowConfig().effective_dt(100.0) == pytest.approx(5e-3)
-        assert FlowConfig(dt=1e-3).effective_dt(100.0) == 1e-3
+    @pytest.mark.parametrize("init,kappa,wedge,half_interval", [
+        ("first-type", 5.0, W1, True), ("two-theta", 10.0, W2, True),
+        ("pi", 5.0, W1, False)])
+    def test_default_dt_settles_in_few_steps(self, init, kappa, wedge, half_interval):
+        # the default step reaches the limit a time-resolved run reaches
+        p0 = builtin_profile(init, make_grid(4096), kappa=kappa)
+        params = EnergyParams(kappa)
+        cfg = FlowConfig(stationary_tol=1e-7, wedge=WedgeSpec(wedge, 1e-8))
+        assert cfg.dt == 1.0
+        result = run(p0, params, cfg, half_interval=half_interval)
+        assert result.status is FlowStatus.STATIONARY
+        assert 0 < result.steps <= 40
+        assert result.energy_monotone and result.wedge_always_ok
+        resolved = run(p0, params, dataclasses.replace(cfg, dt=1e-2),
+                       half_interval=half_interval)
+        assert resolved.status is FlowStatus.STATIONARY
+        assert np.max(np.abs(result.final.values - resolved.final.values)) <= 1e-6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -200,7 +213,7 @@ def reference_run(p0, params, cfg, half_interval):
     """
     grid = p0.grid
     st = grid.stencil
-    dt = cfg.effective_dt(params.kappa)
+    dt = cfg.dt
     mid = grid.midpoint_index
     m = mid - 1 if half_interval else grid.n - 1
     ab = step_matrix(st, params.kappa, dt, m)
@@ -408,7 +421,7 @@ class TestBlowupDetector:
 class TestComparison:
     def test_identical_inputs(self, grid256):
         p = builtin_profile("pi", grid256)
-        verdict = comparison_trial(p, p, EnergyParams(5.0), FlowConfig(t_max=1.0))
+        verdict = comparison_trial(p, p, EnergyParams(5.0), FlowConfig(dt=1e-2, t_max=1.0))
         assert verdict.max_violation == 0.0
 
     def test_pi_below_exact_tilted_solution(self, grid512):
@@ -417,14 +430,14 @@ class TestComparison:
         upper = make_profile(grid512, np.pi + grid512.nodes, 1, 2)
         assert residual_supnorm(upper, EnergyParams(5.0)) < 1e-9
         verdict = comparison_trial(lower, upper, EnergyParams(5.0),
-                                   FlowConfig(t_max=10.0))
+                                   FlowConfig(dt=1e-2, t_max=10.0))
         assert verdict.max_violation <= 1e-9
 
     def test_two_exact_solutions_at_four(self, grid256):
         lower = builtin_profile("theta", grid256)
         upper = builtin_profile("two-theta", grid256)
         verdict = comparison_trial(lower, upper, EnergyParams(4.0),
-                                   FlowConfig(t_max=2.0))
+                                   FlowConfig(dt=1e-2, t_max=2.0))
         assert verdict.max_violation <= 1e-12
 
     def test_random_ordered_pairs_stay_ordered(self, grid256, rng):
@@ -432,7 +445,7 @@ class TestComparison:
         for _ in range(5):
             lower, upper = random_ordered_pair(grid256, rng)
             verdict = comparison_trial(lower, upper, EnergyParams(5.0),
-                                       FlowConfig(t_max=5.0, record_every=10))
+                                       FlowConfig(dt=1e-2, t_max=5.0, record_every=10))
             worst = max(worst, verdict.max_violation)
         assert worst <= 1e-6
 

@@ -87,7 +87,8 @@ def test_step_keeps_endpoints_bitwise(p, kappa, dt):
 @given(data=st.data(), half=st.booleans(), kappa=kappas)
 def test_run_keeps_endpoints_bitwise(data, half, kappa):
     p = data.draw(smooth_profiles(hemispheric=half))
-    result = run(p, EnergyParams(kappa), FlowConfig(t_max=0.05), half_interval=half)
+    result = run(p, EnergyParams(kappa), FlowConfig(dt=1e-2, t_max=0.05),
+                 half_interval=half)
     assert endpoints_exact(result.final)
 
 
@@ -104,7 +105,8 @@ def tilted_exact(n, c):
 @example(p=tilted_exact(64, 0.01), kappa=0.0)
 @example(p=make_initial_first_type(make_grid(1024), 100.0), kappa=100.0)
 def test_energy_monotone_under_run(p, kappa):
-    result = run(p, EnergyParams(kappa), FlowConfig(t_max=0.2, record_every=1))
+    dt = min(1e-2, 0.5 / max(kappa, 1.0))  # time-resolved: 20 to 40 steps to t = 0.2
+    result = run(p, EnergyParams(kappa), FlowConfig(dt=dt, t_max=0.2, record_every=1))
     energies = [r.energy for r in result.records]
     slack = ENERGY_SLACK * (1.0 + abs(energies[0]))
     assert len(energies) == result.steps + 1

@@ -401,9 +401,10 @@ def test_grid_for_kappa_scaling():
     assert grid_for_kappa(1e4).n == 3200
 
 
-def _default_step_flow(start, params, cfg, half_interval):
-    """The pipeline's flow at the flow's own default dt and horizon."""
-    cfg = replace(cfg, dt=None, t_max=FlowConfig().t_max)
+def _time_resolved_flow(start, params, cfg, half_interval):
+    """The pipeline's flow at a time-resolving reference step and the default horizon."""
+    cfg = replace(cfg, dt=min(1e-2, 0.5 / max(params.kappa, 1.0)),
+                  t_max=FlowConfig().t_max)
     return run(start, params, cfg, half_interval=half_interval)
 
 
@@ -444,7 +445,7 @@ class TestRelaxation:
         (find_second_type, 1000.0)])
     def test_matches_fixed_step_flow(self, monkeypatch, pipeline, kappa):
         relaxed = pipeline(kappa)
-        monkeypatch.setattr(saddle, "run", _default_step_flow)
+        monkeypatch.setattr(saddle, "run", _time_resolved_flow)
         reference = pipeline(kappa)
         assert np.max(np.abs(relaxed.profile.values - reference.profile.values)) <= 1e-12
         ref_eigs = reference.spectrum.eigenvalues
