@@ -342,8 +342,13 @@ def build_parser():
                    help="pi | theta | two-theta | first-type | <profile.csv>")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dt", type=float, default=FlowConfig.dt)
-    p.add_argument("--t-max", type=float, default=1e3)
+    p.add_argument("--dt", type=float, default=FlowConfig.dt,
+                   help="pseudo-time step of the flow (default: %(default)s)")
+    p.add_argument("--t-max", type=float, default=1e3,
+                   help="pseudo-time horizon (default: %(default)s), not a step "
+                        "count: a run takes about t_max/dt steps and exits 2 "
+                        "if it is not stationary by then, so --dt 1000 with "
+                        "the default stops after 1 step")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--record-every", type=int, default=10)
     p.add_argument("--wedge", choices=["auto", "none", "W1", "W2"], default="auto")

@@ -1,8 +1,15 @@
 """Lowest eigenpairs of the second-variation operator and saddle classification.
 
-The lowest eigenpairs of the symmetrized tridiagonal matrix come from
-LAPACK's bisection (stebz) and inverse iteration (stein) through
-``scipy.linalg.eigh_tridiagonal``.  The Morse index read off them is
+The lowest eigenpairs of the symmetrized tridiagonal matrix B are Ritz
+pairs: LAPACK's bisection (stebz) only separates the k lowest eigenvalues, to
+a loose absolute tolerance, inverse iteration (stein) gives k vectors, and
+one Rayleigh-Ritz step on B gives the values, the vectors and their
+residuals (Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 11).  When B
+is mirror-symmetric the first two steps run on its two reflection sectors,
+each vector on a half-length block.  One Sturm count at the largest Ritz
+value plus the residual norm certifies that no lower eigenvalue was missed;
+if it fails, the solve is repeated once at full bisection precision on the
+whole matrix.  The Morse index read off the pairs is
 certified by a separate call that asks a different question, LAPACK's Sturm
 count at the shift (stebz in value mode; Sylvester's law of inertia), and a
 disagreement is an error.  The same count answers the kappa1 probe's saddle
@@ -16,12 +23,15 @@ suite (``numpy.linalg.eigvalsh``, LAPACK syevd) stays an independent oracle.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dstebz, dstein, dsyevd
 
 from .energy import EnergyParams, assemble_second_variation, residual_supnorm
 from .grid import make_grid
 from .profile import make_initial_second_type, perturbation_direction
+
+# stebz's absolute tolerance in eigs_lowest: bisection only has to separate
+# the k lowest eigenvalues for stein; the Ritz step gives the values
+_ABSTOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -35,6 +45,11 @@ class SpectrumResult:
     explicit_direction_value: float | None = None
 
 
+def _check_info(name, info):
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {name} returned info = {info}")
+
+
 def negative_count(diag, off, shift):
     """Number of eigenvalues at or below shift: LAPACK's Sturm count (stebz).
 
@@ -43,8 +58,7 @@ def negative_count(diag, off, shift):
     inertia; tiny pivots become -pivmin as in dlaebz) and refines nothing.
     """
     m, _, _, _, info = dstebz(diag, off, 1, -1e300, shift, 0, 0, 1e300, b"E")
-    if info != 0:
-        raise np.linalg.LinAlgError(f"LAPACK dstebz returned info = {info}")
+    _check_info("dstebz", info)
     return int(m)
 
 
@@ -70,30 +84,82 @@ def _require_pair_count(op, k):
         raise ValueError(f"k = {k} out of range 1..{op.dimension}")
 
 
+def _mirror_symmetric(op, scale):
+    """Whether B equals its reflection about the middle row to rounding.
+
+    Then B splits exactly into the reflection sectors, v(pi - t) = -v(t) and
+    v(pi - t) = v(t).  The test reads the operator's bands, not a profile.
+    """
+    if op.dimension % 2 == 0 or op.dimension < 3:
+        return False
+    d, e = op.diag, op.offdiag
+    slack = 1e-12 * scale
+    return bool(np.max(np.abs(d - d[::-1])) <= slack
+                and np.max(np.abs(e - e[::-1])) <= slack)
+
+
+def _ritz_pairs(op, k, abstol, split):
+    """k Ritz pairs of B from loose bisection, inverse iteration and one Ritz step.
+
+    stebz (index mode, ``abstol``) and stein give k vectors Y, on the two
+    sector blocks when ``split``: one block-diagonal matrix, which LAPACK
+    splits at its zero coupling.  Leading c x c is the node-odd block, with
+    the midpoint as a Dirichlet node; the next (c+1) x (c+1) is the node-even
+    block, its last coupling times sqrt(2).  H = Y^T B Y is then solved
+    densely; returns the Ritz values, the Ritz vectors as rows and their
+    residuals B x - theta x, all from one product B Y with the true B.
+    """
+    d, e = op.diag, op.offdiag
+    c = op.dimension // 2
+    if split:
+        d = np.concatenate((d[:c], d[:c + 1]))
+        e = np.concatenate((e[:c - 1], [0.0], e[:c - 1], [np.sqrt(2.0) * e[c - 1]]))
+    m, w, iblock, isplit, info = dstebz(d, e, 2, 0.0, 0.0, 1, k, abstol, b"B")
+    _check_info("dstebz", info)
+    z, info = dstein(d, e, w[:m], iblock, isplit)
+    _check_info("dstein", info)
+    ys = z.T
+    if split:
+        # back to the whole interval: a node-odd u is [u, 0, -reverse(u)] / sqrt(2),
+        # a node-even [a, b] is [a / sqrt(2), b, reverse(a) / sqrt(2)]; stein
+        # leaves each vector zero outside its own block
+        odd, even = ys[:, :c], ys[:, c:]
+        ys = np.hstack(((odd + even[:, :c]) / np.sqrt(2.0), even[:, c:],
+                        (even[:, c - 1::-1] - odd[:, ::-1]) / np.sqrt(2.0)))
+    bys = np.array([op._matvec(y) for y in ys])
+    theta, g, info = dsyevd(ys @ bys.T)
+    _check_info("dsyevd", info)
+    ritz = g.T @ ys
+    return theta, ritz, g.T @ bys - theta[:, None] * ritz
+
+
 def eigs_lowest(op, k):
     """Lowest k eigenpairs of a TridiagonalOperator.
 
-    Eigenpairs of the symmetrized matrix from LAPACK stebz/stein; in each
-    eigenvector the first component whose magnitude exceeds 1e-8 times the
-    largest is made positive, then the vector is
-    returned on the full node range (zero at the Dirichlet endpoints) and
-    orthonormal in the sin-weighted inner product.  The Morse index counts
-    eigenvalues below -tol, tol = 1e-12 times the operator scale, and is
-    certified by an inertia count.
+    Ritz pairs of the symmetrized matrix B (see ``_ritz_pairs``), certified
+    by one Sturm count: with R the pair residuals, exactly k eigenvalues lie
+    at or below theta_k + ||R||_F, so no lower one was missed (Kahan's bound
+    puts an eigenvalue within ||R|| of each Ritz value).  When the count
+    disagrees the same solve runs once more at full bisection precision on
+    the whole matrix, and that result stands.  In each eigenvector the first
+    component whose magnitude exceeds 1e-8 times the largest is made
+    positive, then the vector is returned on the full node range (zero at
+    the Dirichlet endpoints) and orthonormal in the sin-weighted inner
+    product.  The Morse index counts eigenvalues below -tol, tol = 1e-12
+    times the operator scale, and is certified by an inertia count.
     """
     _require_pair_count(op, k)
     scale = op.norm_estimate()
-    eigenvalues, ys = eigh_tridiagonal(op.diag, op.offdiag, select="i",
-                                       select_range=(0, k - 1))
+    eigenvalues, ys, r = _ritz_pairs(op, k, _ABSTOL, _mirror_symmetric(op, scale))
+    if negative_count(op.diag, op.offdiag, eigenvalues[-1] + np.linalg.norm(r)) != k:
+        eigenvalues, ys, r = _ritz_pairs(op, k, 0.0, False)
     # deterministic sign: the first component above 1e-8 of the largest is
     # positive.  Not the largest itself: modes antisymmetric under the
     # hemispheric reflection have two extremes equal up to rounding.
-    ys = ys.T
     mags = np.abs(ys)
     first = np.argmax(mags > 1e-8 * mags.max(axis=1, keepdims=True), axis=1)
     ys[ys[np.arange(k), first] < 0] *= -1.0
-    residuals = np.array([np.linalg.norm(op._matvec(y) - lam * y)
-                          for lam, y in zip(eigenvalues, ys)])
+    residuals = np.linalg.norm(r, axis=1)
     vectors = np.zeros((k, op.dimension + 2))
     vectors[:, 1:-1] = ys / np.sqrt(op.weight)
     tol = 1e-12 * scale

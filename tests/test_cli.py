@@ -63,6 +63,14 @@ class TestFlowCommand:
         assert r.returncode == 0
         assert json.loads((tmp_path / "run.json").read_text())["steps"] <= 2
 
+    def test_help_says_what_t_max_bounds(self):
+        r = run_cli("flow", "--help")
+        assert r.returncode == 0
+        text = " ".join(r.stdout.split())
+        assert "--dt DT pseudo-time step of the flow (default: 1.0)" in text
+        assert "--t-max T_MAX pseudo-time horizon (default: 1000.0)" in text
+        assert "about t_max/dt steps" in text and "exits 2" in text
+
     def test_horizon_exit_two(self, tmp_path):
         r = run_cli("flow", "--init", "pi", "--kappa", "5", "--n", "256",
                     "--t-max", "0.05", "--out", str(tmp_path))

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from axiferro.energy import EnergyParams, assemble_second_variation
+from axiferro.energy import (EnergyParams, TridiagonalOperator,
+                             assemble_second_variation)
 from axiferro.grid import make_grid
 from axiferro import spectrum
 from axiferro.profile import (builtin_profile, make_initial_first_type,
@@ -91,13 +92,13 @@ class TestEigsLowest:
         # antisymmetric modes 2 and 4 have two extreme components equal up
         # to rounding, which is why the rule does not key on the largest.
         if negate:
-            real = spectrum.eigh_tridiagonal
+            real = spectrum.dstein
 
-            def negated(*args, **kwargs):
-                vals, vecs = real(*args, **kwargs)
-                return vals, -vecs
+            def negated(*args):
+                vecs, info = real(*args)
+                return -vecs, info
 
-            monkeypatch.setattr(spectrum, "eigh_tridiagonal", negated)
+            monkeypatch.setattr(spectrum, "dstein", negated)
         for op in oracle_fixture_operators() + [saddle_operator(n)[0] for n in (512, 1024)]:
             res = eigs_lowest(op, 4)
             for vec in res.eigenvectors:
@@ -191,13 +192,13 @@ class TestInertiaCertificate:
         # finds no negative eigenvalue; the count at the shift still finds one
         p = make_initial_second_type(grid256)
         params = EnergyParams(4.0)
-        real = spectrum.eigh_tridiagonal
+        real = spectrum._ritz_pairs
 
-        def drop_lowest(diag, off, select, select_range):
-            lo, hi = select_range
-            return real(diag, off, select=select, select_range=(lo + 1, hi + 1))
+        def drop_lowest(op, k, abstol, split):
+            vals, vecs, res = real(op, k + 1, abstol, split)
+            return vals[1:], vecs[1:], res[1:]
 
-        monkeypatch.setattr(spectrum, "eigh_tridiagonal", drop_lowest)
+        monkeypatch.setattr(spectrum, "_ritz_pairs", drop_lowest)
         with pytest.raises(np.linalg.LinAlgError, match="Morse index 0 .* count 1"):
             eigs_lowest(assemble_second_variation(p, params), 3)
         with pytest.raises(np.linalg.LinAlgError, match="Morse index 0 .* count 1"):
@@ -205,13 +206,13 @@ class TestInertiaCertificate:
 
     def test_disagreement_raises(self, monkeypatch):
         op, _ = saddle_operator(256)
-        real = spectrum.eigh_tridiagonal
+        real = spectrum._ritz_pairs
 
-        def shifted(*args, **kwargs):
-            vals, vecs = real(*args, **kwargs)
-            return vals + 10.0, vecs
+        def shifted(*args):
+            vals, vecs, res = real(*args)
+            return vals + 10.0, vecs, res
 
-        monkeypatch.setattr(spectrum, "eigh_tridiagonal", shifted)
+        monkeypatch.setattr(spectrum, "_ritz_pairs", shifted)
         with pytest.raises(np.linalg.LinAlgError,
                            match="Morse index 0 .* inertia count 1"):
             eigs_lowest(op, 3)
@@ -224,6 +225,123 @@ class TestInertiaCertificate:
         op, _ = saddle_operator(128)
         op = dataclasses.replace(op, diag=np.asarray(op.diag) - 5.0)
         assert [eigs_lowest(op, k).morse_index for k in (1, 2, 3)] == [1, 2, 2]
+
+
+def relative_gap(vals, ref):
+    return float(np.max(np.abs(vals - ref) / np.maximum(np.abs(ref), 1.0)))
+
+
+@pytest.fixture(scope="module")
+def dense_checked_operators():
+    """Saddle-report operators at n = 1024 and the criterion-13 fixtures at
+    n = 64, each with its dense spectrum, built once for the module."""
+    grid = make_grid(1024)
+    reports = [find_first_type(4.0, grid), find_first_type(6.5, grid),
+               find_second_type(3.21, grid), find_second_type(1000.0, grid)]
+    ops = [assemble_second_variation(r.profile, EnergyParams(r.kappa))
+           for r in reports] + oracle_fixture_operators()
+    return [(op, dense_spectrum(op)) for op in ops]
+
+
+def asymmetric_operator():
+    """A profile without the reflection symmetry: its operator does not split."""
+    g = make_grid(1024)
+    t = g.nodes
+    p = make_profile(g, np.pi + 0.3 * np.sin(t) * np.cos(t) + 0.2 * np.sin(3 * t), 1, 1)
+    return assemble_second_variation(p, EnergyParams(3.0))
+
+
+def near_degenerate_operator(gap, p=300):
+    """Two chains with a weak coupling; the second is shifted so that its
+    lowest eigenvalue sits about ``gap`` above the first chain's fourth."""
+    j = np.arange(1, 5)
+    mu = 2e4 * (1.0 - np.cos(j * np.pi / (p + 1)))
+    shift = mu[3] - mu[0] + gap
+    d = np.concatenate((np.full(p, 2e4), np.full(p, 2e4 + shift)))
+    e = np.concatenate((np.full(p - 1, -1e4), [1e-6], np.full(p - 1, -1e4)))
+    return TridiagonalOperator(dimension=2 * p, diag=d, offdiag=e, weight=np.ones(2 * p))
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Records (abstol, split) of every call of the private Ritz solve."""
+    calls = []
+    real = spectrum._ritz_pairs
+
+    def spy(op, k, abstol, split):
+        calls.append((abstol, split))
+        return real(op, k, abstol, split)
+
+    monkeypatch.setattr(spectrum, "_ritz_pairs", spy)
+    return calls
+
+
+class TestRitzSolve:
+    def test_values_match_dense_oracle(self, dense_checked_operators):
+        # the fixtures are what they say: second type at kappa = 3.21 has
+        # lambda2 near 0.148, at kappa = 1000 lambda2..lambda4 lie within 11
+        # of each other near 1000
+        near_fold, large = dense_checked_operators[2][1], dense_checked_operators[3][1]
+        assert 0.14 < near_fold[1] < 0.16
+        assert 990.0 < large[1] and large[3] - large[1] < 11.0
+        for op, ref in dense_checked_operators:
+            assert relative_gap(eigs_lowest(op, 4).eigenvalues, ref[:4]) <= 1e-10
+
+    def test_split_and_unsplit_solves_agree(self, dense_checked_operators):
+        for op, _ in dense_checked_operators:
+            split, _, _ = spectrum._ritz_pairs(op, 4, spectrum._ABSTOL, True)
+            whole, _, _ = spectrum._ritz_pairs(op, 4, spectrum._ABSTOL, False)
+            assert relative_gap(split, whole) <= 1e-10
+
+    def test_mirror_symmetric_operators_take_the_split(self, solves,
+                                                      dense_checked_operators):
+        # the theta profile is not hemispheric, but its operator is symmetric;
+        # every symmetric operator here is solved once, on the sectors
+        g = make_grid(1024)
+        ops = [assemble_second_variation(make_initial_second_type(g), EnergyParams(4.0)),
+               assemble_second_variation(builtin_profile("theta", g), EnergyParams(10.0))]
+        ops += [op for op, _ in dense_checked_operators]
+        for op in ops:
+            solves.clear()
+            eigs_lowest(op, 4)
+            assert solves == [(spectrum._ABSTOL, True)]
+        op = asymmetric_operator()
+        solves.clear()
+        vals = eigs_lowest(op, 4).eigenvalues
+        assert solves == [(spectrum._ABSTOL, False)]
+        assert relative_gap(vals, dense_spectrum(op, 4)) <= 1e-10
+
+    @pytest.mark.parametrize("gap", [1e-4, 1e-12])
+    def test_near_degenerate_pair_repeats_once(self, gap, solves):
+        op = near_degenerate_operator(gap)
+        ref = dense_spectrum(op, 5)
+        # the pair is as close as asked, to the dense solve's rounding
+        assert ref[4] - ref[3] < gap + 1e-10
+        vals = eigs_lowest(op, 4).eigenvalues
+        assert solves == [(spectrum._ABSTOL, False), (0.0, False)]
+        assert relative_gap(vals, ref[:4]) <= 1e-10
+
+    def test_failed_certificate_repeats_once(self, solves, monkeypatch,
+                                             dense_checked_operators):
+        op, ref = dense_checked_operators[1]
+        real = spectrum.negative_count
+        counted = []
+
+        def first_call_off_by_one(diag, off, shift):
+            counted.append(shift)
+            return real(diag, off, shift) + (len(counted) == 1)
+
+        monkeypatch.setattr(spectrum, "negative_count", first_call_off_by_one)
+        vals = eigs_lowest(op, 4).eigenvalues
+        assert solves == [(spectrum._ABSTOL, True), (0.0, False)]
+        assert relative_gap(vals, ref[:4]) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_pair_residuals_at_rounding(self, n):
+        grid = make_grid(n)
+        for report in (find_first_type(6.5, grid), find_second_type(3.47, grid)):
+            res = report.spectrum
+            assert np.all(res.residuals <= 1e-12 * res.operator_scale)
 
 
 class TestLegendreValidation:
