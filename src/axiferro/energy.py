@@ -82,15 +82,17 @@ def reduced_energy(p, params):
     return float(0.5 * (st.edge_weight @ np.diff(h) ** 2) + st.weight @ reaction)
 
 
-def el_residual(p, params, with_potential=False):
+def el_residual(p, params, with_potential=False, nodes=None):
     """Stationarity residual at the interior nodes (second-order stencils).
 
     Endpoints carry Dirichlet data and are excluded.  A profile is discretely
     stationary exactly when this vector vanishes.  With ``with_potential``
     the reaction potential V there comes too, as (R, V), from the same sin
-    and cos of 2h: Newton's next Jacobian needs it.
+    and cos of 2h: Newton's next Jacobian needs it.  ``nodes`` limits the
+    evaluation to the interior nodes 1..nodes (all of them by default), as
+    Newton on the half interval evaluates only the nodes it solves for.
     """
-    m = p.grid.n - 1
+    m = p.grid.n - 1 if nodes is None else nodes
     r, v = np.empty((2, m))
     p.grid.stencil.evaluate(p.values, params.kappa, r, v if with_potential else None,
                             np.empty((4, m)))

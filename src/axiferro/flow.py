@@ -48,8 +48,8 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .energy import reduced_energy, residual_noise_floor
-from .profile import (WedgeSpec, hemispheric_deviation, is_hemispheric,
-                      wedge_check)
+from .profile import (WedgeSpec, _reflect_left_half, hemispheric_deviation,
+                      is_hemispheric, wedge_check)
 
 ENERGY_SLACK = 1e-10  # per-step allowance, scaled by 1 + |E0|
 BLOWUP_GRAD_THRESHOLD = 1e3  # |h'| near a pole beyond which blowup is suspected
@@ -126,14 +126,13 @@ class _Kernel:
         self.abs_r = np.empty(m)
         self.rhs = np.empty(m)
         # I - dt (J0 - S): Newton's Jacobian with V replaced by its bound S
-        ab = st.jacobian_bands(st.potential_bound(kappa))[:, :m]
+        ab = st.jacobian_bands(st.potential_bound(kappa)[:m])
         ab *= -dt
         ab[1] += 1.0
         *self.factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
         if info != 0:
             raise LinAlgError(f"flow step matrix: gttrf returned info = {info}")
-        mid = p0.grid.midpoint_index
-        self.mid = mid if m == mid - 1 else None
+        self.half = m == p0.grid.midpoint_index - 1
         self.k = (p0.m + p0.n_end) // 2
 
     def evaluate(self, h, r):
@@ -157,10 +156,8 @@ class _Kernel:
         if not np.isfinite(delta).all():
             raise ValueError("flow update is not finite")
         h[1:m + 1] += delta
-        mid = self.mid
-        if mid is not None:
-            h[mid] = self.k * np.pi
-            np.subtract(2.0 * np.pi * self.k, h[mid - 1:0:-1], out=h[mid + 1:-1])
+        if self.half:
+            _reflect_left_half(h, self.k)
 
 
 def detect_blowup(p):

@@ -107,6 +107,18 @@ def is_hemispheric(p, tol=1e-12):
     return hemispheric_deviation(p) <= tol
 
 
+def _reflect_left_half(h, k):
+    """Rebuild the node array h, in place, from its left half [0, pi/2).
+
+    The midpoint is pinned at k*pi and each right node becomes 2*pi*k minus
+    its mirror node, the reflection ``hemispheric_deviation`` measures
+    against.  Endpoints are not written.
+    """
+    mid = (h.size - 1) // 2
+    h[mid] = k * np.pi
+    np.subtract(2.0 * np.pi * k, h[mid - 1:0:-1], out=h[mid + 1:-1])
+
+
 def wedge_check(p, spec):
     """Check the wedge bound at all nodes with theta <= pi/2.
 

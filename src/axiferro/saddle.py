@@ -198,7 +198,10 @@ def find_second_type(kappa, grid=None):
 
     kappa > 4: flow from 2*theta.  kappa = 4: the exact solution, treated as
     the (single-point) continuation seed.  kappa < 4: natural-parameter
-    continuation downward from (4, 2*theta) in kappa steps of 0.05.
+    continuation downward from (4, 2*theta) in kappa steps of 0.05; the
+    start is hemispheric, so every Newton solve of the walk runs on the half
+    interval, and each step past the first starts from the secant predictor
+    (see ``continue_branch``).
     """
     _require_finite(kappa)
     if kappa <= 0:

@@ -133,7 +133,7 @@ def _ritz_pairs(op, k, abstol, split):
     return theta, ritz, g.T @ bys - theta[:, None] * ritz
 
 
-def eigs_lowest(op, k):
+def eigs_lowest(op, k, *, spectral_tol=False):
     """Lowest k eigenpairs of a TridiagonalOperator.
 
     Ritz pairs of the symmetrized matrix B (see ``_ritz_pairs``), certified
@@ -145,8 +145,11 @@ def eigs_lowest(op, k):
     component whose magnitude exceeds 1e-8 times the largest is made
     positive, then the vector is returned on the full node range (zero at
     the Dirichlet endpoints) and orthonormal in the sin-weighted inner
-    product.  The Morse index counts eigenvalues below -tol, tol = 1e-12
-    times the operator scale, and is certified by an inertia count.
+    product.  The Morse index counts eigenvalues below -tol and is certified
+    by one inertia count at -tol.  tol is 1e-12 times the operator scale,
+    or, with ``spectral_tol``, ``classify``'s slack on the scale of the low
+    spectrum itself, 1e-6 max(1, max |lambda_i|), not of the operator norm
+    (which grows like 1/dtheta^2).
     """
     _require_pair_count(op, k)
     scale = op.norm_estimate()
@@ -162,7 +165,10 @@ def eigs_lowest(op, k):
     residuals = np.linalg.norm(r, axis=1)
     vectors = np.zeros((k, op.dimension + 2))
     vectors[:, 1:-1] = ys / np.sqrt(op.weight)
-    tol = 1e-12 * scale
+    if spectral_tol:
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(eigenvalues))))
+    else:
+        tol = 1e-12 * scale
     return SpectrumResult(eigenvalues=eigenvalues, eigenvectors=vectors,
                           morse_index=_certified_morse(op, eigenvalues, tol),
                           tol=float(tol), residuals=residuals,
@@ -225,16 +231,13 @@ def classify(p, params, k=4):
     the Morse data is meaningless.  The result also carries the certificate
     the saddle pipelines report, <A g, g> for g = (h' - 1) sin(theta) on the
     operator A it solves, so lambda1 <= <A g, g> / <g, g> holds exactly.
+    Its Morse index is certified once, at the slack of the low spectrum
+    (``eigs_lowest`` with ``spectral_tol``).
     """
     res_sup = residual_supnorm(p, params)
     if res_sup >= 1e-6:
         raise ValueError(f"profile is not stationary: sup residual {res_sup:.3g} >= 1e-06")
     op = assemble_second_variation(p, params)
-    result = eigs_lowest(op, k)
-    # zero-classification slack on the scale of the low spectrum itself, not
-    # of the operator norm (which grows like 1/dtheta^2)
-    tol = 1e-6 * max(1.0, float(np.max(np.abs(result.eigenvalues))))
     value = op.quadratic_form(perturbation_direction(p)[1:-1])
-    return replace(result, explicit_direction_value=value,
-                   morse_index=_certified_morse(op, result.eigenvalues, tol),
-                   tol=tol)
+    return replace(eigs_lowest(op, k, spectral_tol=True),
+                   explicit_direction_value=value)

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
 from .energy import EnergyParams, el_residual, residual_noise_floor
+from .profile import _reflect_left_half, is_hemispheric
 
 MAX_ITER = 50
 MIN_DAMPING = 2.0 ** -20
@@ -38,12 +39,27 @@ def newton_solve(p0, params):
     halves it until the residual sup-norm decreases.  Failure below the
     minimum damping factor, a singular Jacobian (a fold point suspect), or
     exhausting MAX_ITER iterations raises NewtonError.
+
+    A hemispheric start (deviation at most 1e-12, the test ``flow.run``
+    makes) is solved in its symmetry class, as the half-interval flow
+    evolves it: Newton iterates on the nodes 1..n/2 - 1, left of the
+    midpoint, which is pinned at k*pi (k half the sum of the boundary
+    integers), writes the right half as their reflection, and takes the
+    stopping sup over those nodes.  Its Jacobian is the leading square block
+    of the full one on those nodes: the node-odd block, the directions that
+    keep the symmetry.  It stays invertible where a symmetry-breaking
+    direction makes the full Jacobian singular (first type at kappa_s =
+    6.0454, where lambda1 crosses zero).  Every other start iterates on all
+    n - 1 interior nodes.
     """
     tol = _residual_tol(p0.grid)
+    half = is_hemispheric(p0, 1e-12)
+    m = p0.grid.midpoint_index - 1 if half else p0.grid.n - 1
+    k = (p0.m + p0.n_end) // 2
     p = p0
     # each residual comes with V, so the Jacobian at an accepted trial takes
     # no second sin and cos of 2h
-    r, v = el_residual(p, params, with_potential=True)
+    r, v = el_residual(p, params, with_potential=True, nodes=m)
     norm = float(np.max(np.abs(r)))
     for _ in range(MAX_ITER):
         if norm < tol:
@@ -60,10 +76,12 @@ def newton_solve(p0, params):
         alpha = 1.0
         while alpha >= MIN_DAMPING:
             values = p.values.copy()
-            values[1:-1] += alpha * delta
+            values[1:m + 1] += alpha * delta
+            if half:
+                _reflect_left_half(values, k)
             values.setflags(write=False)
             trial = type(p)(grid=p.grid, values=values, m=p.m, n_end=p.n_end)
-            r_trial, v_trial = el_residual(trial, params, with_potential=True)
+            r_trial, v_trial = el_residual(trial, params, with_potential=True, nodes=m)
             norm_trial = float(np.max(np.abs(r_trial)))
             if norm_trial < norm:
                 p, r, v, norm = trial, r_trial, v_trial, norm_trial
@@ -98,9 +116,14 @@ def continue_branch(start_kappa, start, target_kappa, dk):
     """Natural-parameter continuation of a solution family in kappa.
 
     The start must be stationary to Newton's tolerance (or 1e-9, if that is
-    larger).  Each accepted point seeds Newton at the next kappa.  Newton
-    failure past the first step ends the branch with a bracketing interval
-    (suspected fold or bifurcation); failure on the very first step raises.
+    larger).  The first step seeds Newton with the start; from the third
+    point on Newton starts from the secant predictor through the last two
+    points, p_k + (kappa_next - kappa_k) / (kappa_k - kappa_{k-1}) (p_k -
+    p_{k-1}) (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2).
+    A hemispheric start keeps every Newton solve on the half interval (see
+    ``newton_solve``).  Newton failure past the first step ends the branch
+    with a bracketing interval (suspected fold or bifurcation); failure on
+    the very first step raises.
     """
     r0 = float(np.max(np.abs(el_residual(start, EnergyParams(start_kappa)))))
     if r0 >= max(_residual_tol(start.grid), 1e-9):
@@ -119,19 +142,25 @@ def continue_branch(start_kappa, start, target_kappa, dk):
     fold = None
     kappa = start_kappa
     profile = start
-    first_step = True
     while (target_kappa - kappa) * direction > 1e-12:
         nxt = kappa + dk
         if (nxt - target_kappa) * direction > 0:
             nxt = target_kappa
+        guess = profile
+        if len(points) > 1:
+            prev = points[-2]
+            values = profile.values + ((nxt - kappa) / (kappa - prev.kappa)
+                                       * (profile.values - prev.profile.values))
+            values.setflags(write=False)
+            guess = type(profile)(grid=profile.grid, values=values, m=profile.m,
+                                  n_end=profile.n_end)
         try:
-            profile = newton_solve(profile, EnergyParams(nxt))
-        except NewtonError as exc:
-            if first_step:
+            profile = newton_solve(guess, EnergyParams(nxt))
+        except NewtonError:
+            if len(points) == 1:
                 raise
             fold = (kappa, nxt)
             break
         points.append(BranchPoint(kappa=nxt, profile=profile))
         kappa = nxt
-        first_step = False
     return Branch(points=tuple(points), suspected_fold=fold)

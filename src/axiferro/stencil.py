@@ -111,7 +111,10 @@ class Stencil:
                         kappa * self.sin_2theta)
 
     def jacobian_bands(self, v):
-        """Banded dR/dh on the interior, given V there; diagonal d2 - V."""
-        ab = self.jacobian_offdiag.copy()
+        """Banded dR/dh at nodes 1..m, given V there (m = len(v)); diagonal d2 - V.
+
+        For m below n - 1 this is the leading m x m block of the full bands.
+        """
+        ab = self.jacobian_offdiag[:, :v.size].copy()
         ab[1] = -2.0 / self.dtheta ** 2 - v
         return ab

@@ -108,9 +108,9 @@ class TestSecondType:
         calls = []
         real = spectrum.eigs_lowest
 
-        def counting(op, k):
+        def counting(op, k, **kwargs):
             calls.append(k)
-            return real(op, k)
+            return real(op, k, **kwargs)
 
         monkeypatch.setattr(spectrum, "eigs_lowest", counting)
         find_second_type(3.5)
@@ -366,6 +366,13 @@ def test_probe_on_grid_above_default():
     # the walk's Newton tolerance follows the residual noise floor; a fixed
     # 5e-10 is below what the residual can resolve at n = 2048
     assert probe_second_branch_floor(grid=make_grid(2048)) == pytest.approx((3.20, 3.25))
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_probe_brackets_the_fold_on_fine_grids(n):
+    # the walk runs Newton on the half interval from secant predictions;
+    # the fold stays where the full-interval walk from the last point put it
+    assert probe_second_branch_floor(grid=make_grid(n)) == pytest.approx((3.20, 3.25))
 
 
 def test_first_type_at_very_large_kappa():

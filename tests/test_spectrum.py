@@ -399,6 +399,26 @@ class TestClassify:
         with pytest.raises(np.linalg.LinAlgError, match="inertia count 2"):
             classify(p, params, k=3)
 
+    def test_two_inertia_counts(self, grid256, monkeypatch):
+        # the Ritz certificate and the Morse index at classify's own -tol;
+        # eigs_lowest's index at -1e-12 x scale is not counted for nothing
+        p = make_initial_second_type(grid256)
+        params = EnergyParams(4.0)
+        real = spectrum.negative_count
+        shifts = []
+
+        def counted(diag, off, shift):
+            shifts.append(shift)
+            return real(diag, off, shift)
+
+        monkeypatch.setattr(spectrum, "negative_count", counted)
+        res = classify(p, params, k=3)
+        assert len(shifts) == 2 and shifts[1] == -res.tol
+        shifts.clear()
+        alone = eigs_lowest(assemble_second_variation(p, params), 3)
+        assert len(shifts) == 2 and shifts[1] == -alone.tol
+        assert res.tol > alone.tol
+
     def test_rejects_nonstationary(self, grid256):
         p = builtin_profile("pi", grid256)
         with pytest.raises(ValueError, match="not stationary"):

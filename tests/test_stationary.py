@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from axiferro import stationary
+from axiferro import saddle, stationary
 from axiferro.energy import (EnergyParams, assemble_second_variation,
                              el_residual, residual_supnorm)
 from axiferro.flow import FlowConfig, run
@@ -139,6 +139,95 @@ class TestNewton:
         assert info.value.residual_norm is not None
 
 
+def residual_widths(monkeypatch):
+    """Record the number of nodes of every el_residual call newton_solve makes."""
+    widths = []
+    real = stationary.el_residual
+
+    def recorded(*args, **kwargs):
+        out = real(*args, **kwargs)
+        widths.append((out[0] if isinstance(out, tuple) else out).size)
+        return out
+
+    monkeypatch.setattr(stationary, "el_residual", recorded)
+    return widths
+
+
+def first_type_start(grid, kappa):
+    """A hemispheric first-type profile near the saddle: a loose half-interval flow."""
+    p0 = make_initial_first_type(grid, kappa)
+    return run(p0, EnergyParams(kappa), FlowConfig(stationary_tol=1e-5),
+               half_interval=True).final
+
+
+class TestHalfInterval:
+    def test_hemispheric_start_solves_the_left_half(self, grid1024, monkeypatch):
+        widths = residual_widths(monkeypatch)
+        exact = make_initial_second_type(grid1024)
+        start = make_profile(grid1024,
+                             exact.values + 0.05 * np.sin(2 * grid1024.nodes), 0, 2)
+        sol = newton_solve(start, EnergyParams(4.0))
+        assert len(widths) >= 3 and set(widths) == {grid1024.midpoint_index - 1}
+        assert np.max(np.abs(sol.values - exact.values)) < 1e-8
+        # the stopping sup is over the solved nodes; the mirrored half agrees
+        # to the residual's rounding
+        assert residual_supnorm(sol, EnergyParams(4.0)) < 1e-9
+
+    def test_nearly_hemispheric_start_takes_the_full_interval(self, grid1024,
+                                                              monkeypatch):
+        widths = residual_widths(monkeypatch)
+        exact = make_initial_second_type(grid1024)
+        start = make_profile(grid1024, exact.values + 0.05 * np.sin(2 * grid1024.nodes)
+                             + 4e-11 * np.sin(grid1024.nodes), 0, 2)
+        assert 1e-12 < hemispheric_deviation(start) <= 1e-10
+        newton_solve(start, EnergyParams(4.0))
+        assert len(widths) >= 3 and set(widths) == {grid1024.n - 1}
+
+    @pytest.mark.parametrize("saddle_type, kappa", [("first", 5.0), ("first", 9.0),
+                                                    ("second", 3.5)])
+    def test_half_and_full_interval_agree(self, grid1024, monkeypatch,
+                                          saddle_type, kappa):
+        if saddle_type == "first":
+            start = first_type_start(grid1024, kappa)
+        else:
+            branch = continue_branch(4.0, make_initial_second_type(grid1024), 3.55, -0.05)
+            start = branch.points[-1].profile
+        half = newton_solve(start, EnergyParams(kappa))
+        monkeypatch.setattr(stationary, "is_hemispheric", lambda p, tol: False)
+        widths = residual_widths(monkeypatch)
+        full = newton_solve(start, EnergyParams(kappa))
+        assert set(widths) == {grid1024.n - 1}
+        assert np.max(np.abs(half.values - full.values)) <= 1e-12
+
+    @pytest.mark.parametrize("saddle_type", ["first", "second"])
+    def test_polished_profile_is_exactly_hemispheric(self, grid1024, saddle_type):
+        if saddle_type == "first":
+            start, kappa = first_type_start(grid1024, 7.0), 7.0
+        else:
+            start, kappa = make_initial_second_type(grid1024), 3.95
+        sol = newton_solve(start, EnergyParams(kappa))
+        assert sol is not start
+        v, mid = sol.values, grid1024.midpoint_index
+        k = (sol.m + sol.n_end) // 2
+        assert v[mid] == k * np.pi
+        assert np.array_equal(v[mid + 1:-1], 2.0 * np.pi * k - v[mid - 1:0:-1])
+        if saddle_type == "first":
+            # the left half lies in [pi, 3 pi/2], where 2 pi - h is exact
+            assert hemispheric_deviation(sol) == 0.0
+
+    def test_first_type_at_kappa_s(self, grid1024, monkeypatch):
+        # at kappa_s = 6.0454 lambda1 crosses zero on a node-even direction, so
+        # the full Jacobian is nearly singular; the node-odd block is not
+        start = first_type_start(grid1024, 6.0454)
+        widths = residual_widths(monkeypatch)
+        solves = counting_solves(monkeypatch)
+        sol = newton_solve(start, EnergyParams(6.0454))
+        assert set(widths) == {grid1024.midpoint_index - 1}
+        assert 1 <= solves[0] <= 5
+        assert residual_supnorm(sol, EnergyParams(6.0454)) < 1e-9
+        assert hemispheric_deviation(sol) == 0.0
+
+
 class TestContinuation:
     def test_branch_down_to_3_8(self, grid1024):
         start = make_initial_second_type(grid1024)
@@ -154,6 +243,48 @@ class TestContinuation:
             assert lambda1 < 0 < lambda2
             assert (pt.profile.m, pt.profile.n_end) == (0, 2)
             assert degree(pt.profile) == 0
+
+    @pytest.mark.parametrize("target", [3.8, 3.77])
+    def test_secant_predictor_seeds_newton(self, grid512, monkeypatch, target):
+        starts = []
+        real = stationary.newton_solve
+
+        def recorded(p0, params):
+            starts.append(p0.values)
+            return real(p0, params)
+
+        monkeypatch.setattr(stationary, "newton_solve", recorded)
+        start = make_initial_second_type(grid512)
+        branch = continue_branch(4.0, start, target, -0.05)
+        pts = branch.points
+        assert branch.reached == pytest.approx(target, abs=1e-12)
+        assert len(starts) == len(pts) - 1
+        assert starts[0] is start.values
+        for j in range(1, len(starts)):
+            ratio = (pts[j + 1].kappa - pts[j].kappa) / (pts[j].kappa - pts[j - 1].kappa)
+            predicted = pts[j].profile.values + ratio * (pts[j].profile.values
+                                                         - pts[j - 1].profile.values)
+            assert np.array_equal(starts[j], predicted)
+        # the clipped last step scales the secant by its own length
+        assert ratio == pytest.approx(1.0 if target == 3.8 else 0.6)
+
+    def test_predictor_saves_newton_solves(self, monkeypatch):
+        # seeded with the last point instead of the secant prediction, the
+        # walk of find_second_type(3.47) takes 33 Jacobian solves
+        branches = []
+        real = saddle.continue_branch
+
+        def recorded(*args, **kwargs):
+            branches.append(real(*args, **kwargs))
+            return branches[-1]
+
+        monkeypatch.setattr(saddle, "continue_branch", recorded)
+        solves = counting_solves(monkeypatch)
+        saddle.find_second_type(3.47)
+        assert solves[0] < 33
+        kappas = [pt.kappa for pt in branches[0].points]
+        assert kappas == pytest.approx([4.0 - 0.05 * i for i in range(11)] + [3.47],
+                                       rel=0, abs=1e-12)
 
     def test_branch_up(self, grid512):
         start = make_initial_second_type(grid512)

@@ -111,6 +111,11 @@ def test_buffered_evaluation_is_bitwise_the_allocating_one(case):
     assert np.array_equal(el_residual(p, EnergyParams(KAPPA)), r)
     for actual, wanted in zip(el_residual_and_potential(grid, h), (r, v)):
         assert np.array_equal(actual, wanted)
+    # Newton on the half interval asks el_residual for nodes 1..m only
+    m = grid.midpoint_index - 1
+    half = el_residual(p, EnergyParams(KAPPA), with_potential=True, nodes=m)
+    for actual, wanted in zip(half, allocating_evaluation(st, h, KAPPA, m)):
+        assert np.array_equal(actual, wanted)
     # the second variation evaluates V alone
     op = assemble_second_variation(p, EnergyParams(KAPPA))
     assert np.array_equal(op.diag, st.divergence_diag + v)
@@ -140,7 +145,11 @@ def test_potential_matches_inline_formula(case):
 def test_jacobian_bands_match_inline_formula(case):
     grid, h = case
     _, v = el_residual_and_potential(grid, h)
-    assert_close(grid.stencil.jacobian_bands(v), reference_jacobian(grid, h, KAPPA))
+    full = grid.stencil.jacobian_bands(v)
+    assert_close(full, reference_jacobian(grid, h, KAPPA))
+    # the bands take their width from V: the leading block of the full ones
+    m = grid.midpoint_index - 1
+    assert np.array_equal(grid.stencil.jacobian_bands(v[:m]), full[:, :m])
 
 
 def test_divergence_bands_match_inline_formula(case):
