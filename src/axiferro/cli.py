@@ -8,7 +8,7 @@ every output byte for byte (the wall_time_s field of run records excepted);
 only ``validate``, whose property checks draw random data, takes a seed.
 
 Exit codes: 0 success / stationary, 1 configuration or pipeline error,
-2 flow horizon reached, 3 suspected blowup.
+2 flow step cap reached, 3 suspected blowup.
 """
 
 import argparse
@@ -77,13 +77,13 @@ def _auto_wedge(init_name):
 
 def cmd_flow(args):
     config = {"command": "flow", "init": args.init, "kappa": args.kappa,
-              "n": args.n, "dt": args.dt, "t_max": args.t_max, "tol": args.tol,
-              "record_every": args.record_every, "wedge": args.wedge,
+              "n": args.n, "dt": args.dt, "max_steps": args.max_steps,
+              "tol": args.tol, "record_every": args.record_every, "wedge": args.wedge,
               "half_interval": args.half_interval}
     h = config_hash(config)
     wedge = {"none": None, "W1": WedgeSpec(W1, 1e-8), "W2": WedgeSpec(W2, 1e-8),
              "auto": _auto_wedge(args.init)}[args.wedge]
-    cfg = FlowConfig(dt=args.dt, t_max=args.t_max, stationary_tol=args.tol,
+    cfg = FlowConfig(dt=args.dt, max_steps=args.max_steps, stationary_tol=args.tol,
                      record_every=args.record_every, wedge=wedge)
     # a grid too fine for the tolerance is refused before it is built; bad
     # input leaves no output directory, and an unusable one is refused before
@@ -311,7 +311,7 @@ def _validate_properties(n, seed):
         lo = make_profile(cgrid, lo_vals, 1, 1)
         up = make_profile(cgrid, up_vals, 1, 1)
         verdict = comparison_trial(lo, up, EnergyParams(5.0),
-                                   FlowConfig(dt=1e-2, t_max=5.0, record_every=10))
+                                   FlowConfig(dt=1e-2, max_steps=501, record_every=10))
         worst = max(worst, verdict.max_violation)
     yield ("comparison-trials", worst <= 1e-6, f"worst violation {worst:.3g}")
 
@@ -344,11 +344,9 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dt", type=float, default=FlowConfig.dt,
                    help="pseudo-time step of the flow (default: %(default)s)")
-    p.add_argument("--t-max", type=float, default=1e3,
-                   help="pseudo-time horizon (default: %(default)s), not a step "
-                        "count: a run takes about t_max/dt steps and exits 2 "
-                        "if it is not stationary by then, so --dt 1000 with "
-                        "the default stops after 1 step")
+    p.add_argument("--max-steps", type=int, default=FlowConfig.max_steps,
+                   help="step cap; exits 2 if not stationary by then "
+                        "(default: %(default)s)")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--record-every", type=int, default=10)
     p.add_argument("--wedge", choices=["auto", "none", "W1", "W2"], default="auto")

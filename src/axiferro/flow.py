@@ -40,6 +40,7 @@ exactly and lets the flow settle onto the saddle to solver accuracy.
 """
 
 import enum
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -64,16 +65,18 @@ class FlowStatus(enum.Enum):
 @dataclass(frozen=True)
 class FlowConfig:
     dt: float = 1.0                  # stable at any dt; 1e-2 resolves the trajectory
-    t_max: float = 1e3
+    max_steps: int = 1000
     stationary_tol: float = 1e-9
     record_every: int = 10
     wedge: WedgeSpec | None = None
 
     def __post_init__(self):
-        for name in ("dt", "t_max", "stationary_tol"):
+        for name in ("dt", "stationary_tol"):
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -191,7 +194,7 @@ def _require_resolvable(n, tol):
 
 
 def run(p0, params, cfg=None, half_interval=False):
-    """Integrate until discretely stationary, the horizon, or suspected blowup.
+    """Integrate until discretely stationary, ``cfg.max_steps`` steps, or suspected blowup.
 
     When ``half_interval`` is set, p0 must be hemispheric; the evolution then
     happens on [0, pi/2] with the midpoint pinned at k*pi and the other half
@@ -215,7 +218,6 @@ def run(p0, params, cfg=None, half_interval=False):
     p = type(p0)(grid=p0.grid, values=p0.values.copy(), m=p0.m, n_end=p0.n_end)
     h = p.values
     r = np.empty(m)
-    t = 0.0
     steps = 0
     e_prev = reduced_energy(p0, params)
     slack = ENERGY_SLACK * (1.0 + abs(e_prev))
@@ -228,7 +230,7 @@ def run(p0, params, cfg=None, half_interval=False):
         ok = e <= e_prev + slack * max(steps_since_record, 1)
         wedge_ok = None if cfg.wedge is None else wedge_check(p, cfg.wedge).inside
         dev = hemispheric_deviation(p) if track_hemi else None
-        records.append(FlowRecord(t=t, energy=e, sup_residual=sup_res,
+        records.append(FlowRecord(t=steps * cfg.dt, energy=e, sup_residual=sup_res,
                                   wedge_ok=wedge_ok, hemispheric_dev=dev,
                                   energy_ok=ok))
         e_prev = e
@@ -239,7 +241,7 @@ def run(p0, params, cfg=None, half_interval=False):
     # next update
     sup_res = kernel.evaluate(h, r)
     record(sup_res)
-    while t < cfg.t_max:
+    while steps < cfg.max_steps:
         if detect_blowup(p):
             status = FlowStatus.BLOWUP_SUSPECTED
             break
@@ -247,13 +249,12 @@ def run(p0, params, cfg=None, half_interval=False):
             status = FlowStatus.STATIONARY
             break
         kernel.advance(h, r)
-        t += cfg.dt
         steps += 1
         steps_since_record += 1
         sup_res = kernel.evaluate(h, r)
         if steps_since_record >= cfg.record_every or sup_res < cfg.stationary_tol:
             record(sup_res)
-    if records[-1].t < t:
+    if steps_since_record:
         record(sup_res)
     h.setflags(write=False)
     return FlowResult(final=p, status=status, records=tuple(records),
@@ -263,7 +264,6 @@ def run(p0, params, cfg=None, half_interval=False):
 @dataclass(frozen=True)
 class ComparisonVerdict:
     max_violation: float
-    t_end: float
     steps: int
 
 
@@ -276,32 +276,30 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
     Refuses a tolerance at or below the noise floor as ``run`` does.
     """
     cfg = cfg or FlowConfig()
+    if p_lower.grid is not p_upper.grid and p_lower.grid.n != p_upper.grid.n:
+        raise ValueError("profiles must share a grid")
     initial_gap = float(np.max(p_lower.values - p_upper.values))
     if initial_gap > 1e-12:
         raise ValueError(f"initial ordering violated by {initial_gap:.3g}")
-    if p_lower.grid is not p_upper.grid and p_lower.grid.n != p_upper.grid.n:
-        raise ValueError("profiles must share a grid")
     _require_resolvable(p_lower.grid.n, cfg.stationary_tol)
     m = p_lower.grid.n - 1
     kernel = _Kernel(p_lower, params.kappa, m, cfg.dt)
     lo, up = p_lower.values.copy(), p_upper.values.copy()
     r_lo, r_up = np.empty((2, m))
-    t = 0.0
     steps = 0
     worst = max(initial_gap, 0.0)
-    while t < cfg.t_max:
+    while steps < cfg.max_steps:
         sup_lo = kernel.evaluate(lo, r_lo)
         sup_up = kernel.evaluate(up, r_up)
         if sup_lo < cfg.stationary_tol and sup_up < cfg.stationary_tol:
             break
         kernel.advance(lo, r_lo)
         kernel.advance(up, r_up)
-        t += cfg.dt
         steps += 1
         if steps % cfg.record_every == 0:
             worst = max(worst, float(np.max(lo - up)))
     worst = max(worst, float(np.max(lo - up)))
-    return ComparisonVerdict(max_violation=worst, t_end=t, steps=steps)
+    return ComparisonVerdict(max_violation=worst, steps=steps)
 
 
 def write_energy_trace_csv(result, path, header_lines=()):

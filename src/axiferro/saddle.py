@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import (EnergyParams, assemble_second_variation, reduced_energy,
-                     residual_noise_floor, residual_supnorm)
+                     residual_noise_floor)
 from .flow import FlowConfig, FlowStatus, _require_resolvable, run
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
@@ -139,7 +139,6 @@ def _polish_and_report(profile, kappa, saddle_type, provenance):
     spectrum = classify(profile, params)
     dev = hemispheric_deviation(profile)
     verdict = wedge_check(profile, WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
-    res_sup = residual_supnorm(profile, params)
     dir_value = spectrum.explicit_direction_value
     # marginal: neither dir_value nor lambda1 certifies a saddle; both come from
     # one operator, so dir_value < 0 implies lambda1 < 0 (a Rayleigh bound)
@@ -152,7 +151,7 @@ def _polish_and_report(profile, kappa, saddle_type, provenance):
                           hemispheric=dev <= SYMMETRY_TOL,
                           hemispheric_dev=dev,
                           provenance=provenance,
-                          residual_sup=res_sup,
+                          residual_sup=spectrum.residual_sup,
                           marginal=marginal)
     problems = report.validate()
     if problems:
@@ -174,7 +173,7 @@ def _flow_then_polish(kappa, saddle_type, grid):
         start = make_initial_first_type(grid, kappa)
     else:
         start = make_initial_second_type(grid)
-    cfg = FlowConfig(dt=_FLOW_DT, t_max=_FLOW_STEPS * _FLOW_DT,
+    cfg = FlowConfig(dt=_FLOW_DT, max_steps=_FLOW_STEPS,
                      stationary_tol=_FLOW_TOL, record_every=_FLOW_STEPS,
                      wedge=WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
     result = run(start, EnergyParams(kappa), cfg, half_interval=True)
@@ -299,8 +298,8 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     requested twice gives two rows and one report, and its pipeline runs once.
     """
     kappa_values = sorted(float(k) for k in kappa_values)
-    if any(k <= 0 for k in kappa_values):
-        raise ValueError("kappa values must be positive")
+    if not all(math.isfinite(k) and k > 0 for k in kappa_values):
+        raise ValueError("kappa values must be finite and positive")
     unknown = set(types) - {FIRST, SECOND}
     if unknown:
         raise ValueError(f"unknown saddle types: {sorted(unknown)}")

@@ -43,6 +43,7 @@ class SpectrumResult:
     residuals: np.ndarray          # ||A v - lambda v||_w per pair
     operator_scale: float
     explicit_direction_value: float | None = None
+    residual_sup: float | None = None
 
 
 def _check_info(name, info):
@@ -228,9 +229,10 @@ def classify(p, params, k=4):
     """Spectrum of the second variation at an (approximately) stationary profile.
 
     Rejects input whose sup residual is not below 1e-6: off critical points
-    the Morse data is meaningless.  The result also carries the certificate
-    the saddle pipelines report, <A g, g> for g = (h' - 1) sin(theta) on the
-    operator A it solves, so lambda1 <= <A g, g> / <g, g> holds exactly.
+    the Morse data is meaningless.  The result also carries that sup
+    residual and the certificate the saddle pipelines report, <A g, g> for
+    g = (h' - 1) sin(theta) on the operator A it solves, so
+    lambda1 <= <A g, g> / <g, g> holds exactly.
     Its Morse index is certified once, at the slack of the low spectrum
     (``eigs_lowest`` with ``spectral_tol``).
     """
@@ -240,4 +242,4 @@ def classify(p, params, k=4):
     op = assemble_second_variation(p, params)
     value = op.quadratic_form(perturbation_direction(p)[1:-1])
     return replace(eigs_lowest(op, k, spectral_tol=True),
-                   explicit_direction_value=value)
+                   explicit_direction_value=value, residual_sup=res_sup)

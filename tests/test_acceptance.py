@@ -107,7 +107,7 @@ def test_criterion_05_gradient_hessian_consistency():
 def test_criterion_06_flow_dissipation_and_symmetry():
     grid = make_grid(512)
     p0 = builtin_profile("pi", grid)
-    cfg = FlowConfig(dt=1e-2, stationary_tol=1e-9, t_max=1e3,
+    cfg = FlowConfig(dt=1e-2, stationary_tol=1e-9, max_steps=100001,
                      wedge=WedgeSpec(W1, 1e-8))
     result = run(p0, EnergyParams(5.0), cfg)
     hemi_ok = all(r.hemispheric_dev is not None and r.hemispheric_dev <= 1e-8
@@ -154,7 +154,7 @@ def test_criterion_08_comparison_principle():
         v = comparison_trial(make_profile(grid, lower, 1, 1),
                              make_profile(grid, upper, 1, 1),
                              EnergyParams(5.0),
-                             FlowConfig(dt=1e-2, t_max=10.0, record_every=10))
+                             FlowConfig(dt=1e-2, max_steps=1001, record_every=10))
         worst = max(worst, v.max_violation)
     verdict(8, "comparison principle (20 ordered pairs to t=10)",
             worst <= 1e-6, f"max ordering violation {worst:.3e} <= 1e-6")

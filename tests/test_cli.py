@@ -63,18 +63,30 @@ class TestFlowCommand:
         assert r.returncode == 0
         assert json.loads((tmp_path / "run.json").read_text())["steps"] <= 2
 
-    def test_help_says_what_t_max_bounds(self):
+    def test_help_says_what_max_steps_bounds(self):
         r = run_cli("flow", "--help")
         assert r.returncode == 0
         text = " ".join(r.stdout.split())
         assert "--dt DT pseudo-time step of the flow (default: 1.0)" in text
-        assert "--t-max T_MAX pseudo-time horizon (default: 1000.0)" in text
-        assert "about t_max/dt steps" in text and "exits 2" in text
+        assert ("--max-steps MAX_STEPS step cap; exits 2 if not stationary by then "
+                "(default: 1000)") in text
+        assert "--t-max" not in text
 
     def test_horizon_exit_two(self, tmp_path):
         r = run_cli("flow", "--init", "pi", "--kappa", "5", "--n", "256",
-                    "--t-max", "0.05", "--out", str(tmp_path))
+                    "--max-steps", "1", "--out", str(tmp_path))
         assert r.returncode == 2
+
+    def test_large_dt_runs_the_step_cap(self, tmp_path):
+        # a pseudo-time horizon of 1e3 stopped this run after 1 step at dt = 1000
+        r = run_cli("flow", "--init", "two-theta", "--kappa", "4.5", "--n", "1024",
+                    "--dt", "1000", "--max-steps", "3", "--out", str(tmp_path))
+        assert r.returncode == 2
+        record = json.loads((tmp_path / "run.json").read_text())
+        assert record["status"] == "horizon_reached"
+        assert record["steps"] == 3
+        assert record["t_end"] == 3000.0
+        assert record["config"]["max_steps"] == 3
 
     def test_blowup_exit_three(self, tmp_path):
         g = make_grid(2048)
@@ -84,7 +96,7 @@ class TestFlowCommand:
         csv = tmp_path / "bubble.csv"
         write_profile_csv(make_profile(g, vals, 0, 1), csv)
         r = run_cli("flow", "--init", str(csv), "--kappa", "1", "--n", "2048",
-                    "--t-max", "1", "--out", str(tmp_path))
+                    "--max-steps", "1", "--out", str(tmp_path))
         assert r.returncode == 3
 
     def test_grid_precondition_exit_one(self, tmp_path):
@@ -222,7 +234,9 @@ def test_nonfinite_kappa_refused_before_any_output(tmp_path, argv):
     (("spectrum", "--profile", "pi", "--kappa", "5", "--n", "64", "--k", "64"),
      "k = 64 out of range 1..63"),
     # n = 0 is refused by make_grid, not divided by in the noise-floor check
-    (("flow", "--init", "pi", "--kappa", "5", "--n", "0"), "n = 0 too coarse")])
+    (("flow", "--init", "pi", "--kappa", "5", "--n", "0"), "n = 0 too coarse"),
+    (("flow", "--init", "pi", "--kappa", "5", "--n", "256", "--max-steps", "0"),
+     "max_steps must be an integer >= 1, got 0")])
 def test_flow_and_spectrum_refuse_bad_input_before_any_output(tmp_path, argv, message):
     out = tmp_path / "out"
     r = run_cli(*argv, "--out", str(out))

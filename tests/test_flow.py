@@ -95,8 +95,20 @@ class TestRun:
 
     def test_horizon_status(self, grid256):
         p0 = builtin_profile("pi", grid256)
-        result = run(p0, EnergyParams(5.0), FlowConfig(t_max=0.05))
+        result = run(p0, EnergyParams(5.0), FlowConfig(max_steps=1))
         assert result.status is FlowStatus.HORIZON_REACHED
+
+    def test_step_cap_is_exact_at_small_dt(self, grid256):
+        # a pseudo-time horizon summed in floating point ran 501 steps to
+        # t = 5 at dt = 1e-2; the cap runs exactly the steps it names.  The
+        # tolerance lies above the noise floor, 8.3e-12 at n = 256, but the
+        # flow from 2*theta at kappa = 6 is still near 1e-9 at t = 5
+        p0 = builtin_profile("two-theta", grid256)
+        cfg = FlowConfig(dt=1e-2, max_steps=500, stationary_tol=1e-10)
+        result = run(p0, EnergyParams(6.0), cfg, half_interval=True)
+        assert result.status is FlowStatus.HORIZON_REACHED
+        assert result.steps == 500
+        assert result.records[-1].t == 500 * 1e-2
 
     def test_half_interval_agrees_with_full(self, grid512):
         params = EnergyParams(5.0)
@@ -156,15 +168,23 @@ class TestRun:
         with pytest.raises(ValueError):
             FlowConfig(dt=-1.0)
         with pytest.raises(ValueError):
-            FlowConfig(t_max=0.0)
+            FlowConfig(max_steps=0)
         with pytest.raises(ValueError):
             FlowConfig(stationary_tol=0.0)
 
-    @pytest.mark.parametrize("field", ["dt", "t_max", "stationary_tol"])
+    @pytest.mark.parametrize("field", ["dt", "max_steps", "stationary_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_config_rejects_nonfinite(self, field, value):
         with pytest.raises(ValueError, match=field):
             FlowConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [0, -1, 2.5, 1000.0, pytest.param("10", id="str")])
+    def test_max_steps_must_be_a_positive_integer(self, value):
+        with pytest.raises(ValueError, match="max_steps"):
+            FlowConfig(max_steps=value)
+
+    def test_max_steps_accepts_numpy_integers(self):
+        assert FlowConfig(max_steps=np.int64(3)).max_steps == 3
 
     def test_tolerance_at_noise_floor_refused(self):
         # at n = 4096 the noise floor, 2.1e-9, lies above the default 1e-9
@@ -177,7 +197,7 @@ class TestRun:
             assert "n=4096" in str(info.value)
             assert f"{tol:g}" in str(info.value) and f"{floor:.3g}" in str(info.value)
         tol = 1.01 * floor
-        run(p0, EnergyParams(5.0), FlowConfig(stationary_tol=tol, t_max=0.05))
+        run(p0, EnergyParams(5.0), FlowConfig(stationary_tol=tol, max_steps=1))
 
     @pytest.mark.parametrize("half_interval", [False, True])
     def test_one_residual_per_step(self, grid256, monkeypatch, half_interval):
@@ -220,7 +240,7 @@ def reference_run(p0, params, cfg, half_interval):
     k = (p0.m + p0.n_end) // 2
     track_hemi = is_hemispheric(p0, 1e-12)
     values = p0.values.copy()
-    t, steps, since, records = 0.0, 0, 0, []
+    steps, since, records = 0, 0, []
     e_prev = reduced_energy(p0, params)
     slack = ENERGY_SLACK * (1.0 + abs(e_prev))
 
@@ -230,7 +250,7 @@ def reference_run(p0, params, cfg, half_interval):
         e = reduced_energy(p, params)
         wedge_ok = None if cfg.wedge is None else wedge_check(p, cfg.wedge).inside
         dev = hemispheric_deviation(p) if track_hemi else None
-        records.append(FlowRecord(t=t, energy=e, sup_residual=sup, wedge_ok=wedge_ok,
+        records.append(FlowRecord(t=steps * dt, energy=e, sup_residual=sup, wedge_ok=wedge_ok,
                                   hemispheric_dev=dev,
                                   energy_ok=e <= e_prev + slack * max(since, 1)))
         e_prev, since = e, 0
@@ -243,7 +263,7 @@ def reference_run(p0, params, cfg, half_interval):
     r, sup = residual()
     record(sup)
     status = FlowStatus.HORIZON_REACHED
-    while t < cfg.t_max:
+    while steps < cfg.max_steps:
         if full_gradient_blowup(make_profile(grid, values, p0.m, p0.n_end)):
             status = FlowStatus.BLOWUP_SUSPECTED
             break
@@ -254,13 +274,12 @@ def reference_run(p0, params, cfg, half_interval):
         if half_interval:
             values[mid] = k * np.pi
             values[mid + 1:-1] = 2.0 * np.pi * k - values[mid - 1:0:-1]
-        t += dt
         steps += 1
         since += 1
         r, sup = residual()
         if since >= cfg.record_every or sup < cfg.stationary_tol:
             record(sup)
-    if records[-1].t < t:
+    if since:
         record(sup)
     return steps, status, records, values
 
@@ -301,7 +320,7 @@ def test_run_matches_reference_loop_bitwise(grid256, init, kappa, wedge,
 def test_large_step_matches_reference_loop_bitwise(grid256, init, kappa, wedge,
                                                    half_interval):
     assert_matches_reference_loop(grid256, init, kappa, wedge, half_interval,
-                                  dt=1e3, t_max=1e6, record_every=1)
+                                  dt=1e3, max_steps=1000, record_every=1)
 
 
 @pytest.mark.parametrize("n", [64, 1024])
@@ -339,7 +358,7 @@ def test_every_step_keeps_order(grid256, rng, dt):
     for _ in range(5):
         lower, upper = random_ordered_pair(grid256, rng)
         verdict = comparison_trial(lower, upper, EnergyParams(5.0),
-                                   FlowConfig(dt=dt, t_max=40 * dt, record_every=1))
+                                   FlowConfig(dt=dt, max_steps=40, record_every=1))
         assert verdict.max_violation <= 0.0
         assert verdict.steps > 0
 
@@ -352,7 +371,7 @@ def test_every_step_keeps_order(grid256, rng, dt):
     (1024, "two-theta", 1000.0, W2)])
 def test_large_step_stays_in_wedge(n, init, kappa, wedge):
     p0 = builtin_profile(init, make_grid(n), kappa=kappa)
-    cfg = FlowConfig(dt=1e3, t_max=1e6, stationary_tol=1e-7, record_every=1,
+    cfg = FlowConfig(dt=1e3, max_steps=1000, stationary_tol=1e-7, record_every=1,
                      wedge=WedgeSpec(wedge, 1e-8))
     result = run(p0, EnergyParams(kappa), cfg, half_interval=True)
     assert result.status is FlowStatus.STATIONARY
@@ -414,14 +433,14 @@ class TestBlowupDetector:
         assert detect_blowup(bubble_profile())
 
     def test_flow_reports_blowup_status(self):
-        result = run(bubble_profile(), EnergyParams(1.0), FlowConfig(t_max=1.0))
+        result = run(bubble_profile(), EnergyParams(1.0), FlowConfig(max_steps=1))
         assert result.status is FlowStatus.BLOWUP_SUSPECTED
 
 
 class TestComparison:
     def test_identical_inputs(self, grid256):
         p = builtin_profile("pi", grid256)
-        verdict = comparison_trial(p, p, EnergyParams(5.0), FlowConfig(dt=1e-2, t_max=1.0))
+        verdict = comparison_trial(p, p, EnergyParams(5.0), FlowConfig(dt=1e-2, max_steps=100))
         assert verdict.max_violation == 0.0
 
     def test_pi_below_exact_tilted_solution(self, grid512):
@@ -430,14 +449,14 @@ class TestComparison:
         upper = make_profile(grid512, np.pi + grid512.nodes, 1, 2)
         assert residual_supnorm(upper, EnergyParams(5.0)) < 1e-9
         verdict = comparison_trial(lower, upper, EnergyParams(5.0),
-                                   FlowConfig(dt=1e-2, t_max=10.0))
+                                   FlowConfig(dt=1e-2, max_steps=1001))
         assert verdict.max_violation <= 1e-9
 
     def test_two_exact_solutions_at_four(self, grid256):
         lower = builtin_profile("theta", grid256)
         upper = builtin_profile("two-theta", grid256)
         verdict = comparison_trial(lower, upper, EnergyParams(4.0),
-                                   FlowConfig(dt=1e-2, t_max=2.0))
+                                   FlowConfig(dt=1e-2, max_steps=200))
         assert verdict.max_violation <= 1e-12
 
     def test_random_ordered_pairs_stay_ordered(self, grid256, rng):
@@ -445,7 +464,7 @@ class TestComparison:
         for _ in range(5):
             lower, upper = random_ordered_pair(grid256, rng)
             verdict = comparison_trial(lower, upper, EnergyParams(5.0),
-                                       FlowConfig(dt=1e-2, t_max=5.0, record_every=10))
+                                       FlowConfig(dt=1e-2, max_steps=501, record_every=10))
             worst = max(worst, verdict.max_violation)
         assert worst <= 1e-6
 
@@ -455,7 +474,13 @@ class TestComparison:
         lower = builtin_profile("pi", grid)
         upper = make_profile(grid, np.pi + grid.nodes, 1, 2)
         with pytest.raises(ValueError, match="noise floor"):
-            comparison_trial(lower, upper, EnergyParams(5.0), FlowConfig(t_max=0.05))
+            comparison_trial(lower, upper, EnergyParams(5.0), FlowConfig(max_steps=1))
+
+    def test_grids_checked_before_ordering(self):
+        lower = builtin_profile("pi", make_grid(64))
+        upper = builtin_profile("pi", make_grid(128))
+        with pytest.raises(ValueError, match="profiles must share a grid"):
+            comparison_trial(lower, upper, EnergyParams(5.0), FlowConfig())
 
     def test_initial_violation_rejected(self, grid256):
         lower = builtin_profile("two-theta", grid256)
@@ -484,7 +509,7 @@ def test_energy_trace_csv(tmp_path, grid256):
 def test_energy_trace_csv_numpy_dt(tmp_path, grid256):
     # a numpy scalar dt makes t a numpy scalar; the t column must still be a number
     result = run(builtin_profile("pi", grid256), EnergyParams(5.0),
-                 FlowConfig(dt=np.float64(1e-2), t_max=0.05, record_every=1))
+                 FlowConfig(dt=np.float64(1e-2), max_steps=5, record_every=1))
     path = tmp_path / "trace.csv"
     write_energy_trace_csv(result, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)

@@ -10,6 +10,7 @@
   first-type start at large kappa) are kept as regression cases.
 """
 
+import math
 import os
 import tempfile
 
@@ -78,7 +79,7 @@ def test_csv_round_trip_exact(p, kappa):
 @PROPERTY
 @given(p=smooth_profiles(), kappa=kappas, dt=st.floats(1e-4, 0.1))
 def test_step_keeps_endpoints_bitwise(p, kappa, dt):
-    result = run(p, EnergyParams(kappa), FlowConfig(dt=dt, t_max=dt))
+    result = run(p, EnergyParams(kappa), FlowConfig(dt=dt, max_steps=1))
     assert result.steps <= 1
     assert endpoints_exact(result.final)
 
@@ -87,7 +88,7 @@ def test_step_keeps_endpoints_bitwise(p, kappa, dt):
 @given(data=st.data(), half=st.booleans(), kappa=kappas)
 def test_run_keeps_endpoints_bitwise(data, half, kappa):
     p = data.draw(smooth_profiles(hemispheric=half))
-    result = run(p, EnergyParams(kappa), FlowConfig(dt=1e-2, t_max=0.05),
+    result = run(p, EnergyParams(kappa), FlowConfig(dt=1e-2, max_steps=5),
                  half_interval=half)
     assert endpoints_exact(result.final)
 
@@ -106,7 +107,8 @@ def tilted_exact(n, c):
 @example(p=make_initial_first_type(make_grid(1024), 100.0), kappa=100.0)
 def test_energy_monotone_under_run(p, kappa):
     dt = min(1e-2, 0.5 / max(kappa, 1.0))  # time-resolved: 20 to 40 steps to t = 0.2
-    result = run(p, EnergyParams(kappa), FlowConfig(dt=dt, t_max=0.2, record_every=1))
+    cfg = FlowConfig(dt=dt, max_steps=math.ceil(0.2 / dt), record_every=1)
+    result = run(p, EnergyParams(kappa), cfg)
     energies = [r.energy for r in result.records]
     slack = ENERGY_SLACK * (1.0 + abs(energies[0]))
     assert len(energies) == result.steps + 1

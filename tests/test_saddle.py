@@ -1,12 +1,14 @@
+import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from axiferro import flow, saddle, spectrum
+from axiferro import energy, flow, saddle, spectrum
 from axiferro.energy import EnergyParams, assemble_second_variation, reduced_energy
-from axiferro.flow import FlowConfig, run
+from axiferro.flow import run
 from axiferro.grid import make_grid
 from axiferro.profile import (W2, WedgeSpec, builtin_profile, degree,
                               make_initial_first_type, make_initial_second_type,
@@ -143,6 +145,25 @@ def test_certificate_is_a_form_of_the_reported_operator(find, kappa):
     assert report.explicit_direction_value >= report.lambda1 * norm2 - rounding
 
 
+@pytest.mark.parametrize("find, kappa", [(find_first_type, 5.0), (find_second_type, 3.9),
+                                         (find_second_type, 10.0)])
+def test_report_evaluates_the_residual_once(monkeypatch, find, kappa):
+    # classify's stationarity gate measures the residual the report carries
+    real = energy.residual_supnorm
+    calls = []
+
+    def counting(p, params):
+        calls.append(p)
+        return real(p, params)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "axiferro" and hasattr(module, "residual_supnorm"):
+            monkeypatch.setattr(module, "residual_supnorm", counting)
+    report = find(kappa, grid=make_grid(512))
+    assert len(calls) == 1 and calls[0] is report.profile
+    assert report.residual_sup == real(report.profile, EnergyParams(kappa))
+
+
 def test_newton_results_are_read_only(first_type_10, second_type_10):
     below_four = find_second_type(3.9, grid=make_grid(512))
     branch = continue_branch(4.0, make_initial_second_type(make_grid(256)), 3.8, -0.05)
@@ -196,6 +217,14 @@ class TestSweep:
     def test_positive_kappas_required(self):
         with pytest.raises(ValueError):
             sweep([-1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("grid", [None, 64])
+    def test_nonfinite_kappas_refused_up_front(self, bad, grid):
+        # refused as a nonpositive kappa is, not run into a failed row or
+        # into grid_for_kappa
+        with pytest.raises(ValueError, match="kappa values must be finite and positive"):
+            sweep([5.0, bad], grid=grid and make_grid(grid))
 
     def test_unknown_type_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -409,9 +438,9 @@ def test_grid_for_kappa_scaling():
 
 
 def _time_resolved_flow(start, params, cfg, half_interval):
-    """The pipeline's flow at a time-resolving reference step and the default horizon."""
-    cfg = replace(cfg, dt=min(1e-2, 0.5 / max(params.kappa, 1.0)),
-                  t_max=FlowConfig().t_max)
+    """The pipeline's flow at a time-resolving reference step, capped at pseudo-time 1e3."""
+    dt = min(1e-2, 0.5 / max(params.kappa, 1.0))
+    cfg = replace(cfg, dt=dt, max_steps=math.ceil(1e3 / dt) + 1)
     return run(start, params, cfg, half_interval=half_interval)
 
 
