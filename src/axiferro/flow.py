@@ -75,10 +75,10 @@ class FlowConfig:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (isinstance(self.max_steps, numbers.Integral) and self.max_steps >= 1):
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        for name in ("max_steps", "record_every"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

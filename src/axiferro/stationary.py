@@ -31,14 +31,20 @@ def _residual_tol(grid):
     return max(5e-10, 4.0 * residual_noise_floor(grid.n))
 
 
-def newton_solve(p0, params):
-    """Damped Newton iteration on the interior residual.
+def newton_solve(p0, params, *, damped=True):
+    """Newton iteration on the interior residual, damped by default.
 
     Stops once the residual sup-norm is below max(5e-10, 4 x the grid's
-    residual noise floor).  Each iteration tries the full step; backtracking
-    halves it until the residual sup-norm decreases.  Failure below the
-    minimum damping factor, a singular Jacobian (a fold point suspect), or
-    exhausting MAX_ITER iterations raises NewtonError.
+    residual noise floor).  Each iteration tries the full step; with
+    ``damped`` (the default) backtracking halves it until the residual
+    sup-norm decreases, and failure below MIN_DAMPING raises NewtonError.
+    With ``damped=False`` only the full step is tried, and one that does not
+    lower the sup residual raises NewtonError naming both residuals: the
+    plain Newton corrector of predictor-corrector continuation, whose failed
+    full step is the signal to stop (Allgower & Georg, 1990, ch. 2;
+    Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 5).  A
+    singular Jacobian (a fold point suspect) or exhausting MAX_ITER
+    iterations raises NewtonError either way.
 
     A hemispheric start (deviation at most 1e-12, the test ``flow.run``
     makes) is solved in its symmetry class, as the half-interval flow
@@ -56,6 +62,7 @@ def newton_solve(p0, params):
     half = is_hemispheric(p0, 1e-12)
     m = p0.grid.midpoint_index - 1 if half else p0.grid.n - 1
     k = (p0.m + p0.n_end) // 2
+    min_alpha = MIN_DAMPING if damped else 1.0
     p = p0
     # each residual comes with V, so the Jacobian at an accepted trial takes
     # no second sin and cos of 2h
@@ -74,7 +81,7 @@ def newton_solve(p0, params):
             raise NewtonError("Jacobian solve produced non-finite update "
                               "(fold point suspected)", residual_norm=norm)
         alpha = 1.0
-        while alpha >= MIN_DAMPING:
+        while alpha >= min_alpha:
             values = p.values.copy()
             values[1:m + 1] += alpha * delta
             if half:
@@ -88,6 +95,10 @@ def newton_solve(p0, params):
                 break
             alpha *= 0.5
         else:
+            if not damped:
+                raise NewtonError(f"full Newton step did not lower the residual: "
+                                  f"{norm:.3g} -> {norm_trial:.3g}",
+                                  residual_norm=norm)
             raise NewtonError(f"line search stalled at residual {norm:.3g}",
                               residual_norm=norm)
     if norm < tol:
@@ -120,6 +131,12 @@ def continue_branch(start_kappa, start, target_kappa, dk):
     point on Newton starts from the secant predictor through the last two
     points, p_k + (kappa_next - kappa_k) / (kappa_k - kappa_{k-1}) (p_k -
     p_{k-1}) (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2).
+    The first step has no predictor and keeps Newton's line search; every
+    predicted step is an undamped Newton solve (``damped=False``), so a full
+    step from the predictor that does not lower the sup residual ends the
+    branch at once instead of being halved down to MIN_DAMPING.  A dk too
+    long for the predictor can therefore end a branch that a smaller dk
+    follows further.
     A hemispheric start keeps every Newton solve on the half interval (see
     ``newton_solve``).  Newton failure past the first step ends the branch
     with a bracketing interval (suspected fold or bifurcation); failure on
@@ -155,7 +172,7 @@ def continue_branch(start_kappa, start, target_kappa, dk):
             guess = type(profile)(grid=profile.grid, values=values, m=profile.m,
                                   n_end=profile.n_end)
         try:
-            profile = newton_solve(guess, EnergyParams(nxt))
+            profile = newton_solve(guess, EnergyParams(nxt), damped=len(points) == 1)
         except NewtonError:
             if len(points) == 1:
                 raise

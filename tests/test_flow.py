@@ -186,6 +186,17 @@ class TestRun:
     def test_max_steps_accepts_numpy_integers(self):
         assert FlowConfig(max_steps=np.int64(3)).max_steps == 3
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0, -1, 2.5, 10.0,
+                                       pytest.param("10", id="str")])
+    def test_record_every_must_be_a_positive_integer(self, value):
+        # a nan record_every used to be accepted, and run and
+        # comparison_trial then stopped recording without an error
+        with pytest.raises(ValueError, match="record_every"):
+            FlowConfig(record_every=value)
+
+    def test_record_every_accepts_numpy_integers(self):
+        assert FlowConfig(record_every=np.int64(3)).record_every == 3
+
     def test_tolerance_at_noise_floor_refused(self):
         # at n = 4096 the noise floor, 2.1e-9, lies above the default 1e-9
         grid = make_grid(4096)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from axiferro import energy, flow, saddle, spectrum
+from axiferro import energy, flow, saddle, spectrum, stationary
 from axiferro.energy import EnergyParams, assemble_second_variation, reduced_energy
 from axiferro.flow import run
 from axiferro.grid import make_grid
@@ -402,6 +402,35 @@ def test_probe_brackets_the_fold_on_fine_grids(n):
     # the walk runs Newton on the half interval from secant predictions;
     # the fold stays where the full-interval walk from the last point put it
     assert probe_second_branch_floor(grid=make_grid(n)) == pytest.approx((3.20, 3.25))
+
+
+def test_probe_step_past_the_fold_is_one_full_newton_step(monkeypatch):
+    # the solve at kappa = 3.20 from the secant predictor evaluates the
+    # residual 4 times: the start, two accepted steps and the full step that
+    # does not lower the residual; a line search there made 89 evaluations
+    solves = []
+    real_solve, real_residual = stationary.newton_solve, stationary.el_residual
+
+    def counted_residual(*args, **kwargs):
+        if solves:  # continue_branch checks its start before any solve
+            solves[-1][1] += 1
+        return real_residual(*args, **kwargs)
+
+    def recorded_solve(p0, params, **kwargs):
+        solves.append([params.kappa, 0, False])
+        try:
+            return real_solve(p0, params, **kwargs)
+        except stationary.NewtonError:
+            solves[-1][2] = True
+            raise
+
+    monkeypatch.setattr(stationary, "el_residual", counted_residual)
+    monkeypatch.setattr(stationary, "newton_solve", recorded_solve)
+    assert probe_second_branch_floor(grid=make_grid(1024)) == pytest.approx((3.20, 3.25))
+    kappa, evaluations, failed = solves[-1]
+    assert kappa == pytest.approx(3.20) and failed
+    assert evaluations == 4
+    assert not any(failed for _, _, failed in solves[:-1])
 
 
 def test_first_type_at_very_large_kappa():

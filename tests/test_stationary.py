@@ -138,6 +138,19 @@ class TestNewton:
             newton_solve(start, EnergyParams(25.0))
         assert info.value.residual_norm is not None
 
+    def test_damped_by_default_and_plain_on_request(self, grid256):
+        # a rough start the line search carries home; its full first step
+        # raises the sup residual from 0.398 to 12.3, so the plain Newton
+        # corrector gives up at once and says by how much
+        g = grid256
+        start = make_profile(g, 2 * g.nodes + 0.3 * np.sin(2 * g.nodes), 0, 2)
+        sol = newton_solve(start, EnergyParams(4.0))
+        assert residual_supnorm(sol, EnergyParams(4.0)) < 5e-10
+        with pytest.raises(NewtonError, match=r"full Newton step did not lower "
+                                              r"the residual: 0\.398 -> 12\.3") as info:
+            newton_solve(start, EnergyParams(4.0), damped=False)
+        assert info.value.residual_norm == pytest.approx(0.398, abs=1e-3)
+
 
 def residual_widths(monkeypatch):
     """Record the number of nodes of every el_residual call newton_solve makes."""
@@ -249,9 +262,9 @@ class TestContinuation:
         starts = []
         real = stationary.newton_solve
 
-        def recorded(p0, params):
+        def recorded(p0, params, **kwargs):
             starts.append(p0.values)
-            return real(p0, params)
+            return real(p0, params, **kwargs)
 
         monkeypatch.setattr(stationary, "newton_solve", recorded)
         start = make_initial_second_type(grid512)
@@ -285,6 +298,22 @@ class TestContinuation:
         kappas = [pt.kappa for pt in branches[0].points]
         assert kappas == pytest.approx([4.0 - 0.05 * i for i in range(11)] + [3.47],
                                        rel=0, abs=1e-12)
+
+    def test_first_step_keeps_the_line_search(self, grid256, monkeypatch):
+        # the first step has no predictor: from (4, 2*theta) a step of 2 needs
+        # damping, and with it the walk reaches 30; every later step is plain
+        calls = []
+        real = stationary.newton_solve
+
+        def recorded(p0, params, **kwargs):
+            calls.append(kwargs)
+            return real(p0, params, **kwargs)
+
+        monkeypatch.setattr(stationary, "newton_solve", recorded)
+        branch = continue_branch(4.0, make_initial_second_type(grid256), 30.0, 2.0)
+        assert branch.suspected_fold is None
+        assert branch.reached == pytest.approx(30.0, abs=1e-12)
+        assert calls == [{"damped": True}] + [{"damped": False}] * (len(calls) - 1)
 
     def test_branch_up(self, grid512):
         start = make_initial_second_type(grid512)
