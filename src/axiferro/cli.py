@@ -325,8 +325,15 @@ def cmd_validate(args):
     return 0 if failures == 0 else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose errors take ``main``'s one-line ``error:`` path."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="axiferro",
         description="Axisymmetric profile flow, saddle certification, and "
                     "kappa sweeps for the spherical-ferromagnet energy.")
@@ -388,14 +395,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code not in (0, None):
-            sys.exit(1)
-        raise
-    try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
     except (ValueError, OSError, SaddleValidationError, ContinuationError,
             BlowupError, NewtonError) as exc:

@@ -23,16 +23,15 @@ class Grid:
     Built by ``make_grid``, which hands out one shared instance per n; the
     grid is frozen and every array on it is read-only.
 
-    nodes[i] = i * pi/n, half_nodes[i] = (i + 1/2) * pi/n.  The quadrature
-    weights implement the trapezoid rule for integrals against the measure
-    sin(theta) dtheta; the endpoint weights are exactly zero, so integrands
-    only need finite values at the poles (they are never evaluated into
-    0/0 territory by the quadrature itself).
+    nodes[i] = i * pi/n.  The quadrature weights implement the trapezoid
+    rule for integrals against the measure sin(theta) dtheta; the endpoint
+    weights are exactly zero, so integrands only need finite values at the
+    poles (they are never evaluated into 0/0 territory by the quadrature
+    itself).
     """
 
     n: int
     nodes: np.ndarray
-    half_nodes: np.ndarray
     weights: np.ndarray
 
     @property
@@ -87,13 +86,12 @@ def make_grid(n):
 @lru_cache(maxsize=_CACHED_GRIDS)
 def _build_grid(n):
     nodes = np.linspace(0.0, np.pi, n + 1)
-    half_nodes = nodes[:-1] + 0.5 * (np.pi / n)
     weights = np.sin(nodes) * (np.pi / n)
     weights[0] = 0.0
     weights[-1] = 0.0
-    for a in (nodes, half_nodes, weights):
+    for a in (nodes, weights):
         a.setflags(write=False)
-    return Grid(n=n, nodes=nodes, half_nodes=half_nodes, weights=weights)
+    return Grid(n=n, nodes=nodes, weights=weights)
 
 
 def quad_sin(grid, values):

@@ -134,7 +134,7 @@ def _ritz_pairs(op, k, abstol, split):
     return theta, ritz, g.T @ bys - theta[:, None] * ritz
 
 
-def eigs_lowest(op, k, *, spectral_tol=False):
+def eigs_lowest(op, k):
     """Lowest k eigenpairs of a TridiagonalOperator.
 
     Ritz pairs of the symmetrized matrix B (see ``_ritz_pairs``), certified
@@ -147,9 +147,8 @@ def eigs_lowest(op, k, *, spectral_tol=False):
     positive, then the vector is returned on the full node range (zero at
     the Dirichlet endpoints) and orthonormal in the sin-weighted inner
     product.  The Morse index counts eigenvalues below -tol and is certified
-    by one inertia count at -tol.  tol is 1e-12 times the operator scale,
-    or, with ``spectral_tol``, ``classify``'s slack on the scale of the low
-    spectrum itself, 1e-6 max(1, max |lambda_i|), not of the operator norm
+    by one inertia count at -tol.  tol = 1e-6 max(1, max |lambda_i|) is a
+    slack on the scale of the low spectrum itself, not of the operator norm
     (which grows like 1/dtheta^2).
     """
     _require_pair_count(op, k)
@@ -166,10 +165,7 @@ def eigs_lowest(op, k, *, spectral_tol=False):
     residuals = np.linalg.norm(r, axis=1)
     vectors = np.zeros((k, op.dimension + 2))
     vectors[:, 1:-1] = ys / np.sqrt(op.weight)
-    if spectral_tol:
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(eigenvalues))))
-    else:
-        tol = 1e-12 * scale
+    tol = 1e-6 * max(1.0, float(np.max(np.abs(eigenvalues))))
     return SpectrumResult(eigenvalues=eigenvalues, eigenvectors=vectors,
                           morse_index=_certified_morse(op, eigenvalues, tol),
                           tol=float(tol), residuals=residuals,
@@ -178,10 +174,7 @@ def eigs_lowest(op, k, *, spectral_tol=False):
 
 @dataclass(frozen=True)
 class LegendreReport:
-    n_coarse: int
-    n_fine: int
     exact: np.ndarray
-    computed_coarse: np.ndarray
     computed_fine: np.ndarray
     max_deviation_coarse: float
     max_deviation_fine: float
@@ -216,9 +209,7 @@ def legendre_validation(grid, l_max):
     max_f = float(dev_f.max())
     endpoints_zero = bool(np.all(res_c.eigenvectors[:, 0] == 0.0)
                           and np.all(res_c.eigenvectors[:, -1] == 0.0))
-    return LegendreReport(n_coarse=grid.n, n_fine=fine.n, exact=exact,
-                          computed_coarse=res_c.eigenvalues,
-                          computed_fine=res_f.eigenvalues,
+    return LegendreReport(exact=exact, computed_fine=res_f.eigenvalues,
                           max_deviation_coarse=max_c,
                           max_deviation_fine=max_f,
                           refinement_ratio=max_c / max_f if max_f > 0 else np.inf,
@@ -233,13 +224,11 @@ def classify(p, params, k=4):
     residual and the certificate the saddle pipelines report, <A g, g> for
     g = (h' - 1) sin(theta) on the operator A it solves, so
     lambda1 <= <A g, g> / <g, g> holds exactly.
-    Its Morse index is certified once, at the slack of the low spectrum
-    (``eigs_lowest`` with ``spectral_tol``).
     """
     res_sup = residual_supnorm(p, params)
     if res_sup >= 1e-6:
         raise ValueError(f"profile is not stationary: sup residual {res_sup:.3g} >= 1e-06")
     op = assemble_second_variation(p, params)
     value = op.quadratic_form(perturbation_direction(p)[1:-1])
-    return replace(eigs_lowest(op, k, spectral_tol=True),
-                   explicit_direction_value=value, residual_sup=res_sup)
+    return replace(eigs_lowest(op, k), explicit_direction_value=value,
+                   residual_sup=res_sup)

@@ -46,7 +46,8 @@ class Stencil:
         self.twice_sin2 = 2.0 * self.sin2
         self.cos_2theta = np.cos(2.0 * theta)
         self.sin_2theta = np.sin(2.0 * theta)
-        s_half = self.sin_half = np.sin(grid.half_nodes)  # edge (i, i+1) at index i
+        # sin at the half node (i + 1/2) dth, edge (i, i+1), at index i
+        s_half = self.sin_half = np.sin(grid.nodes[:-1] + 0.5 * dth)
         # a, b: R_i's couplings to h_{i+1}, h_{i-1}, the off-diagonals of dR/dh
         a = 1.0 / dth2 + self.cot / (2.0 * dth)
         b = 1.0 / dth2 - self.cot / (2.0 * dth)

@@ -88,6 +88,15 @@ class TestFlowCommand:
         assert record["t_end"] == 3000.0
         assert record["config"]["max_steps"] == 3
 
+    def test_overflowing_dt_refused_in_one_line(self, tmp_path):
+        # dt = 1e308 overflows the step matrix; numpy's overflow warnings
+        # used to come before the error line
+        r = run_cli("flow", "--init", "pi", "--kappa", "5", "--n", "256",
+                    "--dt", "1e308", "--out", str(tmp_path))
+        assert_one_line_error(r)
+        assert "dt = 1e+308 is too large for n = 256" in r.stderr
+        assert not (tmp_path / "run.json").exists()
+
     def test_blowup_exit_three(self, tmp_path):
         g = make_grid(2048)
         vals = 2.0 * np.arctan(np.tan(g.nodes / 2) / 1e-4)
@@ -292,9 +301,31 @@ def test_oversize_grid_refused_before_it_is_built(tmp_path, monkeypatch, no_huge
 def test_seed_refused_where_nothing_reads_it(tmp_path, argv):
     out = tmp_path / "out"
     r = run_cli(*argv, "--seed", "3", "--out", str(out))
-    assert r.returncode == 1
+    assert_one_line_error(r)
     assert "unrecognized arguments: --seed 3" in r.stderr
     assert not out.exists()
+
+
+# argparse's own errors used to print its usage text before the error line
+@pytest.mark.parametrize("argv, message", [
+    (("flow", "--init", "pi", "--kappa", "5", "--n", "256", "--max-steps", "1e3"),
+     "argument --max-steps: invalid int value: '1e3'"),
+    (("sweep", "--type", "third", "--from", "4", "--to", "5", "--step", "1"),
+     "argument --type: invalid choice: 'third'"),
+    ((), "the following arguments are required: cmd")])
+def test_parse_errors_are_one_line(tmp_path, monkeypatch, argv, message):
+    monkeypatch.setenv("AXIFERRO_OUTDIR", str(tmp_path / "out"))
+    r = run_cli(*argv)
+    assert_one_line_error(r)
+    assert message in r.stderr
+    assert r.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_version_exits_zero():
+    r = run_cli("--version")
+    assert r.returncode == 0
+    assert r.stdout.strip() == cli.__version__
 
 
 @pytest.mark.parametrize("argv, stage", [

@@ -232,7 +232,8 @@ class TestOperatorAssembly:
         g = make_grid(n)
         h = np.pi + 0.2 * np.sin(g.nodes)
         op = assemble_second_variation(make_profile(g, h, 1, 1), EnergyParams(3.0))
-        t, s, sh, dt2 = g.interior, np.sin(g.interior), np.sin(g.half_nodes), g.dtheta ** 2
+        t, s, dt2 = g.interior, np.sin(g.interior), g.dtheta ** 2
+        sh = np.sin(g.nodes[:-1] + 0.5 * g.dtheta)  # at the half nodes
         v_pot = np.cos(2 * h[1:-1]) / s ** 2 + 3.0 * np.cos(2 * h[1:-1] - 2 * t)
         a = (np.diag((sh[1:] + sh[:-1]) / (s * dt2) + v_pot)
              - np.diag(sh[1:-1] / (s[:-1] * dt2), 1) - np.diag(sh[1:-1] / (s[1:] * dt2), -1))
@@ -245,7 +246,7 @@ class TestOperatorAssembly:
         p = make_initial_second_type(grid1024)
         op = assemble_second_variation(p, EnergyParams(4.0))
         s = np.sin(grid1024.interior)
-        sh = np.sin(grid1024.half_nodes)
+        sh = np.sin(grid1024.nodes[:-1] + 0.5 * grid1024.dtheta)
         laplace_diag = (sh[1:] + sh[:-1]) / (s * grid1024.dtheta ** 2)
         potential = np.asarray(op.diag) - laplace_diag
         target = 1.0 / s ** 2 - 4.0

@@ -158,7 +158,7 @@ class TestInertiaCertificate:
     @pytest.mark.parametrize("n", [512, 1024])
     def test_count_matches_dense_oracle_at_the_code_shifts(self, n):
         # the saddle operators of both types, at the shifts of the probe
-        # (+-1e-8), of eigs_lowest (-1e-12 x scale) and of classify (-tol),
+        # (+-1e-8) and of the Morse index (-tol), at -1e-12 x scale,
         # 1e-6 on either side of lambda1 and lambda2, and below and above
         # the whole spectrum
         grid = make_grid(n)
@@ -385,23 +385,28 @@ class TestClassify:
         assert np.all(res.eigenvalues > 0)
 
     def test_morse_index_certified_at_classify_tol(self, grid256, monkeypatch):
-        # the inertia count is wrong only at shifts below eigs_lowest's own
-        # -tol, so only classify's recomputed index can catch it
+        # the inertia count is wrong only at shifts at or below -tol, where
+        # the Morse index is certified; the Ritz certificate's count above
+        # the spectrum stays right, so only the index check can catch it
         p = make_initial_second_type(grid256)
         params = EnergyParams(4.0)
-        eigs_tol = eigs_lowest(assemble_second_variation(p, params), 3).tol
+        op = assemble_second_variation(p, params)
+        tol = eigs_lowest(op, 3).tol
         real = spectrum.negative_count
 
         def off_by_one_below(diag, off, shift):
-            return real(diag, off, shift) + (shift < -10.0 * eigs_tol)
+            return real(diag, off, shift) + (shift <= -tol)
 
         monkeypatch.setattr(spectrum, "negative_count", off_by_one_below)
         with pytest.raises(np.linalg.LinAlgError, match="inertia count 2"):
             classify(p, params, k=3)
+        with pytest.raises(np.linalg.LinAlgError, match="inertia count 2"):
+            eigs_lowest(op, 3)
 
     def test_two_inertia_counts(self, grid256, monkeypatch):
-        # the Ritz certificate and the Morse index at classify's own -tol;
-        # eigs_lowest's index at -1e-12 x scale is not counted for nothing
+        # the Ritz certificate and the Morse index at -tol, on the slack of
+        # the low spectrum, 1e-6 max(1, max |lambda_i|), for classify and
+        # eigs_lowest alike
         p = make_initial_second_type(grid256)
         params = EnergyParams(4.0)
         real = spectrum.negative_count
@@ -417,7 +422,7 @@ class TestClassify:
         shifts.clear()
         alone = eigs_lowest(assemble_second_variation(p, params), 3)
         assert len(shifts) == 2 and shifts[1] == -alone.tol
-        assert res.tol > alone.tol
+        assert res.tol == alone.tol == 1e-6 * np.max(np.abs(alone.eigenvalues))
 
     def test_rejects_nonstationary(self, grid256):
         p = builtin_profile("pi", grid256)

@@ -44,7 +44,7 @@ def reference_divergence(grid):
     """Diagonal of -L and the symmetrized off-diagonal, as
     assemble_second_variation wrote them inline."""
     s = np.sin(grid.nodes[1:-1])
-    s_half = np.sin(grid.half_nodes)
+    s_half = np.sin(grid.nodes[:-1] + 0.5 * grid.dtheta)
     dth2 = grid.dtheta ** 2
     return ((s_half[1:] + s_half[:-1]) / (s * dth2),
             -s_half[1:-1] / (dth2 * np.sqrt(s[:-1] * s[1:])))
