@@ -30,7 +30,7 @@ from .flow import (FlowConfig, FlowStatus, _require_resolvable, comparison_trial
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, _csv_rows, builtin_profile, degree,
                       make_profile, read_profile_csv, write_profile_csv)
-from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
+from .saddle import (FIRST, SECOND, SYMMETRY_TOL, BlowupError, ContinuationError,
                      SaddleValidationError, _pipeline_grid, find_first_type,
                      find_second_type, sweep)
 from .spectrum import _require_pair_count, eigs_lowest, legendre_validation
@@ -42,6 +42,8 @@ _MAX_SWEEP_POINTS = 100_000
 # the finest grid validate's fixed bars hold on: from n = 32768 the Legendre
 # table's refinement ratio falls below 3 on a correct build
 _MAX_VALIDATE_N = 16384
+# the wedge each builtin start lies in, which ``flow --wedge auto`` monitors
+_START_WEDGE = {"pi": W1, "first-type": W1, "two-theta": W2}
 
 
 def config_hash(config):
@@ -67,22 +69,14 @@ def _load_initial(name, grid, kappa):
     return builtin_profile(name, grid, kappa=kappa)
 
 
-def _auto_wedge(init_name):
-    if init_name in ("pi", "first-type"):
-        return WedgeSpec(W1, 1e-8)
-    if init_name == "two-theta":
-        return WedgeSpec(W2, 1e-8)
-    return None
-
-
 def cmd_flow(args):
     config = {"command": "flow", "init": args.init, "kappa": args.kappa,
               "n": args.n, "dt": args.dt, "max_steps": args.max_steps,
               "tol": args.tol, "record_every": args.record_every, "wedge": args.wedge,
               "half_interval": args.half_interval}
     h = config_hash(config)
-    wedge = {"none": None, "W1": WedgeSpec(W1, 1e-8), "W2": WedgeSpec(W2, 1e-8),
-             "auto": _auto_wedge(args.init)}[args.wedge]
+    kind = {"auto": _START_WEDGE.get(args.init), "none": None}.get(args.wedge, args.wedge)
+    wedge = WedgeSpec(kind, SYMMETRY_TOL) if kind else None
     cfg = FlowConfig(dt=args.dt, max_steps=args.max_steps, stationary_tol=args.tol,
                      record_every=args.record_every, wedge=wedge)
     # a grid too fine for the tolerance is refused before it is built; bad
@@ -311,7 +305,7 @@ def _validate_properties(n, seed):
         lo = make_profile(cgrid, lo_vals, 1, 1)
         up = make_profile(cgrid, up_vals, 1, 1)
         verdict = comparison_trial(lo, up, EnergyParams(5.0),
-                                   FlowConfig(dt=1e-2, max_steps=501, record_every=10))
+                                   FlowConfig(dt=1e-2, max_steps=501))
         worst = max(worst, verdict.max_violation)
     yield ("comparison-trials", worst <= 1e-6, f"worst violation {worst:.3g}")
 
@@ -354,8 +348,8 @@ def build_parser():
     p.add_argument("--max-steps", type=int, default=FlowConfig.max_steps,
                    help="step cap; exits 2 if not stationary by then "
                         "(default: %(default)s)")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--record-every", type=int, default=10)
+    p.add_argument("--tol", type=float, default=FlowConfig.stationary_tol)
+    p.add_argument("--record-every", type=int, default=FlowConfig.record_every)
     p.add_argument("--wedge", choices=["auto", "none", "W1", "W2"], default="auto")
     p.add_argument("--half-interval", action="store_true")
     p.set_defaults(func=cmd_flow)

@@ -49,7 +49,7 @@ from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .energy import reduced_energy, residual_noise_floor
-from .profile import (WedgeSpec, _reflect_left_half, hemispheric_deviation,
+from .profile import (WedgeSpec, _add_step, _symmetry_class, hemispheric_deviation,
                       is_hemispheric, wedge_check)
 
 ENERGY_SLACK = 1e-10  # per-step allowance, scaled by 1 + |E0|
@@ -108,21 +108,22 @@ class FlowResult:
 
 
 class _Kernel:
-    """One run's step workspace for the evolved nodes 1..m at step size dt, built once.
+    """One run's step workspace for p0's symmetry class at step size dt, built once.
 
     ``evaluate`` writes R of a node array into a given buffer and ``advance``
     takes one convex-splitting step of a node array in place.  The step
     matrix I - dt J0 + dt S does not depend on the state, so it is factored
     here, once, by LAPACK gttrf; each step is one gttrs solve.  The scratch
     for 2h, its sin and cos, |R| and the right-hand side is allocated here
-    and reused by every step.  When m = n/2 - 1 the update is a half-interval
-    one: the midpoint is pinned at k*pi, k = (p0.m + p0.n_end)/2, and the
-    right half is the reflection of the left.
+    and reused by every step.  ``half`` picks p0's symmetry class: the nodes
+    left of the midpoint, which each step pins and reflects (``_add_step``),
+    or all n - 1 interior nodes.
     """
 
-    def __init__(self, p0, kappa, m, dt):
+    def __init__(self, p0, kappa, half, dt):
         st = self.stencil = p0.grid.stencil
         self.kappa = kappa
+        m, self.k = _symmetry_class(p0, half)
         self.m = m
         self.dt = dt
         self.work = np.empty((4, m))
@@ -139,8 +140,6 @@ class _Kernel:
         *self.factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
         if info != 0:
             raise LinAlgError(f"flow step matrix: gttrf returned info = {info}")
-        self.half = m == p0.grid.midpoint_index - 1
-        self.k = (p0.m + p0.n_end) // 2
 
     def evaluate(self, h, r):
         """R of the node array h at nodes 1..m into r; returns sup |R|."""
@@ -155,16 +154,13 @@ class _Kernel:
         leaving h as it was, when the update is not finite.  Endpoints are
         never written.
         """
-        m = self.m
         np.multiply(self.dt, r, out=self.rhs)
         delta, info = dgttrs(*self.factors, self.rhs, overwrite_b=1)
         if info != 0:
             raise LinAlgError(f"flow update: gttrs returned info = {info}")
         if not np.isfinite(delta).all():
             raise ValueError("flow update is not finite")
-        h[1:m + 1] += delta
-        if self.half:
-            _reflect_left_half(h, self.k)
+        _add_step(h, delta, self.k)
 
 
 def detect_blowup(p):
@@ -213,16 +209,14 @@ def run(p0, params, cfg=None, half_interval=False):
     if half_interval and not track_hemi:
         raise ValueError("half-interval runs need hemispheric initial data "
                          f"(deviation {hemispheric_deviation(p0):.3g})")
-    # the evolved nodes 1..m; in half-interval runs the right half is the
-    # reflection, whose residual is -R up to rounding and is never used
-    m = p0.grid.midpoint_index - 1 if half_interval else p0.grid.n - 1
-    kernel = _Kernel(p0, params.kappa, m, cfg.dt)
+    # a half-interval run never uses the right half's residual, -R up to rounding
+    kernel = _Kernel(p0, params.kappa, half_interval, cfg.dt)
     # p is the state, over a writable copy of p0's values that the kernel
     # updates in place; records read it, and it is returned read-only.  Its
     # endpoints are never written, so it needs no re-validation
     p = type(p0)(grid=p0.grid, values=p0.values.copy(), m=p0.m, n_end=p0.n_end)
     h = p.values
-    r = np.empty(m)
+    r = np.empty(kernel.m)
     steps = 0
     e_prev = reduced_energy(p0, params)
     slack = ENERGY_SLACK * (1.0 + abs(e_prev))
@@ -287,10 +281,9 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
     if initial_gap > 1e-12:
         raise ValueError(f"initial ordering violated by {initial_gap:.3g}")
     _require_resolvable(p_lower.grid.n, cfg.stationary_tol)
-    m = p_lower.grid.n - 1
-    kernel = _Kernel(p_lower, params.kappa, m, cfg.dt)
+    kernel = _Kernel(p_lower, params.kappa, False, cfg.dt)
     lo, up = p_lower.values.copy(), p_upper.values.copy()
-    r_lo, r_up = np.empty((2, m))
+    r_lo, r_up = np.empty((2, kernel.m))
     steps = 0
     worst = max(initial_gap, 0.0)
     while steps < cfg.max_steps:

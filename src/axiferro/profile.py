@@ -107,16 +107,25 @@ def is_hemispheric(p, tol=1e-12):
     return hemispheric_deviation(p) <= tol
 
 
-def _reflect_left_half(h, k):
-    """Rebuild the node array h, in place, from its left half [0, pi/2).
+def _symmetry_class(p, half):
+    """(m, k): a flow or Newton solve of p evolves nodes 1..m; k reflects, or is None."""
+    if half:
+        return p.grid.midpoint_index - 1, (p.m + p.n_end) // 2
+    return p.grid.n - 1, None
 
-    The midpoint is pinned at k*pi and each right node becomes 2*pi*k minus
-    its mirror node, the reflection ``hemispheric_deviation`` measures
-    against.  Endpoints are not written.
+
+def _add_step(h, delta, k):
+    """Add delta to the nodes 1..delta.size of the node array h, in place.
+
+    With k set, it then pins the midpoint at k*pi and makes each right node
+    2*pi*k minus its mirror node, the reflection ``hemispheric_deviation``
+    measures against.  Endpoints are not written.
     """
-    mid = (h.size - 1) // 2
-    h[mid] = k * np.pi
-    np.subtract(2.0 * np.pi * k, h[mid - 1:0:-1], out=h[mid + 1:-1])
+    h[1:delta.size + 1] += delta
+    if k is not None:
+        mid = (h.size - 1) // 2
+        h[mid] = k * np.pi
+        np.subtract(2.0 * np.pi * k, h[mid - 1:0:-1], out=h[mid + 1:-1])
 
 
 def wedge_check(p, spec):
@@ -240,8 +249,10 @@ def read_profile_csv(path, grid=None):
         raise ValueError(f"{path}: {exc}") from exc
     if data.shape[1] != 2:
         raise ValueError(f"{path}: {data.shape[1]} columns, expected 2 (theta,h)")
-    if grid is None:
-        grid = make_grid(data.shape[0] - 1)
+    try:
+        grid = grid or make_grid(data.shape[0] - 1)
+    except ValueError as exc:  # a node count make_grid refuses
+        raise ValueError(f"{path}: {exc}") from exc
     if data.shape[0] != grid.n + 1:
         raise ValueError(f"{path}: {data.shape[0]} rows, expected {grid.n + 1}")
     if np.max(np.abs(data[:, 0] - grid.nodes)) > 1e-12:

@@ -174,8 +174,7 @@ def _flow_then_polish(kappa, saddle_type, grid):
     else:
         start = make_initial_second_type(grid)
     cfg = FlowConfig(dt=_FLOW_DT, max_steps=_FLOW_STEPS,
-                     stationary_tol=_FLOW_TOL, record_every=_FLOW_STEPS,
-                     wedge=WedgeSpec(_WEDGE[saddle_type], SYMMETRY_TOL))
+                     stationary_tol=_FLOW_TOL, record_every=_FLOW_STEPS)
     result = run(start, EnergyParams(kappa), cfg, half_interval=True)
     if result.status is FlowStatus.BLOWUP_SUSPECTED:
         raise BlowupError(f"flow from the {saddle_type}-type start at kappa={kappa} "

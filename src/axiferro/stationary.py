@@ -12,7 +12,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, solve_banded
 
 from .energy import EnergyParams, el_residual, residual_noise_floor
-from .profile import _reflect_left_half, is_hemispheric
+from .profile import _add_step, _symmetry_class, is_hemispheric
 
 MAX_ITER = 50
 MIN_DAMPING = 2.0 ** -20
@@ -47,21 +47,18 @@ def newton_solve(p0, params, *, damped=True):
     iterations raises NewtonError either way.
 
     A hemispheric start (deviation at most 1e-12, the test ``flow.run``
-    makes) is solved in its symmetry class, as the half-interval flow
-    evolves it: Newton iterates on the nodes 1..n/2 - 1, left of the
-    midpoint, which is pinned at k*pi (k half the sum of the boundary
-    integers), writes the right half as their reflection, and takes the
-    stopping sup over those nodes.  Its Jacobian is the leading square block
-    of the full one on those nodes: the node-odd block, the directions that
-    keep the symmetry.  It stays invertible where a symmetry-breaking
-    direction makes the full Jacobian singular (first type at kappa_s =
-    6.0454, where lambda1 crosses zero).  Every other start iterates on all
-    n - 1 interior nodes.
+    makes) is solved in its symmetry class, by the half-interval flow's
+    update (``profile._add_step``): Newton iterates on the nodes left of the
+    midpoint, pins the midpoint at k*pi, writes the right half as their
+    reflection, and takes the stopping sup over those nodes.  Its Jacobian
+    is the leading square block of the full one on those nodes: the
+    node-odd block, the directions that keep the symmetry.  It stays
+    invertible where a symmetry-breaking direction makes the full Jacobian
+    singular (first type at kappa_s = 6.0454, where lambda1 crosses zero).
+    Every other start iterates on all n - 1 interior nodes.
     """
     tol = _residual_tol(p0.grid)
-    half = is_hemispheric(p0, 1e-12)
-    m = p0.grid.midpoint_index - 1 if half else p0.grid.n - 1
-    k = (p0.m + p0.n_end) // 2
+    m, k = _symmetry_class(p0, is_hemispheric(p0, 1e-12))
     min_alpha = MIN_DAMPING if damped else 1.0
     p = p0
     # each residual comes with V, so the Jacobian at an accepted trial takes
@@ -83,9 +80,7 @@ def newton_solve(p0, params, *, damped=True):
         alpha = 1.0
         while alpha >= min_alpha:
             values = p.values.copy()
-            values[1:m + 1] += alpha * delta
-            if half:
-                _reflect_left_half(values, k)
+            _add_step(values, alpha * delta, k)
             values.setflags(write=False)
             trial = type(p)(grid=p.grid, values=values, m=p.m, n_end=p.n_end)
             r_trial, v_trial = el_residual(trial, params, with_potential=True, nodes=m)

@@ -8,10 +8,10 @@ from contextlib import redirect_stderr, redirect_stdout
 import numpy as np
 import pytest
 
-from axiferro import cli
+from axiferro import cli, flow
 from axiferro.grid import make_grid
-from axiferro.profile import make_profile, write_profile_csv
-from axiferro.saddle import sweep
+from axiferro.profile import WedgeSpec, make_profile, write_profile_csv
+from axiferro.saddle import SYMMETRY_TOL, sweep
 
 # a warning used to break the one-line stderr checks; it still fails the test
 pytestmark = pytest.mark.filterwarnings("error")
@@ -159,6 +159,41 @@ class TestFlowCommand:
         assert records["default"]["config_hash"] == records["one"]["config_hash"]
         assert records["default"]["config_hash"] != records["small"]["config_hash"]
         assert records["small"]["steps"] > records["default"]["steps"]
+
+    @pytest.mark.parametrize("init,kind", [("pi", "W1"), ("first-type", "W1"),
+                                           ("two-theta", "W2"), ("theta", "none"),
+                                           ("csv", "none")])
+    def test_wedge_auto_is_the_start_wedge(self, tmp_path, monkeypatch, init, kind):
+        # --wedge auto monitors the wedge a builtin start lies in, at the
+        # reports' slack, and nothing for any other start: its outputs are
+        # those of that --wedge given, apart from the configuration
+        if init == "csv":
+            g = make_grid(256)
+            init = str(tmp_path / "start.csv")
+            write_profile_csv(make_profile(g, np.pi + 0.3 * np.sin(g.nodes) ** 2, 1, 1),
+                              init, kappa=5.0)
+        real = flow.wedge_check
+        specs = {}
+        outputs = {}
+        for wedge in ("auto", kind):
+            seen = specs[wedge] = set()
+            monkeypatch.setattr(flow, "wedge_check",
+                                lambda p, spec: seen.add(spec) or real(p, spec))
+            out = tmp_path / wedge
+            r = run_cli("flow", "--init", init, "--kappa", "5", "--n", "256",
+                        "--wedge", wedge, "--out", str(out))
+            assert r.returncode == 0, r.stderr
+            record = json.loads((out / "run.json").read_text())
+            assert record["config"].pop("wedge") == wedge
+            for key in ("config_hash", "wall_time_s"):
+                del record[key]
+            # the first line of the trace and the second of the profile carry the hash
+            outputs[wedge] = (record, r.stdout,
+                              (out / "energy_trace.csv").read_text().split("\n")[1:],
+                              (out / "final_profile.csv").read_text().split("\n", 2)[::2])
+        assert specs["auto"] == ({WedgeSpec(kind, SYMMETRY_TOL)} if kind != "none" else set())
+        assert specs["auto"] == specs[kind]
+        assert outputs["auto"] == outputs[kind]
 
     def test_outdir_from_environment(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AXIFERRO_OUTDIR", str(tmp_path / "envout"))

@@ -28,10 +28,9 @@ def random_ordered_pair(grid, rng):
 
 def step(p, params, dt):
     """One convex-splitting step of every interior node, on a fresh run workspace."""
-    m = p.grid.n - 1
-    kernel = flow._Kernel(p, params.kappa, m, dt)
+    kernel = flow._Kernel(p, params.kappa, False, dt)
     values = p.values.copy()
-    r = np.empty(m)
+    r = np.empty(kernel.m)
     kernel.evaluate(values, r)
     kernel.advance(values, r)
     return dataclasses.replace(p, values=values)
@@ -344,9 +343,8 @@ def test_every_step_decreases_energy(init, kappa, half_interval, dt, n):
     grid = make_grid(n)
     params = EnergyParams(kappa)
     p = builtin_profile(init, grid, kappa=kappa)
-    m = grid.midpoint_index - 1 if half_interval else n - 1
-    kernel = flow._Kernel(p, kappa, m, dt)
-    values, r = p.values.copy(), np.empty(m)
+    kernel = flow._Kernel(p, kappa, half_interval, dt)
+    values, r = p.values.copy(), np.empty(kernel.m)
     e = reduced_energy(p, params)
     drops = 0
     for _ in range(40):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from axiferro.grid import make_grid
-from axiferro.profile import (W1, W2, WedgeSpec, builtin_profile, degree,
+from axiferro.profile import (W1, W2, WedgeSpec, _add_step, _symmetry_class,
+                              builtin_profile, degree,
                               hemispheric_deviation, is_hemispheric,
                               make_initial_first_type,
                               make_initial_second_type, make_profile,
@@ -86,6 +87,33 @@ class TestHemispheric:
         p = make_profile(grid256, vals, 1, 1)
         assert not is_hemispheric(p, 1e-6)
         assert hemispheric_deviation(p) == pytest.approx(2.0, abs=1e-12)
+
+
+class TestSymmetryClassUpdate:
+    def test_half_interval_pins_and_reflects(self, grid256, rng):
+        p = make_initial_first_type(grid256, 5.0)
+        mid = grid256.midpoint_index
+        m, k = _symmetry_class(p, True)
+        assert (m, k) == (mid - 1, 1)
+        h = p.values.copy()
+        h[mid:-1] = 0.0  # the midpoint and right half are rewritten, not updated
+        delta = rng.uniform(-0.1, 0.1, m)
+        _add_step(h, delta, k)
+        assert np.array_equal(h[1:mid], p.values[1:mid] + delta)
+        assert h[mid] == np.pi
+        assert np.array_equal(h[mid + 1:-1], 2.0 * np.pi - h[mid - 1:0:-1])
+        assert (h[0], h[-1]) == (p.values[0], p.values[-1])
+        assert hemispheric_deviation(make_profile(grid256, h, p.m, p.n_end)) == 0.0
+
+    def test_full_interval_adds_only(self, grid256, rng):
+        # a (1, 1) profile, so a reflection with k = 1 would be well defined
+        p = make_profile(grid256, np.pi + np.sin(grid256.nodes) ** 2, 1, 1)
+        m, k = _symmetry_class(p, False)
+        assert (m, k) == (grid256.n - 1, None)
+        h = p.values.copy()
+        delta = rng.uniform(-0.1, 0.1, m)
+        _add_step(h, delta, k)
+        assert np.array_equal(h, p.values + np.concatenate(([0.0], delta, [0.0])))
 
 
 class TestWedges:
@@ -265,6 +293,19 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=reason) as info:
             read_profile_csv(path)
         assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize("nodes,reason", [(10, "n = 9 is an odd subdivision"),
+                                              (5, "n = 4 too coarse")])
+    def test_bad_node_count_rejected_with_path(self, tmp_path, nodes, reason):
+        # without a grid the file's node count picks one, and make_grid's
+        # refusal of that count names the file like every other refusal
+        path = tmp_path / "bad.csv"
+        theta = np.linspace(0.0, np.pi, nodes).tolist()
+        path.write_text("# m=0 n=1\ntheta,h\n"
+                        + "".join(f"{t!r},{t!r}\n" for t in theta))
+        with pytest.raises(ValueError, match=reason) as info:
+            read_profile_csv(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize("rows,reason", [("0.0,0.0\n0.5\n", "number of columns"),
                                              ("0.0,0.0\n0.5,abc\n", "could not convert"),
