@@ -104,7 +104,9 @@ class FlowResult:
 
     @property
     def wedge_always_ok(self):
-        return all(r.wedge_ok for r in self.records if r.wedge_ok is not None)
+        """Whether every record was inside the wedge; None without a monitor."""
+        verdicts = [r.wedge_ok for r in self.records]
+        return None if None in verdicts else all(verdicts)
 
 
 class _Kernel:
@@ -299,11 +301,12 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
 
 
 def write_energy_trace_csv(result, path, header_lines=()):
-    """Trace CSV with columns t, E, sup_residual, wedge_ok(0/1)."""
+    """Trace CSV with columns t, E, sup_residual, wedge_ok (1 or 0; empty without
+    a wedge monitor)."""
     lines = list(header_lines)
     lines.append("t,E,sup_residual,wedge_ok")
     for r in result.records:
-        wedge = 1 if (r.wedge_ok is None or r.wedge_ok) else 0
+        wedge = "" if r.wedge_ok is None else int(r.wedge_ok)
         lines.append(f"{float(r.t)!r},{r.energy!r},{r.sup_residual!r},{wedge}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -174,12 +174,10 @@ def eigs_lowest(op, k):
 
 @dataclass(frozen=True)
 class LegendreReport:
-    exact: np.ndarray
     computed_fine: np.ndarray
     max_deviation_coarse: float
     max_deviation_fine: float
     refinement_ratio: float
-    endpoints_zero: bool
 
 
 def legendre_validation(grid, l_max):
@@ -200,20 +198,16 @@ def legendre_validation(grid, l_max):
         res = eigs_lowest(op, l_max)
         ls = np.arange(1, l_max + 1)
         exact = ls * (ls + 1.0) - 4.0
-        return res, exact, np.abs(res.eigenvalues - exact)
+        return res.eigenvalues, np.abs(res.eigenvalues - exact)
 
-    res_c, exact, dev_c = deviations(grid)
-    fine = make_grid(2 * grid.n)
-    res_f, _, dev_f = deviations(fine)
+    _, dev_c = deviations(grid)
+    computed_fine, dev_f = deviations(make_grid(2 * grid.n))
     max_c = float(dev_c.max())
     max_f = float(dev_f.max())
-    endpoints_zero = bool(np.all(res_c.eigenvectors[:, 0] == 0.0)
-                          and np.all(res_c.eigenvectors[:, -1] == 0.0))
-    return LegendreReport(exact=exact, computed_fine=res_f.eigenvalues,
+    return LegendreReport(computed_fine=computed_fine,
                           max_deviation_coarse=max_c,
                           max_deviation_fine=max_f,
-                          refinement_ratio=max_c / max_f if max_f > 0 else np.inf,
-                          endpoints_zero=endpoints_zero)
+                          refinement_ratio=max_c / max_f if max_f > 0 else np.inf)
 
 
 def classify(p, params, k=4):

@@ -108,6 +108,34 @@ class TestFlowCommand:
                     "--max-steps", "1", "--out", str(tmp_path))
         assert r.returncode == 3
 
+    @staticmethod
+    def wedge_outputs(out):
+        """run.json's wedge_always_ok and the trace's wedge_ok field of every row."""
+        record = json.loads((out / "run.json").read_text())
+        rows = (out / "energy_trace.csv").read_text().splitlines()[2:]
+        assert rows
+        return record["wedge_always_ok"], {row.split(",")[3] for row in rows}
+
+    @pytest.mark.parametrize("init, wedge", [("two-theta", "none"), ("theta", "auto"),
+                                             ("csv", "auto")])
+    def test_run_without_monitor_writes_no_wedge_verdict(self, tmp_path, init, wedge):
+        # a start with no wedge of its own gets no monitor from --wedge auto
+        if init == "csv":
+            init = str(tmp_path / "start.csv")
+            write_profile_csv(make_profile(make_grid(256), np.full(257, np.pi), 1, 1), init)
+        r = run_cli("flow", "--init", init, "--kappa", "3", "--n", "256",
+                    "--wedge", wedge, "--out", str(tmp_path / "out"))
+        assert r.returncode in (0, 2), r.stderr
+        assert self.wedge_outputs(tmp_path / "out") == (None, {""})
+
+    def test_run_leaving_its_monitored_wedge_writes_false(self, tmp_path):
+        # at kappa = 3 < 4 the flow from 2*theta leaves W2
+        r = run_cli("flow", "--init", "two-theta", "--kappa", "3", "--n", "256",
+                    "--wedge", "W2", "--out", str(tmp_path))
+        assert r.returncode == 0, r.stderr
+        verdict, fields = self.wedge_outputs(tmp_path)
+        assert verdict is False and "0" in fields and fields <= {"0", "1"}
+
     def test_grid_precondition_exit_one(self, tmp_path):
         r = run_cli("flow", "--init", "theta", "--kappa", "7", "--n", "15",
                     "--out", str(tmp_path))

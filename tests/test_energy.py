@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from axiferro.cli import _report_payload
-from axiferro.energy import (_WEDGE_SAMPLES, EnergyParams,
-                             assemble_second_variation, el_residual,
+from axiferro import energy
+from axiferro.energy import (EnergyParams, assemble_second_variation, el_residual,
                              reduced_energy, residual_supnorm,
                              second_variation_form, wedge_certificates)
 from axiferro.grid import make_grid, quad_sin
@@ -271,12 +271,29 @@ def test_residual_noise_floor_covers_measurements():
         assert measured <= 2.0 * residual_noise_floor(g.n)
 
 
+CERTIFICATE_NAMES = {"f_on_W1", "f_on_W2", "lambda_on_W1_quarter", "lambda_on_W2"}
+
+
 class TestWedgeCertificates:
     def test_all_hold_at_and_above_four(self):
         for kappa in (4.0, 6.0, 25.0):
-            report = wedge_certificates(kappa)
-            assert report.samples == _WEDGE_SAMPLES
-            assert report.all_hold, [c for c in report.checks if not c.holds]
+            verdicts = wedge_certificates(kappa)
+            assert set(verdicts) == CERTIFICATE_NAMES
+            assert all(v is True for v in verdicts.values()), (kappa, verdicts)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_each_verdict_has_its_direction(self, monkeypatch, sign):
+        # f and lambda are claimed >= 0 on W1 (lambda on its x <= pi/4 part)
+        # and <= 0 on W2; a constant of either sign passes one side only
+        def constant(x, y, kappa):
+            return np.full(np.shape(x), sign)
+
+        monkeypatch.setattr(energy, "_certificate_f", constant)
+        monkeypatch.setattr(energy, "_certificate_lambda", constant)
+        positive = sign > 0
+        assert wedge_certificates(4.0) == {
+            "f_on_W1": positive, "lambda_on_W1_quarter": positive,
+            "f_on_W2": not positive, "lambda_on_W2": not positive}
 
     def test_corner_value_zero(self):
         from axiferro.energy import _certificate_f

@@ -311,6 +311,22 @@ class TestRitzSolve:
         assert solves == [(spectrum._ABSTOL, False)]
         assert relative_gap(vals, dense_spectrum(op, 4)) <= 1e-10
 
+    @pytest.mark.parametrize("make_op, path", [
+        (lambda: saddle_operator(1024)[0], True),
+        (lambda: assemble_second_variation(builtin_profile("theta", make_grid(1024)),
+                                           EnergyParams(10.0)), True),
+        (asymmetric_operator, False),
+    ])
+    def test_vectors_vanish_at_both_endpoints(self, make_op, path, solves):
+        # the sector solve and the whole-matrix solve both return vectors on
+        # the full node range, exactly zero at the Dirichlet endpoints
+        op = make_op()
+        vectors = eigs_lowest(op, 5).eigenvectors
+        assert solves == [(spectrum._ABSTOL, path)]
+        assert vectors.shape == (5, op.dimension + 2)
+        assert np.all(vectors[:, [0, -1]] == 0.0)
+        assert np.all(np.abs(vectors[:, 1:-1]).max(axis=1) > 0.0)
+
     @pytest.mark.parametrize("gap", [1e-4, 1e-12])
     def test_near_degenerate_pair_repeats_once(self, gap, solves):
         op = near_degenerate_operator(gap)
@@ -348,11 +364,10 @@ class TestLegendreValidation:
     def test_table_and_refinement(self):
         report = legendre_validation(make_grid(1024), 5)
         exact = np.arange(1, 6) * np.arange(2, 7) - 4.0
-        assert np.array_equal(report.exact, exact)
+        assert report.max_deviation_fine == np.max(np.abs(report.computed_fine - exact))
         assert report.max_deviation_coarse < 1e-2
         assert report.max_deviation_fine < 1e-2 / 3
         assert 3.0 < report.refinement_ratio < 5.0
-        assert report.endpoints_zero
 
     def test_first_eigenfunction_is_sin(self, grid512):
         p = make_initial_second_type(grid512)

@@ -21,14 +21,20 @@ def two_lowest(pt):
 
 
 def counting_solves(monkeypatch):
-    """Count the Jacobian solves of newton_solve; returns the live count."""
+    """Count the Jacobian solves of newton_solve; returns the live count.
+
+    Each Newton iteration builds its Jacobian's bands exactly once, so the
+    count is of ``Stencil.jacobian_bands`` calls.  A flow run builds them
+    once too, so no flow may run while the count is live.
+    """
     calls = [0]
+    real = Stencil.jacobian_bands
 
-    def counted(*args, **kwargs):
+    def counted(self, v):
         calls[0] += 1
-        return solve_banded(*args, **kwargs)
+        return real(self, v)
 
-    monkeypatch.setattr(stationary, "solve_banded", counted)
+    monkeypatch.setattr(Stencil, "jacobian_bands", counted)
     return calls
 
 
