@@ -39,9 +39,11 @@ from .stationary import NewtonError
 OUTDIR_ENV = "AXIFERRO_OUTDIR"
 # kappas one sweep may ask for; each is at least one pipeline run
 _MAX_SWEEP_POINTS = 100_000
-# the finest grid validate's fixed bars hold on: from n = 32768 the Legendre
-# table's refinement ratio falls below 3 on a correct build
-_MAX_VALIDATE_N = 16384
+# the grids validate's fixed bars hold on: on a correct build the Legendre
+# table's deviation, about 551/n^2, passes its 1e-2 bar only from n = 236
+# (256 leaves a 16 % margin), and from n = 32768 its refinement ratio falls
+# below 3
+_MIN_VALIDATE_N, _MAX_VALIDATE_N = 256, 16384
 # the wedge each builtin start lies in, which ``flow --wedge auto`` monitors
 _START_WEDGE = {"pi": W1, "first-type": W1, "two-theta": W2}
 
@@ -235,6 +237,9 @@ def _validate_properties(n, seed):
     if n > _MAX_VALIDATE_N:
         raise ValueError(f"--n {n} too fine for validate; need --n <= {_MAX_VALIDATE_N}, "
                          "the finest grid its fixed bars hold on")
+    if n < _MIN_VALIDATE_N:
+        raise ValueError(f"--n {n} too coarse for validate; need --n >= {_MIN_VALIDATE_N}, "
+                         "the coarsest grid its fixed bars hold on")
     grid = make_grid(n)
     rng = np.random.default_rng(seed)
 

@@ -94,8 +94,7 @@ def el_residual(p, params, with_potential=False, nodes=None):
     """
     m = p.grid.n - 1 if nodes is None else nodes
     r, v = np.empty((2, m))
-    p.grid.stencil.evaluate(p.values, params.kappa, r, v if with_potential else None,
-                            np.empty((4, m)))
+    p.grid.stencil.evaluate(p.values, params.kappa, r, v if with_potential else None)
     return (r, v) if with_potential else r
 
 
@@ -127,9 +126,8 @@ def _zeroed_direction(grid, g):
 
 
 def _potential(p, params):
-    m = p.grid.n - 1
-    v = np.empty(m)
-    p.grid.stencil.evaluate(p.values, params.kappa, None, v, np.empty((4, m)))
+    v = np.empty(p.grid.n - 1)
+    p.grid.stencil.evaluate(p.values, params.kappa, None, v)
     return v
 
 

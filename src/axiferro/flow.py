@@ -110,16 +110,14 @@ class FlowResult:
 
 
 class _Kernel:
-    """One run's step workspace for p0's symmetry class at step size dt, built once.
+    """One run's step for p0's symmetry class at step size dt, built once.
 
-    ``evaluate`` writes R of a node array into a given buffer and ``advance``
+    ``evaluate`` writes R of a node array into a given array and ``advance``
     takes one convex-splitting step of a node array in place.  The step
     matrix I - dt J0 + dt S does not depend on the state, so it is factored
-    here, once, by LAPACK gttrf; each step is one gttrs solve.  The scratch
-    for 2h, its sin and cos, |R| and the right-hand side is allocated here
-    and reused by every step.  ``half`` picks p0's symmetry class: the nodes
-    left of the midpoint, which each step pins and reflects (``_add_step``),
-    or all n - 1 interior nodes.
+    here, once, by LAPACK gttrf; each step is one gttrs solve.  ``half``
+    picks p0's symmetry class: the nodes left of the midpoint, which each
+    step pins and reflects (``_add_step``), or all n - 1 interior nodes.
     """
 
     def __init__(self, p0, kappa, half, dt):
@@ -128,9 +126,6 @@ class _Kernel:
         m, self.k = _symmetry_class(p0, half)
         self.m = m
         self.dt = dt
-        self.work = np.empty((4, m))
-        self.abs_r = np.empty(m)
-        self.rhs = np.empty(m)
         # I - dt (J0 - S): Newton's Jacobian with V replaced by its bound S
         ab = st.jacobian_bands(st.potential_bound(kappa)[:m])
         with np.errstate(over="ignore"):
@@ -145,8 +140,8 @@ class _Kernel:
 
     def evaluate(self, h, r):
         """R of the node array h at nodes 1..m into r; returns sup |R|."""
-        self.stencil.evaluate(h, self.kappa, r, None, self.work)
-        return float(np.abs(r, out=self.abs_r).max())
+        self.stencil.evaluate(h, self.kappa, r, None)
+        return float(np.abs(r).max())
 
     def advance(self, h, r):
         """One step of nodes 1..m of the node array h, in place.
@@ -156,8 +151,7 @@ class _Kernel:
         leaving h as it was, when the update is not finite.  Endpoints are
         never written.
         """
-        np.multiply(self.dt, r, out=self.rhs)
-        delta, info = dgttrs(*self.factors, self.rhs, overwrite_b=1)
+        delta, info = dgttrs(*self.factors, self.dt * r, overwrite_b=1)
         if info != 0:
             raise LinAlgError(f"flow update: gttrs returned info = {info}")
         if not np.isfinite(delta).all():

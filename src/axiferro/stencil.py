@@ -63,48 +63,25 @@ class Stencil:
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
 
-    def evaluate(self, h, kappa, r, v, work):
+    def evaluate(self, h, kappa, r, v):
         """R into r and V into v at nodes 1..m from the full node array h.
 
-        ``work`` is (4, m) scratch; r or v may be None to skip it.  Nothing is
-        allocated, and each ufunc writes into a given buffer in the operation
-        order of the formulas above, so the result is bit for bit that of the
-        same formulas written as allocating array expressions.  sin(2h - 2t)
-        and cos(2h - 2t) come from one sin and cos of 2h and the cached 2t ones.
+        r or v may be None to skip it; m is the length of the one given.  Both
+        are the formulas above as array expressions, sin(2h - 2t) and
+        cos(2h - 2t) expanded from one sin and one cos of 2h and the cached
+        2t ones.
         """
-        m = work.shape[1]
-        two_h, s, c, t = work
-        np.multiply(2.0, h[1:m + 1], out=two_h)
-        np.sin(two_h, out=s)
-        np.cos(two_h, out=c)
+        m = (v if r is None else r).size
+        two_h = 2.0 * h[1:m + 1]
+        s, c = np.sin(two_h), np.cos(two_h)
         c2t, s2t = self.cos_2theta[:m], self.sin_2theta[:m]
         if r is not None:
             dth = self.dtheta
-            # d2 = (h_{i+1} - 2 h_i + h_{i-1}) / dth^2, 2 h_i being two_h
-            np.subtract(h[2:m + 2], two_h, out=r)
-            np.add(r, h[:m], out=r)
-            np.divide(r, dth ** 2, out=r)
-            # + cot d1, d1 = (h_{i+1} - h_{i-1}) / (2 dth)
-            np.subtract(h[2:m + 2], h[:m], out=t)
-            np.divide(t, 2.0 * dth, out=t)
-            np.multiply(self.cot[:m], t, out=t)
-            np.add(r, t, out=r)
-            # - sin 2h / (2 sin^2 t) - kappa/2 (sin 2h cos 2t - cos 2h sin 2t)
-            np.divide(s, self.twice_sin2[:m], out=t)
-            np.subtract(r, t, out=r)
-            np.multiply(s, c2t, out=t)
-            np.multiply(c, s2t, out=two_h)
-            np.subtract(t, two_h, out=t)
-            np.multiply(0.5 * kappa, t, out=t)
-            np.subtract(r, t, out=r)
+            r[:] = ((h[2:m + 2] - two_h + h[:m]) / dth ** 2
+                    + self.cot[:m] * ((h[2:m + 2] - h[:m]) / (2.0 * dth))
+                    - s / self.twice_sin2[:m] - 0.5 * kappa * (s * c2t - c * s2t))
         if v is not None:
-            # cos 2h / sin^2 t + kappa (cos 2h cos 2t + sin 2h sin 2t)
-            np.multiply(c, c2t, out=t)
-            np.multiply(s, s2t, out=v)
-            np.add(t, v, out=t)
-            np.multiply(kappa, t, out=t)
-            np.divide(c, self.sin2[:m], out=v)
-            np.add(v, t, out=v)
+            v[:] = c / self.sin2[:m] + kappa * (c * c2t + s * s2t)
 
     def potential_bound(self, kappa):
         """S = max over h of V at every interior node: hypot(alpha, beta) as above."""

@@ -544,6 +544,15 @@ class TestValidateCommand:
             assert "need --n <= 16384" in r.stderr
             assert r.stdout == ""
 
+    def test_coarse_grid_refused_before_any_result(self):
+        # the Legendre table's fixed 1e-2 bar fails a correct build below
+        # n = 236, so --n < 256 is refused before any result line
+        for n in ("16", "128", "254"):
+            r = run_cli("validate", "--n", n)
+            assert_one_line_error(r)
+            assert "need --n >= 256" in r.stderr
+            assert r.stdout == ""
+
     def test_finest_accepted_grid_passes(self):
         r = run_cli("validate", "--n", "16384")
         assert r.returncode == 0, r.stdout + r.stderr

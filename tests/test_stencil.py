@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from axiferro import flow
 from axiferro.energy import EnergyParams, assemble_second_variation, el_residual
 from axiferro.grid import make_grid
 from axiferro.profile import make_profile
@@ -67,9 +68,9 @@ def case(request):
 
 
 def evaluated(st, h, m):
-    """R and V at nodes 1..m by the buffered evaluation, into fresh arrays."""
+    """R and V at nodes 1..m by the stencil's evaluation, into fresh arrays."""
     r, v = np.empty((2, m))
-    st.evaluate(h, KAPPA, r, v, np.empty((4, m)))
+    st.evaluate(h, KAPPA, r, v)
     return r, v
 
 
@@ -85,8 +86,8 @@ def evolved_counts(grid):
 
 
 def allocating_evaluation(st, h, kappa, m):
-    """R and V at nodes 1..m as one allocating expression each, in the
-    operation order that the buffered evaluation keeps bit for bit."""
+    """R and V at nodes 1..m as one allocating expression each, written here
+    independently of the stencil, in the operation order it keeps bit for bit."""
     hi = h[1:m + 1]
     two_h = 2.0 * hi
     s, c = np.sin(two_h), np.cos(two_h)
@@ -99,7 +100,7 @@ def allocating_evaluation(st, h, kappa, m):
     return r, v
 
 
-def test_buffered_evaluation_is_bitwise_the_allocating_one(case):
+def test_evaluation_is_bitwise_the_reference_expressions(case):
     grid, h = case
     st = grid.stencil
     for m in evolved_counts(grid):
@@ -121,6 +122,20 @@ def test_buffered_evaluation_is_bitwise_the_allocating_one(case):
     assert np.array_equal(op.diag, st.divergence_diag + v)
 
 
+def test_flow_kernel_residual_is_bitwise_the_reference(case):
+    # the flow's residual and its sup, on the full and the half interval
+    grid, h = case
+    p = make_profile(grid, h, 1, 2)
+    for half, m in zip((False, True), evolved_counts(grid)):
+        kernel = flow._Kernel(p, KAPPA, half, 1.0)
+        assert kernel.m == m
+        r = np.empty(m)
+        sup = kernel.evaluate(h, r)
+        expected, _ = allocating_evaluation(grid.stencil, h, KAPPA, m)
+        assert np.array_equal(r, expected)
+        assert sup == np.max(np.abs(expected))
+
+
 def test_residual_matches_inline_formula(case):
     grid, h = case
     expected = reference_residual(grid, h, KAPPA)
@@ -137,7 +152,7 @@ def test_potential_matches_inline_formula(case):
     st = grid.stencil
     for m in evolved_counts(grid):
         v = np.empty(m)
-        st.evaluate(h, KAPPA, None, v, np.empty((4, m)))  # V alone
+        st.evaluate(h, KAPPA, None, v)  # V alone
         assert_close(v, expected[:m])
         assert_close(evaluated(st, h, m)[1], expected[:m])
 
