@@ -45,9 +45,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgttrf, dgttrs
+from numpy.linalg import LinAlgError
 
+from ._lapack import dgttrf, dgttrs
 from .energy import reduced_energy, residual_noise_floor
 from .profile import (WedgeSpec, _add_step, _symmetry_class, hemispheric_deviation,
                       is_hemispheric, wedge_check)

@@ -23,8 +23,8 @@ suite (``numpy.linalg.eigvalsh``, LAPACK syevd) stays an independent oracle.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein, dsyevd
 
+from ._lapack import dstebz, dstein, dsyevd
 from .energy import EnergyParams, assemble_second_variation, residual_supnorm
 from .grid import make_grid
 from .profile import make_initial_second_type, perturbation_direction

@@ -24,6 +24,8 @@ the gradient of E_w (``axiferro.energy``); w = sin(t) dt to O(dt^2).
 Band arrays use the layout of ``scipy.linalg.solve_banded`` with one band on
 each side: row 0 is the superdiagonal (ab[0, j] couples row j - 1 to j),
 row 1 the diagonal, row 2 the subdiagonal (ab[2, j] couples row j + 1 to j).
+So LAPACK's tridiagonal routines (dgtsv, dgttrf) take a band array as the
+arguments ab[2, :-1], ab[1], ab[0, 1:]: sub-, main and superdiagonal.
 """
 
 import numpy as np

@@ -144,6 +144,25 @@ class TestNewton:
             newton_solve(start, EnergyParams(25.0))
         assert info.value.residual_norm is not None
 
+    def test_singular_jacobian_raises(self, grid256, monkeypatch):
+        # LAPACK's dgtsv reports an exactly zero pivot as info > 0
+        monkeypatch.setattr(stationary, "solve_banded",
+                            lambda dl, d, du, b: (dl, d, du, b, 1))
+        start = make_profile(grid256, np.pi + 0.9 * np.sin(grid256.nodes), 1, 1)
+        with pytest.raises(NewtonError, match="singular Jacobian") as info:
+            newton_solve(start, EnergyParams(25.0))
+        assert info.value.residual_norm > 0
+
+    def test_non_finite_residual_raises(self, grid256):
+        values = builtin_profile("pi", grid256).values.copy()
+        values[5], values[6] = 1.7e308, -1.7e308
+        start = make_profile(grid256, values, 1, 1)
+        # the residual overflows, which numpy would also warn about
+        with (np.errstate(over="ignore", invalid="ignore"),
+              pytest.raises(NewtonError, match="residual is not finite") as info):
+            newton_solve(start, EnergyParams(5.0))
+        assert not np.isfinite(info.value.residual_norm)
+
     def test_damped_by_default_and_plain_on_request(self, grid256):
         # a rough start the line search carries home; its full first step
         # raises the sup residual from 0.398 to 12.3, so the plain Newton
