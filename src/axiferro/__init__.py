@@ -16,10 +16,9 @@ from .profile import (Profile, W1, W2, WedgeSpec, builtin_profile, degree,
                       make_initial_first_type, make_initial_second_type,
                       make_profile, node_derivative, perturbation_direction,
                       read_profile_csv, wedge_check, write_profile_csv)
-from .saddle import (FIRST, SECOND, BlowupError, ContinuationError,
-                     SaddleReport, SaddleValidationError, SweepResult,
-                     find_first_type, find_second_type,
-                     probe_second_branch_floor, sweep)
+from .saddle import (FIRST, SECOND, ContinuationError, SaddleReport,
+                     SaddleValidationError, SweepResult, find_first_type,
+                     find_second_type, probe_second_branch_floor, sweep)
 from .spectrum import SpectrumResult, classify, eigs_lowest, legendre_validation
 from .stationary import (Branch, BranchPoint, NewtonError, continue_branch,
                          newton_solve)
@@ -36,7 +35,7 @@ __all__ = [
     "make_initial_second_type", "make_profile", "node_derivative",
     "perturbation_direction", "read_profile_csv", "wedge_check",
     "write_profile_csv",
-    "FIRST", "SECOND", "BlowupError", "ContinuationError", "SaddleReport",
+    "FIRST", "SECOND", "ContinuationError", "SaddleReport",
     "SaddleValidationError", "SweepResult", "find_first_type",
     "find_second_type", "probe_second_branch_floor", "sweep",
     "SpectrumResult", "classify", "eigs_lowest", "legendre_validation",

@@ -30,9 +30,8 @@ from .flow import (FlowConfig, FlowStatus, _require_resolvable, comparison_trial
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, _csv_rows, builtin_profile, degree,
                       make_profile, read_profile_csv, write_profile_csv)
-from .saddle import (FIRST, SECOND, SYMMETRY_TOL, BlowupError, ContinuationError,
-                     SaddleValidationError, _pipeline_grid, find_first_type,
-                     find_second_type, sweep)
+from .saddle import (FIRST, SECOND, SYMMETRY_TOL, ContinuationError, SaddleValidationError,
+                     _pipeline_grid, find_first_type, find_second_type, sweep)
 from .spectrum import _require_pair_count, eigs_lowest, legendre_validation
 from .stationary import NewtonError
 
@@ -65,10 +64,13 @@ def _write_json(path, payload):
 
 
 def _load_initial(name, grid, kappa):
-    if name.endswith(".csv"):
-        p, _ = read_profile_csv(name, grid)
-        return p
-    return builtin_profile(name, grid, kappa=kappa)
+    if not name.endswith(".csv"):
+        return builtin_profile(name, grid, kappa=kappa)
+    p, _ = read_profile_csv(name, grid)
+    with np.errstate(all="ignore"):
+        if not np.isfinite(residual_supnorm(p, EnergyParams(kappa))):
+            raise ValueError(f"{name}: the residual at kappa = {kappa:g} is not finite")
+    return p
 
 
 def cmd_flow(args):
@@ -138,10 +140,8 @@ def cmd_saddle(args):
               "n": args.n}
     h = config_hash(config)
     grid = _pipeline_grid(args.n, [args.kappa], [args.type])
-    if args.type == FIRST:
-        report = find_first_type(args.kappa, grid=grid)
-    else:
-        report = find_second_type(args.kappa, grid=grid)
+    pipeline = find_first_type if args.type == FIRST else find_second_type
+    report = pipeline(args.kappa, grid=grid)
     out = _outdir(args)
     payload = _report_payload(report, h, config)
     _write_json(os.path.join(out, "report.json"), payload)
@@ -398,7 +398,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         code = args.func(args)
     except (ValueError, OSError, SaddleValidationError, ContinuationError,
-            BlowupError, NewtonError) as exc:
+            NewtonError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = 1
     sys.exit(code)

@@ -20,8 +20,16 @@ semidefinite), and S - V >= 0, so for every dt, up to rounding:
 - energy decay: E_w(h_new) <= E_w(h) - ||h_new - h||_w^2 / dt;
 - order: the matrix is an M-matrix and h + dt (S h - f(h)), f the reaction
   terms, is nondecreasing in h, so ordered profiles stay ordered (the
-  discrete comparison principle), and a wedge whose bounds are discrete sub-
-  and supersolutions is never left.
+  discrete comparison principle), and a lower bound with R >= 0 or an upper
+  bound with R <= 0 is never crossed.
+
+At every node left of the midpoint R has closed forms on the paper's wedge
+bounds: R(theta) = 0, R(pi + theta) = 0, R(pi) = (kappa/2) sin 2theta and
+R(2 theta) = (4 - kappa) sin theta cos theta.  So, on [0, pi/2] with the
+midpoint pinned and for every dt and n, W1 (pi <= h <= pi + theta) is
+invariant at every kappa >= 0, and W2 (theta <= h <= 2 theta) exactly when
+kappa >= 4.  Inside either wedge the pole slopes are at most 4, so a flow
+from the saddle pipelines' starts never suspects blowup.
 
 The matrix does not depend on the state, so each run factors it once
 (``_Kernel``), and the flow never evaluates V.  At large dt the step is a

@@ -6,6 +6,10 @@ kappa > 4 flow from h = 2*theta (class (0, 2), wedge W2); at kappa = 4 the
 profile 2*theta is itself the exact critical point; below 4 the branch is
 continued down from it.  Every report is re-validated at emission against
 its structural invariants rather than trusted from construction.
+
+The flows start inside W1 or W2, which the step never leaves for kappa >= 4
+(``axiferro.flow``), so they cannot blow up; below 4 the upper bound of W2
+is no supersolution, since R(2 theta) = (4 - kappa) sin theta cos theta > 0.
 """
 
 import math
@@ -15,7 +19,7 @@ import numpy as np
 
 from .energy import (EnergyParams, assemble_second_variation, reduced_energy,
                      residual_noise_floor)
-from .flow import FlowConfig, FlowStatus, _require_resolvable, run
+from .flow import FlowConfig, _require_resolvable, run
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
                       make_initial_first_type, make_initial_second_type,
@@ -34,10 +38,6 @@ _FLOW_STEPS = 1000      # the pipeline flow's step cap
 _BRANCH_DK = 0.05       # kappa step of the second-type walk below kappa = 4
 _KAPPA0_WIDTH = 0.05    # width the kappa0 bracket is bisected down to
 _WEDGE = {FIRST: W1, SECOND: W2}
-
-
-class BlowupError(RuntimeError):
-    """The flow reported suspected blowup where theory forbids it."""
 
 
 class ContinuationError(RuntimeError):
@@ -92,8 +92,9 @@ class SaddleReport:
                             f"!= {expected}")
         if degree(self.profile) != 0:
             problems.append(f"degree {degree(self.profile)} != 0")
-        # wedge invariance is only guaranteed for kappa >= 4; below that the
-        # continuation branch may leave W2 and the verdict is informational
+        # wedge invariance holds for kappa >= 4 only: below it
+        # R(2 theta) = (4 - kappa) sin theta cos theta > 0, so the continuation
+        # branch may leave W2 and the verdict is informational
         if self.kappa >= 4 and not self.wedge_verdict.inside:
             problems.append(f"wedge violated at node {self.wedge_verdict.node} "
                             f"by {self.wedge_verdict.excess:.3g}")
@@ -176,10 +177,6 @@ def _flow_then_polish(kappa, saddle_type, grid):
     cfg = FlowConfig(dt=_FLOW_DT, max_steps=_FLOW_STEPS,
                      stationary_tol=_FLOW_TOL, record_every=_FLOW_STEPS)
     result = run(start, EnergyParams(kappa), cfg, half_interval=True)
-    if result.status is FlowStatus.BLOWUP_SUSPECTED:
-        raise BlowupError(f"flow from the {saddle_type}-type start at kappa={kappa} "
-                          "reported blowup; theory rules this out for kappa >= 4, "
-                          "so this is a discretization failure to investigate")
     return _polish_and_report(result.final, kappa, saddle_type, "flow_then_newton")
 
 

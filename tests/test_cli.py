@@ -317,6 +317,21 @@ def test_flow_and_spectrum_refuse_bad_input_before_any_output(tmp_path, argv, me
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [("flow", "--init"), ("spectrum", "--profile")])
+def test_overflowing_profile_refused_before_any_output(tmp_path, command):
+    # the residual of these values overflows: flow used to exit 3 after numpy's
+    # warnings, and spectrum to fail in one line that named LAPACK's dstebz
+    values = np.full(257, np.pi)
+    values[5], values[6] = 1.7e308, -1.7e308
+    path = tmp_path / "huge.csv"
+    write_profile_csv(make_profile(make_grid(256), values, 1, 1), path)
+    out = tmp_path / "out"
+    r = run_cli(*command, str(path), "--kappa", "5", "--n", "256", "--out", str(out))
+    assert_one_line_error(r)
+    assert f"{path}: the residual at kappa = 5 is not finite" in r.stderr
+    assert not out.exists()
+
+
 # n = 3.2e9 (the default grid at kappa = 1e16 too) would be three arrays of
 # 25.6 GB each; its noise floor is above both tolerances.  Each of these
 # requests runs a flow; the sweep over (5, 1e16) makes no run directory

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from axiferro import flow
-from axiferro.energy import (EnergyParams, reduced_energy, residual_noise_floor,
-                             residual_supnorm)
+from axiferro import flow, saddle
+from axiferro.energy import (EnergyParams, el_residual, reduced_energy,
+                             residual_noise_floor, residual_supnorm)
 from axiferro.flow import (ENERGY_SLACK, FlowConfig, FlowRecord, FlowStatus,
                            comparison_trial, detect_blowup, run,
                            write_energy_trace_csv)
 from axiferro.grid import make_grid
 from axiferro.profile import (W1, W2, WedgeSpec, builtin_profile, degree,
                               hemispheric_deviation, is_hemispheric,
-                              make_profile, wedge_check)
+                              make_initial_first_type, make_profile, wedge_check)
 
 
 def random_ordered_pair(grid, rng):
@@ -26,9 +26,12 @@ def random_ordered_pair(grid, rng):
     return (make_profile(grid, lower, 1, 1), make_profile(grid, upper, 1, 1))
 
 
-def step(p, params, dt):
-    """One convex-splitting step of every interior node, by a fresh run's kernel."""
-    kernel = flow._Kernel(p, params.kappa, False, dt)
+def step(p, params, dt, half=False):
+    """One convex-splitting step of p's evolved nodes, by a fresh run's kernel.
+
+    Every interior node, or with ``half`` the nodes left of the pinned midpoint.
+    """
+    kernel = flow._Kernel(p, params.kappa, half, dt)
     values = p.values.copy()
     r = np.empty(kernel.m)
     kernel.evaluate(values, r)
@@ -375,8 +378,8 @@ def test_every_step_keeps_order(grid256, rng, dt):
 @pytest.mark.parametrize("n,init,kappa,wedge", [
     (256, "first-type", 5.0, W1), (256, "first-type", 100.0, W1),
     (256, "two-theta", 4.01, W2), (256, "two-theta", 1000.0, W2),
-    # the flow from 2*theta cannot blow up, but a step that is not energy
-    # stable at dt = 1e3 leaves W2 here and reports blowup
+    # W2 is invariant for every kappa >= 4 and every dt (TestWedgeTheorem):
+    # here at the largest kappa and step the pipelines use, on their grid
     (1024, "two-theta", 1000.0, W2)])
 def test_large_step_stays_in_wedge(n, init, kappa, wedge):
     p0 = builtin_profile(init, make_grid(n), kappa=kappa)
@@ -387,6 +390,102 @@ def test_large_step_stays_in_wedge(n, init, kappa, wedge):
     assert len(result.records) == result.steps + 1
     assert result.wedge_always_ok
     assert result.energy_monotone
+
+
+class TestWedgeTheorem:
+    """The paper's invariant wedges as a property of the discrete step.
+
+    Left of the midpoint R has closed forms on the four wedge bounds:
+    R(theta) = R(pi + theta) = 0, R(pi) = (kappa/2) sin 2theta and
+    R(2 theta) = (4 - kappa) sin theta cos theta.  The step matrix is an
+    M-matrix and the step's right side is monotone, so a lower bound with
+    R >= 0 and an upper bound with R <= 0 are never crossed, at any dt:
+    W1 is invariant at every kappa >= 0, and W2 exactly when kappa >= 4.
+    """
+
+    BOUNDS = {  # name: (slope, offset, boundary class)
+        "theta": (1.0, 0.0, (0, 1)), "pi+theta": (1.0, np.pi, (1, 2)),
+        "pi": (0.0, np.pi, (1, 1)), "two-theta": (2.0, 0.0, (0, 2))}
+
+    @staticmethod
+    def closed_form(name, theta, kappa):
+        if name == "pi":
+            return 0.5 * kappa * np.sin(2.0 * theta)
+        if name == "two-theta":
+            return (4.0 - kappa) * np.sin(theta) * np.cos(theta)
+        return np.zeros_like(theta)
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    @pytest.mark.parametrize("kappa", [4.0, 6.5, 100.0])
+    @pytest.mark.parametrize("name", ["theta", "pi+theta", "pi", "two-theta"])
+    def test_residual_closed_forms(self, name, kappa, n):
+        grid = make_grid(n)
+        slope, offset, (m, n_end) = self.BOUNDS[name]
+        p = make_profile(grid, slope * grid.nodes + offset, m, n_end)
+        left = grid.midpoint_index - 1   # interior nodes 1..left lie left of pi/2
+        r = el_residual(p, EnergyParams(kappa))[:left]
+        expected = self.closed_form(name, grid.interior[:left], kappa)
+        assert np.max(np.abs(r - expected)) <= residual_noise_floor(n)
+
+    @staticmethod
+    def step_excess_over_two_theta(kappa, dt, n=1024):
+        """How far one half-interval step from h = 2 theta rises above 2 theta."""
+        p = builtin_profile("two-theta", make_grid(n))
+        q = step(p, EnergyParams(kappa), dt, half=True)
+        left = slice(0, p.grid.midpoint_index + 1)
+        return float(np.max(q.values[left] - p.values[left]))
+
+    @pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3])
+    @pytest.mark.parametrize("kappa", [3.9, 3.99])
+    def test_one_step_leaves_w2_below_four(self, kappa, dt):
+        # R(2 theta) > 0 pushes the upper bound up: 4.6e-5 to 6.0e-3 here
+        assert self.step_excess_over_two_theta(kappa, dt) > 1e-5
+
+    @pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3])
+    @pytest.mark.parametrize("kappa", [4.01, 10.0])
+    def test_one_step_keeps_w2_above_four(self, kappa, dt):
+        # R(2 theta) < 0 at every node and the inverse of the M-matrix is
+        # nonnegative, so every node's step is negative, far above rounding:
+        # no node moves up at all
+        assert self.step_excess_over_two_theta(kappa, dt) == 0.0
+
+    @pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3])
+    def test_one_step_keeps_w2_at_four(self, dt):
+        # R(2 theta) is rounding of either sign here, below the noise floor, and
+        # the step matrix's row sums are at least 1 + 3 dt, so the step moves
+        # 2 theta by less than that (exactly 0 where measured)
+        assert self.step_excess_over_two_theta(4.0, dt) <= residual_noise_floor(1024)
+
+    @pytest.mark.parametrize("dt", [1e-2, 1.0, 1e3])
+    @pytest.mark.parametrize("kappa", [0.0, 3.0])
+    def test_w1_invariant_below_four(self, grid1024, kappa, dt):
+        # R(pi) >= 0 and R(pi + theta) = 0 at every kappa >= 0; the first-type
+        # start made for kappa = 4 touches pi + theta on [0, pi/4]
+        p0 = make_initial_first_type(grid1024, 4.0)
+        cfg = FlowConfig(dt=dt, record_every=1, wedge=WedgeSpec(W1, 0.0))
+        result = run(p0, EnergyParams(kappa), cfg, half_interval=True)
+        assert result.status is FlowStatus.STATIONARY
+        assert len(result.records) == result.steps + 1
+        assert result.wedge_always_ok
+
+    @pytest.mark.parametrize("pipeline,kappa", [
+        (saddle.find_first_type, 4.0), (saddle.find_first_type, 5.0),
+        (saddle.find_first_type, 6.67), (saddle.find_first_type, 100.0),
+        (saddle.find_second_type, 4.01), (saddle.find_second_type, 10.0),
+        (saddle.find_second_type, 1000.0)])
+    def test_pipeline_flows_end_stationary(self, monkeypatch, pipeline, kappa):
+        # inside W1 or W2 every pole slope is at most 4, far below the blowup
+        # detector's 1e3, so the pipelines' flows have no blowup status to meet
+        statuses = []
+
+        def spy(*args, **kwargs):
+            result = run(*args, **kwargs)
+            statuses.append(result.status)
+            return result
+
+        monkeypatch.setattr(saddle, "run", spy)
+        pipeline(kappa)
+        assert statuses == [FlowStatus.STATIONARY]
 
 
 def full_gradient_blowup(p):

@@ -13,9 +13,8 @@ from axiferro.grid import make_grid
 from axiferro.profile import (W2, WedgeSpec, builtin_profile, degree,
                               make_initial_first_type, make_initial_second_type,
                               node_derivative, perturbation_direction, wedge_check)
-from axiferro.saddle import (BlowupError, ContinuationError, find_first_type,
-                             find_second_type, grid_for_kappa,
-                             probe_second_branch_floor, sweep)
+from axiferro.saddle import (ContinuationError, find_first_type, find_second_type,
+                             grid_for_kappa, probe_second_branch_floor, sweep)
 from axiferro.spectrum import eigs_lowest
 from axiferro.stationary import BranchPoint, continue_branch
 
@@ -520,8 +519,3 @@ class TestRelaxation:
                       <= 1e-10 * np.abs(ref_eigs))
         assert relaxed.spectrum.morse_index == reference.spectrum.morse_index
         assert relaxed.marginal == reference.marginal
-
-    def test_blowup_raises(self, monkeypatch):
-        monkeypatch.setattr(flow, "detect_blowup", lambda p: True)
-        with pytest.raises(BlowupError):
-            find_first_type(5.0, grid=make_grid(256))
