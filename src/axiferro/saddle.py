@@ -32,7 +32,8 @@ SECOND = "second"
 
 RESIDUAL_BAR = 1e-9     # stationarity bar every emitted report must clear
 SYMMETRY_TOL = 1e-8     # wedge and hemisphericity slack on emitted reports
-_FLOW_TOL = 1e-7        # sup residual at which the pipeline flow hands over to Newton
+_HANDOFF_TOL = 1e-2     # sup residual at which the pipeline flow hands over to Newton
+_REFUSAL_TOL = 1e-7     # a pipeline grid's noise floor must lie below this
 _FLOW_DT = 1e3          # the pipeline flow's step; only its end point is used
 _FLOW_STEPS = 1000      # the pipeline flow's step cap
 _BRANCH_DK = 0.05       # kappa step of the second-type walk below kappa = 4
@@ -111,13 +112,13 @@ def _require_finite(kappa):
 def grid_for_kappa(kappa):
     """Default grid: n >= 1024, at least 32 nodes per sqrt(kappa) domain-wall width.
 
-    An n whose residual noise floor is not below the pipeline flow's
-    tolerance is refused before its grid is built.
+    An n whose residual noise floor is not below the pipeline's refusal
+    tolerance, 1e-7, is refused before its grid is built.
     """
     _require_finite(kappa)
     n = max(1024, 32 * math.ceil(math.sqrt(max(kappa, 1.0))))
     n += n % 2
-    _require_resolvable(n, _FLOW_TOL)
+    _require_resolvable(n, _REFUSAL_TOL)
     return make_grid(n)
 
 
@@ -130,7 +131,7 @@ def _pipeline_grid(n, kappa_values, types):
     if n is None:
         return grid_for_kappa(max(kappa_values))
     if FIRST in types or max(kappa_values) > 4:
-        _require_resolvable(n, _FLOW_TOL)
+        _require_resolvable(n, _REFUSAL_TOL)
     return make_grid(n)
 
 
@@ -164,18 +165,23 @@ def _flow_then_polish(kappa, saddle_type, grid):
     """Flow from the type's symmetric start inside its wedge, then polish.
 
     The start is the sawtooth for the first type and 2*theta for the second;
-    both are hemispheric, so the flow runs on the half interval; a grid
-    whose residual noise floor is not below its tolerance is refused there.
-    At dt = 1e3 the step is a fixed-point iteration toward R = 0 that still
-    lowers the energy and keeps order; it runs for at most 1000 steps and
-    records only its start and its end, since only the end point is used.
+    both are hemispheric, so the flow runs on the half interval.  A grid
+    whose residual noise floor is not below the refusal tolerance, 1e-7, is
+    refused before the start is built.  At dt = 1e3 the step is a fixed-point
+    iteration toward R = 0 that still lowers the energy and keeps order, at a
+    linear rate, so it hands over to Newton at sup residual 1e-2: the flow
+    selects the critical point, and one to three damped Newton iterations
+    take the residual from there to Newton's tolerance.  The flow runs for at
+    most 1000 steps and records only its start and its end, since only the
+    end point is used.
     """
+    _require_resolvable(grid.n, _REFUSAL_TOL)
     if saddle_type == FIRST:
         start = make_initial_first_type(grid, kappa)
     else:
         start = make_initial_second_type(grid)
     cfg = FlowConfig(dt=_FLOW_DT, max_steps=_FLOW_STEPS,
-                     stationary_tol=_FLOW_TOL, record_every=_FLOW_STEPS)
+                     stationary_tol=_HANDOFF_TOL, record_every=_FLOW_STEPS)
     result = run(start, EnergyParams(kappa), cfg, half_interval=True)
     return _polish_and_report(result.final, kappa, saddle_type, "flow_then_newton")
 

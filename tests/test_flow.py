@@ -13,7 +13,8 @@ from axiferro.flow import (ENERGY_SLACK, FlowConfig, FlowRecord, FlowStatus,
 from axiferro.grid import make_grid
 from axiferro.profile import (W1, W2, WedgeSpec, builtin_profile, degree,
                               hemispheric_deviation, is_hemispheric,
-                              make_initial_first_type, make_profile, wedge_check)
+                              make_initial_first_type, make_initial_second_type,
+                              make_profile, wedge_check)
 
 
 def random_ordered_pair(grid, rng):
@@ -486,6 +487,54 @@ class TestWedgeTheorem:
         monkeypatch.setattr(saddle, "run", spy)
         pipeline(kappa)
         assert statuses == [FlowStatus.STATIONARY]
+
+
+def dense_from_bands(ab):
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
+class TestContractionRate:
+    """The flow's late per-step residual ratio against the step's linearization.
+
+    Near a limit h* one step maps the error e on the node-odd block, the
+    half-interval flow's unknowns, to (I - (I/dt + P)^{-1} A) e, with
+    A = -J(h*) from Newton's bands and P = -J0 + S from the step matrix's.
+    Once one mode dominates, the sup residual falls by that map's spectral
+    radius rho per step.  The dense eigenvalues share no code path with the
+    flow beyond the stencil's bands.
+    """
+
+    PIPELINES = {"first": (saddle.find_first_type, make_initial_first_type),
+                 "second": (saddle.find_second_type,
+                            lambda grid, kappa: make_initial_second_type(grid))}
+
+    @staticmethod
+    def spectral_radius(profile, kappa, dt):
+        st = profile.grid.stencil
+        m = profile.grid.midpoint_index - 1
+        _, v = el_residual(profile, EnergyParams(kappa), with_potential=True, nodes=m)
+        a = -dense_from_bands(st.jacobian_bands(v))
+        p = (-dense_from_bands(st.jacobian_bands(np.zeros(m)))
+             + np.diag(st.potential_bound(kappa)[:m]))
+        step_map = np.eye(m) - np.linalg.solve(np.eye(m) / dt + p, a)
+        return float(np.max(np.abs(np.linalg.eigvals(step_map))))
+
+    @pytest.mark.parametrize("dt", [1e3, 1.0])
+    @pytest.mark.parametrize("n", [256, 512])
+    @pytest.mark.parametrize("saddle_type,kappa", [
+        ("first", 5.0), ("first", 8.0), ("second", 10.0), ("second", 4.5)])
+    def test_late_ratio_is_spectral_radius(self, saddle_type, kappa, n, dt):
+        pipeline, initial = self.PIPELINES[saddle_type]
+        grid = make_grid(n)
+        rho = self.spectral_radius(pipeline(kappa, grid=grid).profile, kappa, dt)
+        cfg = FlowConfig(dt=dt, stationary_tol=2e-9, record_every=1)
+        result = run(initial(grid, kappa), EnergyParams(kappa), cfg, half_interval=True)
+        assert result.status is FlowStatus.STATIONARY
+        sups = np.array([r.sup_residual for r in result.records])
+        ratios = [b / a for a, b in zip(sups, sups[1:])
+                  if 1e-8 < min(a, b) and max(a, b) < 1e-5]
+        assert len(ratios) >= 3
+        assert np.max(np.abs(np.array(ratios) - rho)) <= 1e-3
 
 
 def full_gradient_blowup(p):

@@ -459,6 +459,16 @@ def test_unresolvable_grid_refused_before_it_is_built(no_huge_grids, call):
         call(1e16)
 
 
+# the noise floor at n = 32768, 1.37e-7, is above the 1e-7 refusal tolerance
+# though far below the flow's 1e-2 handoff, so an explicit grid is refused
+# by the pipeline itself, not by the flow
+@pytest.mark.parametrize("pipeline,kappa", [(find_first_type, 5.0),
+                                            (find_second_type, 10.0)])
+def test_explicit_unresolvable_grid_refused(pipeline, kappa):
+    with pytest.raises(ValueError, match="noise floor"):
+        pipeline(kappa, grid=make_grid(32768))
+
+
 def test_grid_for_kappa_scaling():
     assert grid_for_kappa(4.0).n == 1024
     assert grid_for_kappa(1600.0).n == 1280
@@ -466,15 +476,19 @@ def test_grid_for_kappa_scaling():
 
 
 def _time_resolved_flow(start, params, cfg, half_interval):
-    """The pipeline's flow at a time-resolving reference step, capped at pseudo-time 1e3."""
+    """The pipeline's flow at a time-resolving reference step, capped at pseudo-time 1e3.
+
+    It runs on to sup residual 1e-7, so Newton polishes a flow end point
+    five decades closer to the limit than the pipeline's 1e-2 handoff.
+    """
     dt = min(1e-2, 0.5 / max(params.kappa, 1.0))
-    cfg = replace(cfg, dt=dt, max_steps=math.ceil(1e3 / dt) + 1)
+    cfg = replace(cfg, dt=dt, max_steps=math.ceil(1e3 / dt) + 1, stationary_tol=1e-7)
     return run(start, params, cfg, half_interval=half_interval)
 
 
 class TestRelaxation:
     @pytest.mark.parametrize("pipeline,kappa,most", [
-        (find_first_type, 5.0, 40), (find_second_type, 10.0, 60)])
+        (find_first_type, 5.0, 10), (find_second_type, 10.0, 20)])
     def test_few_residual_evaluations(self, monkeypatch, pipeline, kappa, most):
         calls = []
         real = flow._Kernel.evaluate
