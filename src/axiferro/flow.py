@@ -120,12 +120,14 @@ class FlowResult:
 class _Kernel:
     """One run's step for p0's symmetry class at step size dt, built once.
 
-    ``evaluate`` writes R of a node array into a given array and ``advance``
-    takes one convex-splitting step of a node array in place.  The step
-    matrix I - dt J0 + dt S does not depend on the state, so it is factored
-    here, once, by LAPACK gttrf; each step is one gttrs solve.  ``half``
-    picks p0's symmetry class: the nodes left of the midpoint, which each
-    step pins and reflects (``_add_step``), or all n - 1 interior nodes.
+    ``evaluate`` writes R of a node array into a given array, ``advance``
+    takes one convex-splitting step of a node array in place, and ``relax``
+    is the step loop that ``run``, ``comparison_trial`` and the saddle
+    pipelines share.  The step matrix I - dt J0 + dt S does not depend on
+    the state, so it is factored here, once, by LAPACK gttrf; each step is
+    one gttrs solve.  ``half`` picks p0's symmetry class: the nodes left of
+    the midpoint, which each step pins and reflects (``_add_step``), or all
+    n - 1 interior nodes.
     """
 
     def __init__(self, p0, kappa, half, dt):
@@ -165,6 +167,23 @@ class _Kernel:
         if not np.isfinite(delta).all():
             raise ValueError("flow update is not finite")
         _add_step(h, delta, self.k)
+
+    def relax(self, hs, tol, max_steps):
+        """Step the node arrays hs together, in place, towards stationarity.
+
+        Yields (steps, sups), sups the sup |R| of each array, at the start and
+        after every step; R is evaluated once per array and state, and the
+        next step reuses it.  Returns once every sup is below tol or after
+        ``max_steps`` steps, whose last state is yielded and tested too.
+        """
+        rs = np.empty((len(hs), self.m))
+        for steps in range(max_steps + 1):
+            sups = [self.evaluate(h, r) for h, r in zip(hs, rs)]
+            yield steps, sups
+            if steps == max_steps or all(sup < tol for sup in sups):
+                return
+            for h, r in zip(hs, rs):
+                self.advance(h, r)
 
 
 def detect_blowup(p):
@@ -219,47 +238,35 @@ def run(p0, params, cfg=None, half_interval=False):
     # updates in place; records read it, and it is returned read-only.  Its
     # endpoints are never written, so it needs no re-validation
     p = type(p0)(grid=p0.grid, values=p0.values.copy(), m=p0.m, n_end=p0.n_end)
-    h = p.values
-    r = np.empty(kernel.m)
-    steps = 0
     e_prev = reduced_energy(p0, params)
     slack = ENERGY_SLACK * (1.0 + abs(e_prev))
     records = []
-    steps_since_record = 0
+    recorded = 0    # steps at the last record
 
-    def record(sup_res):
-        nonlocal e_prev, steps_since_record
+    def record(steps, sup_res):
+        nonlocal e_prev, recorded
         e = reduced_energy(p, params) if records else e_prev
-        ok = e <= e_prev + slack * max(steps_since_record, 1)
+        ok = e <= e_prev + slack * max(steps - recorded, 1)
         wedge_ok = None if cfg.wedge is None else wedge_check(p, cfg.wedge).inside
         dev = hemispheric_deviation(p) if track_hemi else None
         records.append(FlowRecord(t=steps * cfg.dt, energy=e, sup_residual=sup_res,
                                   wedge_ok=wedge_ok, hemispheric_dev=dev,
                                   energy_ok=ok))
-        e_prev = e
-        steps_since_record = 0
+        e_prev, recorded = e, steps
 
     status = FlowStatus.HORIZON_REACHED
-    # one evaluation of R per step: the stationarity test's R, reused by the
-    # next update
-    sup_res = kernel.evaluate(h, r)
-    record(sup_res)
-    while steps < cfg.max_steps:
+    for steps, (sup_res,) in kernel.relax([p.values], cfg.stationary_tol, cfg.max_steps):
+        stationary = sup_res < cfg.stationary_tol
+        if not records or steps - recorded >= cfg.record_every or stationary:
+            record(steps, sup_res)
         if detect_blowup(p):
             status = FlowStatus.BLOWUP_SUSPECTED
             break
-        if sup_res < cfg.stationary_tol:
+        if stationary:
             status = FlowStatus.STATIONARY
-            break
-        kernel.advance(h, r)
-        steps += 1
-        steps_since_record += 1
-        sup_res = kernel.evaluate(h, r)
-        if steps_since_record >= cfg.record_every or sup_res < cfg.stationary_tol:
-            record(sup_res)
-    if steps_since_record:
-        record(sup_res)
-    h.setflags(write=False)
+    if steps > recorded:
+        record(steps, sup_res)
+    p.values.setflags(write=False)
     return FlowResult(final=p, status=status, records=tuple(records),
                       steps=steps)
 
@@ -287,17 +294,8 @@ def comparison_trial(p_lower, p_upper, params, cfg=None):
     _require_resolvable(p_lower.grid.n, cfg.stationary_tol)
     kernel = _Kernel(p_lower, params.kappa, False, cfg.dt)
     lo, up = p_lower.values.copy(), p_upper.values.copy()
-    r_lo, r_up = np.empty((2, kernel.m))
-    steps = 0
-    worst = max(initial_gap, 0.0)
-    while steps < cfg.max_steps:
-        sup_lo = kernel.evaluate(lo, r_lo)
-        sup_up = kernel.evaluate(up, r_up)
-        if sup_lo < cfg.stationary_tol and sup_up < cfg.stationary_tol:
-            break
-        kernel.advance(lo, r_lo)
-        kernel.advance(up, r_up)
-        steps += 1
+    worst = 0.0
+    for steps, _ in kernel.relax([lo, up], cfg.stationary_tol, cfg.max_steps):
         worst = max(worst, float(np.max(lo - up)))
     return ComparisonVerdict(max_violation=worst, steps=steps)
 

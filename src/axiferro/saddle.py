@@ -13,13 +13,13 @@ is no supersolution, since R(2 theta) = (4 - kappa) sin theta cos theta > 0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .energy import (EnergyParams, assemble_second_variation, reduced_energy,
                      residual_noise_floor)
-from .flow import FlowConfig, _require_resolvable, run
+from .flow import _Kernel, _require_resolvable
 from .grid import make_grid
 from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
                       make_initial_first_type, make_initial_second_type,
@@ -171,19 +171,20 @@ def _flow_then_polish(kappa, saddle_type, grid):
     iteration toward R = 0 that still lowers the energy and keeps order, at a
     linear rate, so it hands over to Newton at sup residual 1e-2: the flow
     selects the critical point, and one to three damped Newton iterations
-    take the residual from there to Newton's tolerance.  The flow runs for at
-    most 1000 steps and records only its start and its end, since only the
-    end point is used.
+    take the residual from there to Newton's tolerance.  Only its end point
+    is used, so the flow is the bare step loop, at most 1000 steps, with no
+    record and no energy, wedge, symmetry or blowup monitor.
     """
     _require_resolvable(grid.n, _REFUSAL_TOL)
     if saddle_type == FIRST:
         start = make_initial_first_type(grid, kappa)
     else:
         start = make_initial_second_type(grid)
-    cfg = FlowConfig(dt=_FLOW_DT, max_steps=_FLOW_STEPS,
-                     stationary_tol=_HANDOFF_TOL, record_every=_FLOW_STEPS)
-    result = run(start, EnergyParams(kappa), cfg, half_interval=True)
-    return _polish_and_report(result.final, kappa, saddle_type, "flow_then_newton")
+    end = replace(start, values=start.values.copy())
+    kernel = _Kernel(start, kappa, True, _FLOW_DT)
+    for _ in kernel.relax([end.values], _HANDOFF_TOL, _FLOW_STEPS):
+        pass
+    return _polish_and_report(end, kappa, saddle_type, "flow_then_newton")
 
 
 def find_first_type(kappa, grid=None):

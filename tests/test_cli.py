@@ -88,6 +88,30 @@ class TestFlowCommand:
         assert record["t_end"] == 3000.0
         assert record["config"]["max_steps"] == 3
 
+    @pytest.mark.parametrize("init,code,status", [("two-theta", 0, "stationary"),
+                                                  ("bubble", 3, "blowup_suspected")])
+    def test_last_allowed_step_is_tested(self, tmp_path, init, code, status):
+        # capped at the steps the uncapped run takes, the run ends the same
+        # way; the cap used to exit 2 with horizon_reached
+        if init == "two-theta":
+            args = ("--init", "two-theta", "--kappa", "4.5", "--n", "1024",
+                    "--dt", "1000", "--half-interval")
+        else:
+            g = make_grid(2048)
+            vals = 2.0 * np.arctan(np.tan(g.nodes / 2) / 1.2e-3)
+            vals[0], vals[-1] = 0.0, np.pi
+            write_profile_csv(make_profile(g, vals, 0, 1), tmp_path / "bubble.csv")
+            args = ("--init", str(tmp_path / "bubble.csv"), "--kappa", "1",
+                    "--n", "2048", "--dt", "1e-2")
+        args = ("flow", *args, "--tol", "1e-7")
+        assert run_cli(*args, "--out", str(tmp_path / "free")).returncode == code
+        steps = json.loads((tmp_path / "free" / "run.json").read_text())["steps"]
+        r = run_cli(*args, "--max-steps", str(steps), "--out", str(tmp_path / "capped"))
+        assert r.returncode == code, r.stderr
+        record = json.loads((tmp_path / "capped" / "run.json").read_text())
+        assert (record["status"], record["steps"]) == (status, steps)
+        assert steps > 0
+
     def test_overflowing_dt_refused_in_one_line(self, tmp_path):
         # dt = 1e308 overflows the step matrix; numpy's overflow warnings
         # used to come before the error line

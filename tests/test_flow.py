@@ -113,6 +113,30 @@ class TestRun:
         assert result.steps == 500
         assert result.records[-1].t == 500 * 1e-2
 
+    @pytest.mark.parametrize("init,kappa,n,dt,half_interval,status", [
+        ("two-theta", 4.5, 1024, 1e3, True, FlowStatus.STATIONARY),
+        ("pi", 5.0, 256, 1.0, False, FlowStatus.STATIONARY),
+        ("bubble", 1.0, 2048, 1e-2, False, FlowStatus.BLOWUP_SUSPECTED)])
+    def test_last_allowed_step_is_tested(self, init, kappa, n, dt, half_interval,
+                                         status):
+        # a run capped at the steps its uncapped run takes ends the same way:
+        # the state after its last allowed step is tested for stationarity and
+        # blowup like every other, where the cap used to say horizon_reached
+        if init == "bubble":
+            p0 = bubble_profile(n, lam=1.2e-3)
+        else:
+            p0 = builtin_profile(init, make_grid(n), kappa=kappa)
+        params = EnergyParams(kappa)
+        cfg = FlowConfig(dt=dt, stationary_tol=1e-7)
+        free = run(p0, params, cfg, half_interval=half_interval)
+        assert free.status is status and free.steps > 0
+        capped = run(p0, params, dataclasses.replace(cfg, max_steps=free.steps),
+                     half_interval=half_interval)
+        assert capped.status is status
+        assert capped.steps == free.steps
+        assert capped.records == free.records
+        assert capped.final.values.tobytes() == free.final.values.tobytes()
+
     def test_half_interval_agrees_with_full(self, grid512):
         params = EnergyParams(5.0)
         p0 = builtin_profile("pi", grid512)
@@ -277,12 +301,15 @@ def reference_run(p0, params, cfg, half_interval):
     r, sup = residual()
     record(sup)
     status = FlowStatus.HORIZON_REACHED
-    while steps < cfg.max_steps:
+    # the state after the last allowed step is tested like every other
+    while True:
         if full_gradient_blowup(make_profile(grid, values, p0.m, p0.n_end)):
             status = FlowStatus.BLOWUP_SUSPECTED
             break
         if sup < cfg.stationary_tol:
             status = FlowStatus.STATIONARY
+            break
+        if steps == cfg.max_steps:
             break
         values[1:m + 1] += solve_banded((1, 1), ab, dt * r)
         if half_interval:
@@ -477,16 +504,31 @@ class TestWedgeTheorem:
     def test_pipeline_flows_end_stationary(self, monkeypatch, pipeline, kappa):
         # inside W1 or W2 every pole slope is at most 4, far below the blowup
         # detector's 1e3, so the pipelines' flows have no blowup status to meet
-        statuses = []
+        # and run without the detector; this spy applies it, and the wedge
+        # check, to every state the pipeline's step loop yields
+        first = pipeline is saddle.find_first_type
+        wedge = WedgeSpec(W1 if first else W2, 4 * np.spacing(np.pi))
+        grid = saddle.grid_for_kappa(kappa)
+        relax = flow._Kernel.relax
+        flows = []
 
-        def spy(*args, **kwargs):
-            result = run(*args, **kwargs)
-            statuses.append(result.status)
-            return result
+        def spy(self, hs, tol, max_steps):
+            states = []
+            flows.append((tol, max_steps, states))
+            for steps, sups in relax(self, hs, tol, max_steps):
+                p = make_profile(grid, hs[0].copy(), *((1, 1) if first else (0, 2)))
+                states.append((steps, sups[0], wedge_check(p, wedge).inside,
+                               detect_blowup(p)))
+                yield steps, sups
 
-        monkeypatch.setattr(saddle, "run", spy)
+        monkeypatch.setattr(flow._Kernel, "relax", spy)
         pipeline(kappa)
-        assert statuses == [FlowStatus.STATIONARY]
+        [(tol, max_steps, states)] = flows
+        assert (tol, max_steps) == (saddle._HANDOFF_TOL, saddle._FLOW_STEPS)
+        steps, sup, _, _ = states[-1]
+        assert sup < saddle._HANDOFF_TOL and steps < saddle._FLOW_STEPS
+        assert [s[0] for s in states] == list(range(steps + 1))
+        assert all(inside and not blowup for _, _, inside, blowup in states)
 
 
 def dense_from_bands(ab):

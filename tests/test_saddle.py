@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 
 from axiferro import energy, flow, saddle, spectrum, stationary
 from axiferro.energy import EnergyParams, assemble_second_variation, reduced_energy
-from axiferro.flow import run
+from axiferro.flow import FlowConfig, FlowStatus, run
 from axiferro.grid import make_grid
 from axiferro.profile import (W2, WedgeSpec, builtin_profile, degree,
                               make_initial_first_type, make_initial_second_type,
@@ -475,15 +475,26 @@ def test_grid_for_kappa_scaling():
     assert grid_for_kappa(1e4).n == 3200
 
 
-def _time_resolved_flow(start, params, cfg, half_interval):
-    """The pipeline's flow at a time-resolving reference step, capped at pseudo-time 1e3.
+def _time_resolved_report(pipeline, kappa):
+    """The pipeline's report with its flow replaced by a time-resolved public ``run``.
 
-    It runs on to sup residual 1e-7, so Newton polishes a flow end point
-    five decades closer to the limit than the pipeline's 1e-2 handoff.
+    The run starts from the type's start on the pipeline's grid, on the half
+    interval, at a time-resolving step capped at pseudo-time 1e3, and goes on
+    to sup residual 1e-7, five decades closer to the limit than the
+    pipeline's 1e-2 handoff; the pipeline's own polish then reports its end.
     """
-    dt = min(1e-2, 0.5 / max(params.kappa, 1.0))
-    cfg = replace(cfg, dt=dt, max_steps=math.ceil(1e3 / dt) + 1, stationary_tol=1e-7)
-    return run(start, params, cfg, half_interval=half_interval)
+    grid = grid_for_kappa(kappa)
+    if pipeline is find_first_type:
+        saddle_type, start = saddle.FIRST, make_initial_first_type(grid, kappa)
+    else:
+        saddle_type, start = saddle.SECOND, make_initial_second_type(grid)
+    dt = min(1e-2, 0.5 / max(kappa, 1.0))
+    steps = math.ceil(1e3 / dt) + 1
+    cfg = FlowConfig(dt=dt, max_steps=steps, stationary_tol=1e-7, record_every=steps)
+    result = run(start, EnergyParams(kappa), cfg, half_interval=True)
+    assert result.status is FlowStatus.STATIONARY
+    return saddle._polish_and_report(result.final, kappa, saddle_type,
+                                     "flow_then_newton")
 
 
 class TestRelaxation:
@@ -504,29 +515,28 @@ class TestRelaxation:
     @pytest.mark.parametrize("pipeline,kappa", [
         (find_first_type, 5.0), (find_first_type, 8.0), (find_second_type, 4.5),
         (find_second_type, 10.0)])
-    def test_flow_records_only_start_and_end(self, monkeypatch, pipeline, kappa):
-        # the pipeline keeps only the flow's end point, so the flow's
-        # monitors run at its start and its end only; it reads no wedge
-        # verdict of the flow, since the report checks its own wedge
-        calls = {name: 0 for name in ("reduced_energy", "wedge_check",
-                                      "hemispheric_deviation")}
-        for name in calls:
+    def test_flow_computes_no_monitor(self, monkeypatch, pipeline, kappa):
+        # the pipeline keeps only the flow's end point, so its flow is the
+        # bare step loop: no energy, wedge, symmetry or blowup monitor; the
+        # report checks its own wedge and symmetry
+        names = ("reduced_energy", "wedge_check", "hemispheric_deviation",
+                 "detect_blowup")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             def counting(*args, _name=name, _real=getattr(flow, name)):
                 calls[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(flow, name, counting)
         pipeline(kappa)
-        assert calls == {"reduced_energy": 2, "wedge_check": 0,
-                         "hemispheric_deviation": 2}
+        assert calls == dict.fromkeys(names, 0)
 
     @pytest.mark.parametrize("pipeline,kappa", [
         (find_first_type, 4.0), (find_first_type, 5.0), (find_first_type, 6.67),
         (find_second_type, 4.01), (find_second_type, 10.0),
         (find_second_type, 1000.0)])
-    def test_matches_fixed_step_flow(self, monkeypatch, pipeline, kappa):
+    def test_matches_fixed_step_flow(self, pipeline, kappa):
         relaxed = pipeline(kappa)
-        monkeypatch.setattr(saddle, "run", _time_resolved_flow)
-        reference = pipeline(kappa)
+        reference = _time_resolved_report(pipeline, kappa)
         assert np.max(np.abs(relaxed.profile.values - reference.profile.values)) <= 1e-12
         ref_eigs = reference.spectrum.eigenvalues
         assert np.all(np.abs(relaxed.spectrum.eigenvalues - ref_eigs)
