@@ -137,14 +137,14 @@ class _Kernel:
         self.m = m
         self.dt = dt
         # I - dt (J0 - S): Newton's Jacobian with V replaced by its bound S
-        ab = st.jacobian_bands(st.potential_bound(kappa)[:m])
+        bands = st.jacobian_bands(st.potential_bound(kappa)[:m])
         with np.errstate(over="ignore"):
-            ab *= -dt
-        if not np.isfinite(ab).all():
+            dl, d, du = (-dt * band for band in bands)
+        if not all(np.isfinite(band).all() for band in (dl, d, du)):
             raise ValueError(f"flow step dt = {dt:g} is too large for n = {p0.grid.n}: "
                              "the step matrix is not finite")
-        ab[1] += 1.0
-        *self.factors, info = dgttrf(ab[2, :-1], ab[1], ab[0, 1:])
+        d += 1.0
+        *self.factors, info = dgttrf(dl, d, du)
         if info != 0:
             raise LinAlgError(f"flow step matrix: gttrf returned info = {info}")
 

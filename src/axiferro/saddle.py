@@ -117,7 +117,6 @@ def grid_for_kappa(kappa):
     """
     _require_finite(kappa)
     n = max(1024, 32 * math.ceil(math.sqrt(max(kappa, 1.0))))
-    n += n % 2
     _require_resolvable(n, _REFUSAL_TOL)
     return make_grid(n)
 
@@ -184,6 +183,9 @@ def _flow_then_polish(kappa, saddle_type, grid):
     kernel = _Kernel(start, kappa, True, _FLOW_DT)
     for _ in kernel.relax([end.values], _HANDOFF_TOL, _FLOW_STEPS):
         pass
+    # Newton hands a state already below its tolerance back unchanged, as the
+    # report's profile
+    end.values.setflags(write=False)
     return _polish_and_report(end, kappa, saddle_type, "flow_then_newton")
 
 

@@ -72,8 +72,7 @@ def newton_solve(p0, params, *, damped=True):
     for _ in range(MAX_ITER):
         if norm < tol:
             return p
-        ab = p.grid.stencil.jacobian_bands(v)
-        *_, delta, info = solve_banded(ab[2, :-1], ab[1], ab[0, 1:], -r)
+        *_, delta, info = solve_banded(*p.grid.stencil.jacobian_bands(v), -r)
         if info > 0:
             raise NewtonError(f"singular Jacobian (fold point suspected): "
                               f"dgtsv pivot {info} is exactly zero", residual_norm=norm)

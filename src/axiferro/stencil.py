@@ -20,12 +20,9 @@ R_i couples to h_{i+1} by a_i = 1/dt^2 + cot(t_i)/(2 dt) and to h_{i-1} by
 b_i = 1/dt^2 - cot(t_i)/(2 dt), both positive.  The node weights w_1 = sin(t_1) dt,
 w_{i+1} = w_i a_i / b_{i+1} and edge weights c_0 = w_1 b_1, c_i = w_i a_i make -w R
 the gradient of E_w (``axiferro.energy``); w = sin(t) dt to O(dt^2).
-
-Band arrays use the layout of ``scipy.linalg.solve_banded`` with one band on
-each side: row 0 is the superdiagonal (ab[0, j] couples row j - 1 to j),
-row 1 the diagonal, row 2 the subdiagonal (ab[2, j] couples row j + 1 to j).
-So LAPACK's tridiagonal routines (dgtsv, dgttrf) take a band array as the
-arguments ab[2, :-1], ab[1], ab[0, 1:]: sub-, main and superdiagonal.
+Newton's Jacobian dR/dh is tridiagonal, handed out as the three diagonals
+(dl, d, du) that LAPACK's dgtsv and dgttrf take: dl_i = b_{i+1}, d_i =
+-2/dt^2 - V_i, du_i = a_i.
 """
 
 import numpy as np
@@ -50,11 +47,10 @@ class Stencil:
         self.sin_2theta = np.sin(2.0 * theta)
         # sin at the half node (i + 1/2) dth, edge (i, i+1), at index i
         s_half = self.sin_half = np.sin(grid.nodes[:-1] + 0.5 * dth)
-        # a, b: R_i's couplings to h_{i+1}, h_{i-1}, the off-diagonals of dR/dh
+        # a, b: R_i's couplings to h_{i+1}, h_{i-1}; dR/dh's du and dl
         a = 1.0 / dth2 + self.cot / (2.0 * dth)
         b = 1.0 / dth2 - self.cot / (2.0 * dth)
-        self.jacobian_offdiag = np.array([np.r_[0.0, a[:-1]], np.zeros_like(a),
-                                          np.r_[b[1:], 0.0]])
+        self.jacobian_du, self.jacobian_dl = a[:-1], b[1:]
         w = self.weight = s[0] * dth * np.cumprod(np.r_[1.0, a[:-1] / b[1:]])
         self.edge_weight = np.r_[w[0] * b[0], w * a]
         # the diagonal of -L with Dirichlet rows eliminated, and the
@@ -91,10 +87,11 @@ class Stencil:
                         kappa * self.sin_2theta)
 
     def jacobian_bands(self, v):
-        """Banded dR/dh at nodes 1..m, given V there (m = len(v)); diagonal d2 - V.
+        """dR/dh at nodes 1..m as LAPACK's (dl, d, du), given V there (m = len(v)).
 
-        For m below n - 1 this is the leading m x m block of the full bands.
+        dl and du are read-only views of the stored couplings, d = -2/dt^2 - V
+        a new array.  For m below n - 1 this is the leading m x m block of the
+        full Jacobian.
         """
-        ab = self.jacobian_offdiag[:, :v.size].copy()
-        ab[1] = -2.0 / self.dtheta ** 2 - v
-        return ab
+        k = v.size - 1
+        return self.jacobian_dl[:k], -2.0 / self.dtheta ** 2 - v, self.jacobian_du[:k]

@@ -7,6 +7,7 @@ of the energy come from centered differences of energy evaluations only.
 """
 
 import numpy as np
+import scipy.linalg
 
 
 def dense_spectrum(op, k=None):
@@ -41,3 +42,16 @@ def degree_quadrature(h):
     dtheta = np.pi / (len(h) - 1)
     hp = np.gradient(h, dtheta, edge_order=2)
     return 0.5 * float(np.trapezoid(hp * np.sin(h), dx=dtheta))
+
+
+def dense_tridiagonal(dl, d, du):
+    """The dense matrix of the tridiagonal (dl, d, du): sub-, main and superdiagonal."""
+    return np.diag(d) + np.diag(du, 1) + np.diag(dl, -1)
+
+
+def banded_solve(dl, d, du, b):
+    """scipy.linalg.solve_banded on the tridiagonal (dl, d, du), in scipy's own
+    layout: row 0 the superdiagonal after a zero, row 1 the diagonal, row 2
+    the subdiagonal before a zero."""
+    ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
+    return scipy.linalg.solve_banded((1, 1), ab, b)

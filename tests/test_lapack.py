@@ -17,6 +17,7 @@ from axiferro.grid import make_grid
 from axiferro.profile import make_initial_second_type, make_profile
 from axiferro.saddle import find_second_type
 from axiferro.stencil import Stencil
+from oracles import banded_solve
 
 
 def calls(m):
@@ -56,9 +57,9 @@ def test_newton_step_matches_solve_banded(n, monkeypatch):
     real_bands, real_solve = Stencil.jacobian_bands, stationary.solve_banded
 
     def recorded_bands(self, v):
-        ab = real_bands(self, v)
-        bands.append(ab.copy())
-        return ab
+        dl, d, du = real_bands(self, v)
+        bands.append((dl.copy(), d.copy(), du.copy()))
+        return dl, d, du
 
     def recorded_solve(*args):
         out = real_solve(*args)
@@ -72,8 +73,8 @@ def test_newton_step_matches_solve_banded(n, monkeypatch):
     start = make_profile(grid, exact.values + 0.05 * np.sin(2 * grid.nodes), 0, 2)
     stationary.newton_solve(start, EnergyParams(4.0))
     assert len(bands) == len(steps) >= 2
-    for ab, (rhs, delta) in zip(bands, steps):
-        assert np.array_equal(delta, scipy.linalg.solve_banded((1, 1), ab, rhs))
+    for (dl, d, du), (rhs, delta) in zip(bands, steps):
+        assert np.array_equal(delta, banded_solve(dl, d, du, rhs))
 
 
 def same_report(a, b):

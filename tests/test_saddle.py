@@ -166,8 +166,12 @@ def test_report_evaluates_the_residual_once(monkeypatch, find, kappa):
 def test_newton_results_are_read_only(first_type_10, second_type_10):
     below_four = find_second_type(3.9, grid=make_grid(512))
     branch = continue_branch(4.0, make_initial_second_type(make_grid(256)), 3.8, -0.05)
+    # sup |R(2 theta)| = |4 - kappa| / 2: the flow takes no step and the start
+    # is below Newton's tolerance, so the report's profile is the flow's state
+    zero_step = [find_second_type(kappa, grid=make_grid(512)).profile
+                 for kappa in (4 + 1e-12, 4 + 1e-9)]
     profiles = [first_type_10.profile, second_type_10.profile, below_four.profile,
-                *(pt.profile for pt in branch.points[1:])]
+                *(pt.profile for pt in branch.points[1:]), *zero_step]
     assert not any(p.values.flags.writeable for p in profiles)
 
 

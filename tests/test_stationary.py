@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_banded
 
 from axiferro import saddle, stationary
 from axiferro.energy import (EnergyParams, assemble_second_variation,
@@ -13,6 +12,7 @@ from axiferro.profile import (builtin_profile, degree, hemispheric_deviation,
 from axiferro.spectrum import eigs_lowest
 from axiferro.stationary import NewtonError, continue_branch, newton_solve
 from axiferro.stencil import Stencil
+from oracles import banded_solve, dense_tridiagonal
 
 
 def two_lowest(pt):
@@ -119,8 +119,7 @@ class TestNewton:
             norms.append(float(np.max(np.abs(r))))
             if norms[-1] < 1e-11:
                 break
-            ab = grid256.stencil.jacobian_bands(v)
-            delta = solve_banded((1, 1), ab, -r)
+            delta = banded_solve(*grid256.stencil.jacobian_bands(v), -r)
             vals = cur.values.copy()
             vals[1:-1] += delta
             cur = make_profile(grid256, vals, 0, 2)
@@ -396,9 +395,8 @@ def test_jacobian_matches_finite_differences(grid64, rng, kappa):
             + 0.05 * rng.standard_normal(g.n + 1) * np.sin(g.nodes))
     p = make_profile(g, vals, 0, 2)
     _, v = el_residual(p, EnergyParams(kappa), with_potential=True)
-    ab = g.stencil.jacobian_bands(v)
+    dense = dense_tridiagonal(*g.stencil.jacobian_bands(v))
     m = g.n - 1
-    dense = np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
     eps = 1e-6
     fd = np.empty((m, m))
     for j in range(m):

@@ -28,17 +28,15 @@ def reference_potential(grid, h, kappa):
 
 
 def reference_jacobian(grid, h, kappa):
-    """Banded Jacobian as stationary._jacobian_banded wrote it inline."""
+    """The Jacobian's (dl, d, du) as stationary._jacobian_banded wrote them inline."""
     th = grid.nodes[1:-1]
     hi = h[1:-1]
     dth = grid.dtheta
     s = np.sin(th)
     cot = np.cos(th) / s
-    ab = np.zeros((3, grid.n - 1))
-    ab[1] = -2.0 / dth ** 2 - np.cos(2.0 * hi) / s ** 2 - kappa * np.cos(2.0 * (hi - th))
-    ab[0, 1:] = 1.0 / dth ** 2 + cot[:-1] / (2.0 * dth)
-    ab[2, :-1] = 1.0 / dth ** 2 - cot[1:] / (2.0 * dth)
-    return ab
+    return (1.0 / dth ** 2 - cot[1:] / (2.0 * dth),
+            -2.0 / dth ** 2 - np.cos(2.0 * hi) / s ** 2 - kappa * np.cos(2.0 * (hi - th)),
+            1.0 / dth ** 2 + cot[:-1] / (2.0 * dth))
 
 
 def reference_divergence(grid):
@@ -161,10 +159,14 @@ def test_jacobian_bands_match_inline_formula(case):
     grid, h = case
     _, v = el_residual_and_potential(grid, h)
     full = grid.stencil.jacobian_bands(v)
-    assert_close(full, reference_jacobian(grid, h, KAPPA))
-    # the bands take their width from V: the leading block of the full ones
+    for band, expected in zip(full, reference_jacobian(grid, h, KAPPA), strict=True):
+        assert_close(band, expected)
+    # the bands take their length from V: the leading block of the full ones
     m = grid.midpoint_index - 1
-    assert np.array_equal(grid.stencil.jacobian_bands(v[:m]), full[:, :m])
+    dl, d, du = grid.stencil.jacobian_bands(v[:m])
+    assert d.size == m and dl.size == du.size == m - 1
+    assert np.array_equal(np.r_[dl, d, du], np.r_[full[0][:m - 1], full[1][:m],
+                                                  full[2][:m - 1]])
 
 
 def test_divergence_bands_match_inline_formula(case):
@@ -198,5 +200,5 @@ def test_built_once_per_grid_and_read_only():
     assert make_grid(64) is grid
     for a in (st.sin, st.cot, st.sin2, st.twice_sin2, st.cos_2theta, st.sin_2theta,
               st.sin_half, st.divergence_diag, st.symmetric_offdiag,
-              st.jacobian_offdiag, st.weight, st.edge_weight):
+              st.jacobian_dl, st.jacobian_du, st.weight, st.edge_weight):
         assert not a.flags.writeable
