@@ -36,7 +36,8 @@ _HANDOFF_TOL = 1e-2     # sup residual at which the pipeline flow hands over to 
 _REFUSAL_TOL = 1e-7     # a pipeline grid's noise floor must lie below this
 _FLOW_DT = 1e3          # the pipeline flow's step; only its end point is used
 _FLOW_STEPS = 1000      # the pipeline flow's step cap
-_BRANCH_DK = 0.05       # kappa step of the second-type walk below kappa = 4
+_BRANCH_DK = 0.05       # kappa step of the probe's walk and of the fallback near the fold
+_COARSE_DK = 10 * _BRANCH_DK  # step of the walk below kappa = 4, a whole number of those
 _KAPPA0_WIDTH = 0.05    # width the kappa0 bracket is bisected down to
 _WEDGE = {FIRST: W1, SECOND: W2}
 
@@ -202,10 +203,17 @@ def find_second_type(kappa, grid=None):
 
     kappa > 4: flow from 2*theta.  kappa = 4: the exact solution, treated as
     the (single-point) continuation seed.  kappa < 4: natural-parameter
-    continuation downward from (4, 2*theta) in kappa steps of 0.05; the
-    start is hemispheric, so every Newton solve of the walk runs on the half
+    continuation downward from (4, 2*theta) in kappa steps of 0.5, the last
+    one clipped to kappa, so 3.47 is reached through 3.5 alone; the start is
+    hemispheric, so every Newton solve of the walk runs on the half
     interval, and each step past the first starts from the secant predictor
-    (see ``continue_branch``).
+    (see ``continue_branch``).  Only where that walk ends short of kappa, as
+    it does past the fold near 3.2, does it resume from its last point in
+    steps of 0.05, and the ContinuationError names where that finer walk
+    ended: long steps where the corrector converges, short ones only where
+    it fails (Allgower & Georg, Numerical Continuation Methods, 1990,
+    ch. 6).  Every point of either walk but a clipped last one lies on the
+    grid of 0.05 steps from 4.
     """
     _require_finite(kappa)
     if kappa <= 0:
@@ -213,8 +221,10 @@ def find_second_type(kappa, grid=None):
     grid = grid or grid_for_kappa(kappa)
     if kappa > 4:
         return _flow_then_polish(kappa, SECOND, grid)
-    start = make_initial_second_type(grid)
-    branch = continue_branch(4.0, start, kappa, -_BRANCH_DK)
+    branch = continue_branch(4.0, make_initial_second_type(grid), kappa, -_COARSE_DK)
+    if branch.suspected_fold is not None:
+        last = branch.points[-1]
+        branch = continue_branch(last.kappa, last.profile, kappa, -_BRANCH_DK)
     if abs(branch.reached - kappa) > 1e-12:
         raise ContinuationError(
             f"continuation from (4, 2*theta) failed at kappa="

@@ -124,22 +124,29 @@ def continue_branch(start_kappa, start, target_kappa, dk):
     """Natural-parameter continuation of a solution family in kappa.
 
     The start must be stationary to Newton's tolerance (or 1e-9, if that is
-    larger).  The first step seeds Newton with the start; from the third
-    point on Newton starts from the secant predictor through the last two
-    points, p_k + (kappa_next - kappa_k) / (kappa_k - kappa_{k-1}) (p_k -
-    p_{k-1}) (Allgower & Georg, Numerical Continuation Methods, 1990, ch. 2).
+    larger) on the nodes Newton stops on: a hemispheric start is checked on
+    the nodes left of the midpoint, so any point Newton returns on the half
+    interval is accepted as a start, though rounding on the reflected half
+    may lift its full sup above that tolerance on fine grids; every other
+    start is checked on all interior nodes.  The first step seeds Newton
+    with the start; from the third point on Newton starts from the secant
+    predictor through the last two points, p_k + (kappa_next - kappa_k) /
+    (kappa_k - kappa_{k-1}) (p_k - p_{k-1}) (Allgower & Georg, Numerical
+    Continuation Methods, 1990, ch. 2).
     The first step has no predictor and keeps Newton's line search; every
     predicted step is an undamped Newton solve (``damped=False``), so a full
     step from the predictor that does not lower the sup residual ends the
     branch at once instead of being halved down to MIN_DAMPING.  A dk too
     long for the predictor can therefore end a branch that a smaller dk
-    follows further.
+    follows further; a caller may resume from the last point in shorter
+    steps, as ``saddle.find_second_type`` does below kappa = 4.
     A hemispheric start keeps every Newton solve on the half interval (see
     ``newton_solve``).  Newton failure past the first step ends the branch
     with a bracketing interval (suspected fold or bifurcation); failure on
     the very first step raises.
     """
-    r0 = float(np.max(np.abs(el_residual(start, EnergyParams(start_kappa)))))
+    m, _ = _symmetry_class(start, is_hemispheric(start, 1e-12))
+    r0 = float(np.max(np.abs(el_residual(start, EnergyParams(start_kappa), nodes=m))))
     if r0 >= max(_residual_tol(start.grid), 1e-9):
         raise ValueError(f"start profile is not stationary at kappa={start_kappa} "
                          f"(sup residual {r0:.3g})")

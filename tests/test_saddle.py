@@ -122,6 +122,54 @@ class TestSecondType:
         assert len(calls) == 1
 
 
+def fine_walk_report(kappa, grid):
+    """The second-type report at kappa < 4 from a walk in 0.05 steps throughout."""
+    branch = continue_branch(4.0, make_initial_second_type(grid), kappa,
+                             -saddle._BRANCH_DK)
+    assert branch.suspected_fold is None
+    return saddle._polish_and_report(branch.points[-1].profile, kappa, saddle.SECOND,
+                                     "continuation")
+
+
+# the 0.5 walk reaches kappa from other Newton starts than the 0.05 walk, so
+# the reports agree to Newton's tolerance, not bit for bit; the bars are the
+# largest drifts over kappa in [3.2036, 3.999999] at n = 256 to 4096, the
+# eigenvalues' relative to max(1, |lambda|)
+@pytest.mark.parametrize("n, kappa, profile_bar, eigenvalue_bar", [
+    *((n, kappa, 7.7e-10, 4.1e-9) for n in (256, 1024)
+      for kappa in (3.21, 3.25, 3.47, 3.72, 3.9, 3.99)),
+    (1024, 3.2036, 7.7e-10, 4.1e-9),
+    (4096, 3.47, 4.1e-9, 2.2e-8)])
+def test_long_step_walk_matches_the_fine_walk(n, kappa, profile_bar, eigenvalue_bar):
+    grid = make_grid(n)
+    report = find_second_type(kappa, grid)
+    ref = fine_walk_report(kappa, grid)
+    assert report.spectrum.morse_index == ref.spectrum.morse_index == 1
+    assert report.marginal == ref.marginal
+    assert np.max(np.abs(report.profile.values - ref.profile.values)) <= profile_bar
+    lam, lam_ref = report.spectrum.eigenvalues, ref.spectrum.eigenvalues
+    assert np.max(np.abs(lam - lam_ref) / np.maximum(1.0, np.abs(lam_ref))) <= eigenvalue_bar
+
+
+@pytest.mark.parametrize("n", [256, 1024, 4096])
+@pytest.mark.parametrize("kappa", [0.5, 3.0, 3.2])
+def test_walk_past_the_fold_ends_in_fine_steps(n, kappa):
+    # the 0.5 walk fails past 3.5; resumed there in 0.05 steps, it ends at
+    # 3.25 on every grid.  At n = 4096 the resumed start is a half-interval
+    # Newton point whose full sup residual exceeds Newton's tolerance
+    with pytest.raises(ContinuationError) as info:
+        find_second_type(kappa, grid=make_grid(n))
+    assert str(info.value) == ("continuation from (4, 2*theta) failed at "
+                               "kappa=3.2; last solved kappa=3.25")
+    assert info.value.last_kappa == pytest.approx(3.25, abs=1e-12)
+
+
+def test_long_step_is_a_whole_number_of_fine_steps():
+    # so every point of the long-step walk lies on the 0.05 grid from 4
+    ratio = saddle._COARSE_DK / saddle._BRANCH_DK
+    assert ratio > 1 and ratio == round(ratio)
+
+
 class TestTypesDiffer:
     def test_distinct_profiles_at_same_kappa(self, first_type_10, second_type_10):
         gap = np.max(np.abs(first_type_10.profile.values

@@ -305,9 +305,19 @@ class TestContinuation:
         # the clipped last step scales the secant by its own length
         assert ratio == pytest.approx(1.0 if target == 3.8 else 0.6)
 
-    def test_predictor_saves_newton_solves(self, monkeypatch):
+    def test_predictor_saves_newton_solves(self, grid1024, monkeypatch):
         # seeded with the last point instead of the secant prediction, the
-        # walk of find_second_type(3.47) takes 33 Jacobian solves
+        # 0.05 walk from (4, 2*theta) to 3.47 takes 33 Jacobian solves
+        solves = counting_solves(monkeypatch)
+        branch = continue_branch(4.0, make_initial_second_type(grid1024), 3.47, -0.05)
+        assert solves[0] < 33
+        kappas = [pt.kappa for pt in branch.points]
+        assert kappas == pytest.approx([4.0 - 0.05 * i for i in range(11)] + [3.47],
+                                       rel=0, abs=1e-12)
+
+    def test_second_type_walks_in_long_steps(self, monkeypatch):
+        # find_second_type(3.47) reaches 3.47 through 3.5 alone: 8 Jacobian
+        # solves, where the 0.05 walk above takes 23
         branches = []
         real = saddle.continue_branch
 
@@ -318,10 +328,9 @@ class TestContinuation:
         monkeypatch.setattr(saddle, "continue_branch", recorded)
         solves = counting_solves(monkeypatch)
         saddle.find_second_type(3.47)
-        assert solves[0] < 33
-        kappas = [pt.kappa for pt in branches[0].points]
-        assert kappas == pytest.approx([4.0 - 0.05 * i for i in range(11)] + [3.47],
-                                       rel=0, abs=1e-12)
+        assert solves[0] <= 8
+        assert len(branches) == 1
+        assert [pt.kappa for pt in branches[0].points] == [4.0, 3.5, 3.47]
 
     def test_first_step_keeps_the_line_search(self, grid256, monkeypatch):
         # the first step has no predictor: from (4, 2*theta) a step of 2 needs
@@ -365,6 +374,34 @@ class TestContinuation:
         branch = continue_branch(4.0, make_initial_second_type(grid), 3.9, -0.05)
         assert branch.suspected_fold is None
         assert branch.reached == pytest.approx(3.9, abs=1e-12)
+
+    def test_start_checked_on_the_nodes_newton_stops_on(self):
+        # Newton on the half interval stops at a half sup of 7.18e-9, below
+        # its tolerance 8.54e-9 at n = 4096; rounding on the reflected half
+        # lifts the full sup to 9.16e-9 (node 3555), yet the point is a start
+        grid = make_grid(4096)
+        params = EnergyParams(3.5)
+        p = newton_solve(make_initial_second_type(grid), params)
+        tol = stationary._residual_tol(grid)
+        m = grid.midpoint_index - 1
+        assert np.max(np.abs(el_residual(p, params, nodes=m))) < tol
+        assert residual_supnorm(p, params) > tol
+        branch = continue_branch(3.5, p, 3.4, -0.05)
+        assert branch.suspected_fold is None
+        assert branch.reached == pytest.approx(3.4, abs=1e-12)
+
+    def test_non_hemispheric_start_checked_on_every_node(self, grid512):
+        # stationary left of the midpoint, not right of it: no symmetry
+        # class, so the residual on the right half refuses the start
+        exact = make_initial_second_type(grid512)
+        values = exact.values.copy()
+        values[400] += 1e-3
+        bad = make_profile(grid512, values, 0, 2)
+        params = EnergyParams(4.0)
+        half = grid512.midpoint_index - 1
+        assert np.max(np.abs(el_residual(bad, params, nodes=half))) < 1e-9
+        with pytest.raises(ValueError, match="not stationary"):
+            continue_branch(4.0, bad, 3.8, -0.05)
 
     def test_wrong_direction_rejected(self, grid512):
         start = make_initial_second_type(grid512)
