@@ -22,11 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import W1, W2, WedgeSpec
-
-CERTIFICATE_SLACK = 1e-12
-_WEDGE_SAMPLES = 400    # wedge_certificates' samples per axis
-
 
 @dataclass(frozen=True)
 class EnergyParams:
@@ -158,44 +153,35 @@ def assemble_second_variation(p, params):
                                weight=grid.weights[1:-1])
 
 
-def _certificate_f(x, y, kappa):
-    return np.sin(2 * x) - np.sin(2 * y) - kappa * np.sin(2 * (y - x)) * np.sin(x) ** 2
-
-
-def _certificate_lambda(x, y, kappa):
-    return (np.cos(2 * x) - np.cos(2 * y)
-            - kappa * np.sin(2 * (y - x)) * np.sin(x) * np.cos(x))
-
-
-def _sample_wedge(kind, x_max):
-    x = np.linspace(0.0, x_max, _WEDGE_SAMPLES)
-    u = np.linspace(0.0, 1.0, _WEDGE_SAMPLES)
-    xx = np.broadcast_to(x, (_WEDGE_SAMPLES, _WEDGE_SAMPLES))
-    lo, hi = WedgeSpec(kind).bounds(xx)
-    return xx, lo + u[:, None] * (hi - lo)
-
-
 def wedge_certificates(kappa):
-    """Dense-sample verification of the sign certificates on the wedges.
+    """The paper's four continuum sign lemmas on the wedges, from exact bounds on kappa.
 
-    For kappa >= 4 the derivative-bound function
-        f(x, y) = sin 2x - sin 2y - kappa sin(2y - 2x) sin^2 x
-    is nonnegative on W1 and nonpositive on W2, and the second-variation
-    kernel
-        lambda(x, y) = cos 2x - cos 2y - kappa sin(2y - 2x) sin x cos x
-    is nonnegative on W1 intersected with {x <= pi/4} and nonpositive on W2.
-    Each wedge is sampled on a 400 x 400 grid; a check holds when no sample
-    has the wrong sign by more than 1e-12.  Returns the four verdicts as
-    bools, keyed f_on_W1, f_on_W2, lambda_on_W1_quarter and lambda_on_W2.
+    With f(x, y) = sin 2x - sin 2y - kappa sin(2y - 2x) sin^2 x and
+    lambda(x, y) = cos 2x - cos 2y - kappa sin(2y - 2x) sin x cos x, the lemmas
+    are f >= 0 on W1, f <= 0 on W2, lambda >= 0 on W1 with x <= pi/4 and
+    lambda <= 0 on W2.  At y = pi + s on W1 and y = x + s on W2, with
+    0 <= s <= x <= pi/2, each factors exactly:
+        f on W1      = 2 sin(x - s) [cos x cos s (1 + kappa sin^2 x)
+                                     + sin x sin s (kappa sin^2 x - 1)],
+        f on W2      = -2 sin s [cos s (1 + (kappa - 2) sin^2 x) - sin 2x sin s],
+        lambda on W1 = 2 sin(x - s) [sin x cos s (kappa cos^2 x - 1)
+                                     + cos x sin s (kappa sin^2 x - 1)],
+        lambda on W2 = 2 sin s [sin(2x + s) - kappa cos s sin x cos x].
+    2 sin(x - s) and 2 sin s are >= 0 and -2 sin s is <= 0, so every bracket
+    must be >= 0 but lambda's on W2, which must be <= 0.  Each bracket is
+    a cos s + b sin s, which on the arc 0 <= s <= x, shorter than pi, keeps a
+    sign exactly when it does at both ends.  One end, less a factor sin x or
+    cos x >= 0, is an inequality in x alone, and the other end holds whenever
+    that one holds for every x:
+        f on W1: 1 + (kappa - 2) sin^2 x >= 0 at s = x, so kappa >= 1;
+        f on W2: 1 + (kappa - 4) sin^2 x >= 0 at s = x, so kappa >= 3;
+        lambda on W1, x <= pi/4: kappa cos^2 x >= 1 at s = 0, so kappa >= 2;
+        lambda on W2: (4 - kappa) cos^2 x <= 1 at s = x, so kappa >= 3.
+    Each bound is sharp.  W2's discrete invariance under the flow still needs
+    kappa >= 4, since R(2 theta) = (4 - kappa) sin theta cos theta there.
+    Returns the four verdicts as bools keyed f_on_W1, f_on_W2,
+    lambda_on_W1_quarter and lambda_on_W2; kappa must be finite and >= 0.
     """
-    if kappa < 4:
-        raise ValueError(f"certificates are claimed for kappa >= 4, got {kappa}")
-    w1, w2 = (_sample_wedge(kind, 0.5 * np.pi) for kind in (W1, W2))
-    w1q = _sample_wedge(W1, 0.25 * np.pi)
-    return {
-        "f_on_W1": bool(_certificate_f(*w1, kappa).min() >= -CERTIFICATE_SLACK),
-        "f_on_W2": bool(_certificate_f(*w2, kappa).max() <= CERTIFICATE_SLACK),
-        "lambda_on_W1_quarter":
-            bool(_certificate_lambda(*w1q, kappa).min() >= -CERTIFICATE_SLACK),
-        "lambda_on_W2": bool(_certificate_lambda(*w2, kappa).max() <= CERTIFICATE_SLACK),
-    }
+    kappa = EnergyParams(kappa).kappa
+    return {"f_on_W1": bool(kappa >= 1), "f_on_W2": bool(kappa >= 3),
+            "lambda_on_W1_quarter": bool(kappa >= 2), "lambda_on_W2": bool(kappa >= 3)}

@@ -25,7 +25,7 @@ from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
                       make_initial_first_type, make_initial_second_type,
                       wedge_check)
 from .spectrum import classify, negative_count
-from .stationary import continue_branch, newton_solve
+from .stationary import Branch, NewtonError, continue_branch, newton_solve
 
 FIRST = "first"
 SECOND = "second"
@@ -212,8 +212,10 @@ def find_second_type(kappa, grid=None):
     steps of 0.05, and the ContinuationError names where that finer walk
     ended: long steps where the corrector converges, short ones only where
     it fails (Allgower & Georg, Numerical Continuation Methods, 1990,
-    ch. 6).  Every point of either walk but a clipped last one lies on the
-    grid of 0.05 steps from 4.
+    ch. 6).  A failed first step of the resumed walk ends it the same way,
+    with the fold bracketed by its start and one 0.05 step below.  Every
+    point of either walk but a clipped last one lies on the grid of 0.05
+    steps from 4.
     """
     _require_finite(kappa)
     if kappa <= 0:
@@ -224,7 +226,10 @@ def find_second_type(kappa, grid=None):
     branch = continue_branch(4.0, make_initial_second_type(grid), kappa, -_COARSE_DK)
     if branch.suspected_fold is not None:
         last = branch.points[-1]
-        branch = continue_branch(last.kappa, last.profile, kappa, -_BRANCH_DK)
+        try:
+            branch = continue_branch(last.kappa, last.profile, kappa, -_BRANCH_DK)
+        except NewtonError:  # a failed first step brackets the fold as well
+            branch = Branch((last,), (last.kappa, max(last.kappa - _BRANCH_DK, kappa)))
     if abs(branch.reached - kappa) > 1e-12:
         raise ContinuationError(
             f"continuation from (4, 2*theta) failed at kappa="

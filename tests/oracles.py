@@ -55,3 +55,41 @@ def banded_solve(dl, d, du, b):
     the subdiagonal before a zero."""
     ab = np.array([np.r_[0.0, du], d, np.r_[dl, 0.0]])
     return scipy.linalg.solve_banded((1, 1), ab, b)
+
+
+CERTIFICATE_SLACK = 1e-12
+WEDGE_SAMPLES = 400     # samples per axis of each wedge
+
+
+def certificate_f(x, y, kappa):
+    """The derivative-bound function f(x, y) of the wedge lemmas, unfactored."""
+    return np.sin(2 * x) - np.sin(2 * y) - kappa * np.sin(2 * (y - x)) * np.sin(x) ** 2
+
+
+def certificate_lambda(x, y, kappa):
+    """The second-variation kernel lambda(x, y) of the wedge lemmas, unfactored."""
+    return (np.cos(2 * x) - np.cos(2 * y)
+            - kappa * np.sin(2 * (y - x)) * np.sin(x) * np.cos(x))
+
+
+def _sample_wedge(kind, x_max):
+    """A WEDGE_SAMPLES^2 grid of W1 (pi <= y <= pi + x) or W2 (x <= y <= 2x),
+    0 <= x <= x_max; both wedges are x wide."""
+    x = np.broadcast_to(np.linspace(0.0, x_max, WEDGE_SAMPLES), (WEDGE_SAMPLES,) * 2)
+    u = np.linspace(0.0, 1.0, WEDGE_SAMPLES)[:, None]
+    return x, (np.pi if kind == "W1" else x) + u * x
+
+
+def sampled_wedge_certificates(kappa):
+    """The four sign lemmas checked on sampled wedges, keyed like
+    ``energy.wedge_certificates``: a lemma holds when no sample has the wrong
+    sign by more than CERTIFICATE_SLACK."""
+    w1, w2 = _sample_wedge("W1", 0.5 * np.pi), _sample_wedge("W2", 0.5 * np.pi)
+    w1q = _sample_wedge("W1", 0.25 * np.pi)
+    return {
+        "f_on_W1": bool(certificate_f(*w1, kappa).min() >= -CERTIFICATE_SLACK),
+        "f_on_W2": bool(certificate_f(*w2, kappa).max() <= CERTIFICATE_SLACK),
+        "lambda_on_W1_quarter":
+            bool(certificate_lambda(*w1q, kappa).min() >= -CERTIFICATE_SLACK),
+        "lambda_on_W2": bool(certificate_lambda(*w2, kappa).max() <= CERTIFICATE_SLACK),
+    }

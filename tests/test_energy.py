@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from axiferro.cli import _report_payload
-from axiferro import energy
 from axiferro.energy import (EnergyParams, assemble_second_variation, el_residual,
                              reduced_energy, residual_supnorm,
                              second_variation_form, wedge_certificates)
@@ -10,7 +9,8 @@ from axiferro.grid import make_grid, quad_sin
 from axiferro.profile import (builtin_profile, make_initial_second_type,
                               make_profile)
 from axiferro.saddle import find_second_type
-from oracles import fd_energy_derivative, trapezoid_sin_integral
+from oracles import (certificate_f, certificate_lambda, fd_energy_derivative,
+                     sampled_wedge_certificates, trapezoid_sin_integral)
 
 
 def test_params_reject_negative_kappa():
@@ -274,6 +274,22 @@ def test_residual_noise_floor_covers_measurements():
 CERTIFICATE_NAMES = {"f_on_W1", "f_on_W2", "lambda_on_W1_quarter", "lambda_on_W2"}
 
 
+# the factorizations of energy.wedge_certificates' docstring, at the wedge
+# point y = pi + s on W1 and y = x + s on W2, 0 <= s <= x <= pi/2
+FACTORED = {
+    ("f", "W1"): lambda x, s, k: 2 * np.sin(x - s) * (
+        np.cos(x) * np.cos(s) * (1 + k * np.sin(x) ** 2)
+        + np.sin(x) * np.sin(s) * (k * np.sin(x) ** 2 - 1)),
+    ("f", "W2"): lambda x, s, k: -2 * np.sin(s) * (
+        np.cos(s) * (1 + (k - 2) * np.sin(x) ** 2) - np.sin(2 * x) * np.sin(s)),
+    ("lambda", "W1"): lambda x, s, k: 2 * np.sin(x - s) * (
+        np.sin(x) * np.cos(s) * (k * np.cos(x) ** 2 - 1)
+        + np.cos(x) * np.sin(s) * (k * np.sin(x) ** 2 - 1)),
+    ("lambda", "W2"): lambda x, s, k: 2 * np.sin(s) * (
+        np.sin(2 * x + s) - k * np.cos(s) * np.sin(x) * np.cos(x)),
+}
+
+
 class TestWedgeCertificates:
     def test_all_hold_at_and_above_four(self):
         for kappa in (4.0, 6.0, 25.0):
@@ -281,33 +297,32 @@ class TestWedgeCertificates:
             assert set(verdicts) == CERTIFICATE_NAMES
             assert all(v is True for v in verdicts.values()), (kappa, verdicts)
 
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_each_verdict_has_its_direction(self, monkeypatch, sign):
-        # f and lambda are claimed >= 0 on W1 (lambda on its x <= pi/4 part)
-        # and <= 0 on W2; a constant of either sign passes one side only
-        def constant(x, y, kappa):
-            return np.full(np.shape(x), sign)
+    # below 1, 2 and 3 the four verdicts differ, so agreement there also
+    # checks each key's sign and wedge
+    @pytest.mark.parametrize("kappa", [0.5, 1.0, 1.5, 2.0, 2.5, 2.9, 3.0, 3.5, 4.0, 7.0])
+    def test_closed_forms_match_the_sampled_oracle(self, kappa):
+        assert wedge_certificates(kappa) == sampled_wedge_certificates(kappa)
 
-        monkeypatch.setattr(energy, "_certificate_f", constant)
-        monkeypatch.setattr(energy, "_certificate_lambda", constant)
-        positive = sign > 0
-        assert wedge_certificates(4.0) == {
-            "f_on_W1": positive, "lambda_on_W1_quarter": positive,
-            "f_on_W2": not positive, "lambda_on_W2": not positive}
+    @pytest.mark.parametrize("name, kind", sorted(FACTORED))
+    def test_factorization_is_exact(self, rng, name, kind):
+        x = rng.uniform(0.0, 0.5 * np.pi, 5000)
+        s = rng.uniform(0.0, 1.0, x.size) * x
+        kappa = np.linspace(0.0, 100.0, x.size)
+        y = (np.pi if kind == "W1" else x) + s
+        raw = (certificate_f if name == "f" else certificate_lambda)(x, y, kappa)
+        assert np.max(np.abs(FACTORED[name, kind](x, s, kappa) - raw)) <= 1e-12
 
     def test_corner_value_zero(self):
-        from axiferro.energy import _certificate_f
-        assert abs(_certificate_f(np.pi / 4, np.pi + np.pi / 4, 4.0)) < 1e-12
+        assert abs(certificate_f(np.pi / 4, np.pi + np.pi / 4, 4.0)) < 1e-12
 
     def test_lambda_diagonal_zero(self, rng):
-        from axiferro.energy import _certificate_lambda
         x = rng.uniform(0, np.pi / 2, 50)
-        assert np.max(np.abs(_certificate_lambda(x, x, 4.0))) < 1e-12
+        assert np.max(np.abs(certificate_lambda(x, x, 4.0))) < 1e-12
 
     def test_lambda_interior_value(self):
-        from axiferro.energy import _certificate_lambda
-        assert _certificate_lambda(np.pi / 4, np.pi / 2, 4.0) == pytest.approx(-1.0)
+        assert certificate_lambda(np.pi / 4, np.pi / 2, 4.0) == pytest.approx(-1.0)
 
     def test_preconditions(self):
-        with pytest.raises(ValueError, match="kappa"):
-            wedge_certificates(3.0)
+        for kappa in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="kappa"):
+                wedge_certificates(kappa)

@@ -164,6 +164,19 @@ def test_walk_past_the_fold_ends_in_fine_steps(n, kappa):
     assert info.value.last_kappa == pytest.approx(3.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("kappa", [3.0, 3.2])
+def test_resumed_walk_failing_at_once_brackets_the_fold(monkeypatch, kappa):
+    # with long steps of 0.05 the long walk itself ends at 3.25, so the
+    # resumed walk fails on its very first step; that failure is the fold
+    # bracket (3.25, 3.2), not a NewtonError
+    monkeypatch.setattr(saddle, "_COARSE_DK", saddle._BRANCH_DK)
+    with pytest.raises(ContinuationError) as info:
+        find_second_type(kappa, grid=make_grid(256))
+    assert str(info.value) == ("continuation from (4, 2*theta) failed at "
+                               "kappa=3.2; last solved kappa=3.25")
+    assert info.value.last_kappa == pytest.approx(3.25, abs=1e-12)
+
+
 def test_long_step_is_a_whole_number_of_fine_steps():
     # so every point of the long-step walk lies on the 0.05 grid from 4
     ratio = saddle._COARSE_DK / saddle._BRANCH_DK
