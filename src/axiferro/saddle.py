@@ -25,7 +25,7 @@ from .profile import (W1, W2, WedgeSpec, degree, hemispheric_deviation,
                       make_initial_first_type, make_initial_second_type,
                       wedge_check)
 from .spectrum import classify, negative_count
-from .stationary import Branch, NewtonError, continue_branch, newton_solve
+from .stationary import Branch, BranchPoint, NewtonError, continue_branch, newton_solve
 
 FIRST = "first"
 SECOND = "second"
@@ -36,7 +36,7 @@ _HANDOFF_TOL = 1e-2     # sup residual at which the pipeline flow hands over to 
 _REFUSAL_TOL = 1e-7     # a pipeline grid's noise floor must lie below this
 _FLOW_DT = 1e3          # the pipeline flow's step; only its end point is used
 _FLOW_STEPS = 1000      # the pipeline flow's step cap
-_BRANCH_DK = 0.05       # kappa step of the probe's walk and of the fallback near the fold
+_BRANCH_DK = 0.05       # kappa step of the walk below kappa = 4 where long steps end
 _COARSE_DK = 10 * _BRANCH_DK  # step of the walk below kappa = 4, a whole number of those
 _KAPPA0_WIDTH = 0.05    # width the kappa0 bracket is bisected down to
 _WEDGE = {FIRST: W1, SECOND: W2}
@@ -202,20 +202,9 @@ def find_second_type(kappa, grid=None):
     """Second-type saddle pipeline.
 
     kappa > 4: flow from 2*theta.  kappa = 4: the exact solution, treated as
-    the (single-point) continuation seed.  kappa < 4: natural-parameter
-    continuation downward from (4, 2*theta) in kappa steps of 0.5, the last
-    one clipped to kappa, so 3.47 is reached through 3.5 alone; the start is
-    hemispheric, so every Newton solve of the walk runs on the half
-    interval, and each step past the first starts from the secant predictor
-    (see ``continue_branch``).  Only where that walk ends short of kappa, as
-    it does past the fold near 3.2, does it resume from its last point in
-    steps of 0.05, and the ContinuationError names where that finer walk
-    ended: long steps where the corrector converges, short ones only where
-    it fails (Allgower & Georg, Numerical Continuation Methods, 1990,
-    ch. 6).  A failed first step of the resumed walk ends it the same way,
-    with the fold bracketed by its start and one 0.05 step below.  Every
-    point of either walk but a clipped last one lies on the grid of 0.05
-    steps from 4.
+    the (single-point) continuation seed.  kappa < 4: continuation downward
+    from it in 0.5 steps, and 0.05 steps only where those end short of kappa
+    (``_walk_below_four``); the ContinuationError names where they ended.
     """
     _require_finite(kappa)
     if kappa <= 0:
@@ -223,20 +212,41 @@ def find_second_type(kappa, grid=None):
     grid = grid or grid_for_kappa(kappa)
     if kappa > 4:
         return _flow_then_polish(kappa, SECOND, grid)
-    branch = continue_branch(4.0, make_initial_second_type(grid), kappa, -_COARSE_DK)
-    if branch.suspected_fold is not None:
-        last = branch.points[-1]
-        try:
-            branch = continue_branch(last.kappa, last.profile, kappa, -_BRANCH_DK)
-        except NewtonError:  # a failed first step brackets the fold as well
-            branch = Branch((last,), (last.kappa, max(last.kappa - _BRANCH_DK, kappa)))
-    if abs(branch.reached - kappa) > 1e-12:
+    last, ends = _walk_below_four(grid, kappa)
+    if ends is not None:
         raise ContinuationError(
-            f"continuation from (4, 2*theta) failed at kappa="
-            f"{branch.suspected_fold[1]:.6g}; last solved kappa="
-            f"{branch.reached:.6g}", last_kappa=branch.reached)
-    return _polish_and_report(branch.points[-1].profile, kappa, SECOND,
-                              "continuation")
+            f"continuation from (4, 2*theta) failed at kappa={ends[1]:.6g}; "
+            f"last solved kappa={ends[0]:.6g}", last_kappa=last.kappa)
+    return _polish_and_report(last.profile, kappa, SECOND, "continuation")
+
+
+def _walk_below_four(grid, kappa, holds=None):
+    """Walk the second-type branch down from (4, 2*theta) to kappa < 4.
+
+    Steps of 0.5, clipped at kappa; where they end short of it, at a failed
+    Newton solve or at the first point failing ``holds``, steps of 0.05 from
+    the last good point (Allgower & Georg, Numerical Continuation Methods,
+    1990, ch. 6).  Returns the last good point and None once kappa is
+    reached, else the fine walk's bracket (last good kappa, failed kappa);
+    a failed first step of either walk is a bracket one step below its
+    start.  ``holds`` is read at every point a walk solves, up to the first
+    it fails.  Each walk is one ``continue_branch``.
+    """
+    last = BranchPoint(4.0, make_initial_second_type(grid))
+    for dk in (_COARSE_DK, _BRANCH_DK):
+        try:
+            branch = continue_branch(last.kappa, last.profile, kappa, -dk)
+        except NewtonError:
+            branch = Branch((last,), (last.kappa, max(last.kappa - dk, kappa)))
+        ends = branch.suspected_fold
+        for pt in branch.points[1:]:
+            if holds is not None and not holds(pt):
+                ends = (last.kappa, pt.kappa)
+                break
+            last = pt
+        if ends is None:
+            break
+    return last, ends
 
 
 @dataclass(frozen=True)
@@ -273,12 +283,7 @@ def _failed_row(kappa, saddle_type, exc):
 
 
 def _is_index_one_saddle(pt):
-    """lambda1 < -1e-8 and lambda2 > 1e-8 at a branch point, without an eigensolve.
-
-    LAPACK's Sturm count (``negative_count``, stebz in value mode) at a shift
-    is the number of eigenvalues at or below it, so the test holds exactly
-    when the counts at -1e-8 and +1e-8 are both 1.
-    """
+    """lambda1 < -1e-8 < 1e-8 < lambda2 at a branch point: Sturm counts 1 at both shifts."""
     op = assemble_second_variation(pt.profile, EnergyParams(pt.kappa))
     return all(negative_count(op.diag, op.offdiag, shift) == 1
                for shift in (-1e-8, 1e-8))
@@ -288,22 +293,15 @@ def probe_second_branch_floor(grid=None):
     """Walk the second-type branch down from kappa = 4 towards kappa = 1.
 
     Returns (lo, hi) bracketing either a Newton failure or the loss of the
-    saddle eigenvalue structure (lambda1 < -1e-8 and lambda2 > 1e-8); None if
-    the branch persists all the way down to kappa = 1.  The structure is read
-    off two Sturm counts per point, each one LAPACK stebz call in value mode
-    (see ``_is_index_one_saddle``), so the walk makes no eigensolve.
+    saddle eigenvalue structure (lambda1 < -1e-8 and lambda2 > 1e-8), read
+    off two Sturm counts at every point each walk of ``_walk_below_four``
+    solves; None if the branch persists down to kappa = 1.  Above the 0.05
+    walk only the 0.5 points are read, so a loss and regain between two of
+    them would go unseen; on every grid measured lambda2 reaches 0 only at
+    the fold.
     """
-    grid = grid or make_grid(1024)
-    branch = continue_branch(4.0, make_initial_second_type(grid), 1.0, -_BRANCH_DK)
-    prev = 4.0
-    for pt in branch.points:
-        if not _is_index_one_saddle(pt):
-            return (pt.kappa, prev)
-        prev = pt.kappa
-    if branch.suspected_fold is not None:
-        good, failed = branch.suspected_fold
-        return (failed, good)
-    return None
+    _, ends = _walk_below_four(grid or make_grid(1024), 1.0, _is_index_one_saddle)
+    return None if ends is None else ends[::-1]
 
 
 def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):

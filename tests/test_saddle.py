@@ -438,21 +438,39 @@ def test_inertia_test_off_the_branch(n):
 
 def test_probe_brackets_loss_of_saddle_structure(monkeypatch):
     # real branches end at the fold with the structure intact; a stable
-    # point (h = theta, Morse index 0 at kappa = 10) put into the walk is
-    # the first to fail the test, and the bracket ends at the point before it
+    # point (h = theta, Morse index 0 at kappa = 10) put into a walk is the
+    # first to fail the test.  In the 0.5 walk, ahead of 3.5, it sends the
+    # 0.05 walk back to the point before it, (4, 2*theta), and that walk
+    # still brackets the fold; in the 0.05 walk the bracket ends at it
     grid = make_grid(256)
     stable = BranchPoint(kappa=10.0, profile=builtin_profile("theta", grid))
     assert two_lowest(stable)[0] > 1e-8
     real = saddle.continue_branch
-    before = []
 
-    def with_stable_point(*args, **kwargs):
-        branch = real(*args, **kwargs)
-        before.append(branch.points[2].kappa)
-        return replace(branch, points=(*branch.points[:3], stable, *branch.points[3:]))
+    def probe_with_stable_point(walk, index):
+        calls = []
 
-    monkeypatch.setattr(saddle, "continue_branch", with_stable_point)
-    assert probe_second_branch_floor(grid=grid) == (10.0, before[0])
+        def with_stable_point(start_kappa, start, target, dk):
+            branch = real(start_kappa, start, target, dk)
+            calls.append((start_kappa, start, dk, branch))
+            if len(calls) != walk:
+                return branch
+            points = branch.points
+            return replace(branch, points=(*points[:index], stable, *points[index:]))
+
+        monkeypatch.setattr(saddle, "continue_branch", with_stable_point)
+        return probe_second_branch_floor(grid=grid), calls
+
+    bracket, calls = probe_with_stable_point(1, 1)
+    assert [call[2] for call in calls] == [-saddle._COARSE_DK, -saddle._BRANCH_DK]
+    coarse = calls[0][3]
+    assert [pt.kappa for pt in coarse.points] == [4.0, 3.5]
+    assert calls[1][0] == 4.0 and calls[1][1] is coarse.points[0].profile
+    assert bracket[1] - bracket[0] <= saddle._BRANCH_DK + 1e-12
+    assert bracket == pytest.approx((3.20, 3.25))
+
+    bracket, calls = probe_with_stable_point(2, 3)
+    assert bracket == (10.0, calls[1][3].points[2].kappa)
 
 
 def test_probe_on_grid_above_default():
@@ -469,9 +487,10 @@ def test_probe_brackets_the_fold_on_fine_grids(n):
 
 
 def test_probe_step_past_the_fold_is_one_full_newton_step(monkeypatch):
-    # the solve at kappa = 3.20 from the secant predictor evaluates the
-    # residual 4 times: the start, two accepted steps and the full step that
-    # does not lower the residual; a line search there made 89 evaluations
+    # each walk ends at a solve from the secant predictor, at kappa = 3.0 for
+    # the 0.5 walk and 3.20 for the 0.05 walk; each evaluates the residual 4
+    # times: the start, two accepted steps and the full step that does not
+    # lower the residual; a line search at 3.20 made 89 evaluations
     solves = []
     real_solve, real_residual = stationary.newton_solve, stationary.el_residual
 
@@ -481,7 +500,7 @@ def test_probe_step_past_the_fold_is_one_full_newton_step(monkeypatch):
         return real_residual(*args, **kwargs)
 
     def recorded_solve(p0, params, **kwargs):
-        solves.append([params.kappa, 0, False])
+        solves.append([params.kappa, 0, False, kwargs])
         try:
             return real_solve(p0, params, **kwargs)
         except stationary.NewtonError:
@@ -491,10 +510,54 @@ def test_probe_step_past_the_fold_is_one_full_newton_step(monkeypatch):
     monkeypatch.setattr(stationary, "el_residual", counted_residual)
     monkeypatch.setattr(stationary, "newton_solve", recorded_solve)
     assert probe_second_branch_floor(grid=make_grid(1024)) == pytest.approx((3.20, 3.25))
-    kappa, evaluations, failed = solves[-1]
-    assert kappa == pytest.approx(3.20) and failed
-    assert evaluations == 4
-    assert not any(failed for _, _, failed in solves[:-1])
+    failures = [solve for solve in solves if solve[2]]
+    assert [kappa for kappa, *_ in failures] == pytest.approx([3.0, 3.20])
+    assert [evaluations for _, evaluations, *_ in failures] == [4, 4]
+    assert [kwargs for *_, kwargs in failures] == [{"damped": False}] * 2
+    assert solves[-1] is failures[-1]
+
+
+def test_probe_resumed_walk_failing_at_once_brackets_the_fold(monkeypatch):
+    # with long steps of 0.05 the long walk itself ends at 3.25, so the
+    # resumed walk fails on its very first step; that failure is the fold
+    # bracket, not a NewtonError
+    monkeypatch.setattr(saddle, "_COARSE_DK", saddle._BRANCH_DK)
+    raised = []
+    real = saddle.continue_branch
+
+    def recorded(*args, **kwargs):
+        try:
+            return real(*args, **kwargs)
+        except stationary.NewtonError:
+            raised.append(args[0])
+            raise
+
+    monkeypatch.setattr(saddle, "continue_branch", recorded)
+    assert probe_second_branch_floor(grid=make_grid(256)) == pytest.approx((3.20, 3.25))
+    assert raised == pytest.approx([3.25])
+
+
+def test_probe_solve_and_sturm_count_budget(monkeypatch):
+    # the 0.5 walk solves 3.5 and fails at 3.0; the 0.05 walk from 3.5
+    # solves 3.45 to 3.25 and fails at 3.20, reading two Sturm counts at each
+    # solved point: 8 solves and 12 counts, where the 0.05 walk from 4 made
+    # 16 and 32
+    calls = {"solves": 0, "counts": 0}
+    real_solve, real_count = stationary.newton_solve, saddle.negative_count
+
+    def counted_solve(*args, **kwargs):
+        calls["solves"] += 1
+        return real_solve(*args, **kwargs)
+
+    def counted_count(*args, **kwargs):
+        calls["counts"] += 1
+        return real_count(*args, **kwargs)
+
+    monkeypatch.setattr(stationary, "newton_solve", counted_solve)
+    monkeypatch.setattr(saddle, "negative_count", counted_count)
+    assert probe_second_branch_floor(grid=make_grid(1024)) == pytest.approx((3.20, 3.25))
+    assert calls["solves"] <= 8
+    assert calls["counts"] <= 14
 
 
 def test_first_type_at_very_large_kappa():
