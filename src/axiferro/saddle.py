@@ -38,7 +38,7 @@ _FLOW_DT = 1e3          # the pipeline flow's step; only its end point is used
 _FLOW_STEPS = 1000      # the pipeline flow's step cap
 _BRANCH_DK = 0.05       # kappa step of the walk below kappa = 4 where long steps end
 _COARSE_DK = 10 * _BRANCH_DK  # step of the walk below kappa = 4, a whole number of those
-_KAPPA0_WIDTH = 0.05    # width the kappa0 bracket is bisected down to
+_KAPPA0_WIDTH = 0.05    # width the kappa0 search narrows its bracket down to
 _WEDGE = {FIRST: W1, SECOND: W2}
 
 
@@ -308,9 +308,12 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     """Run the requested pipelines per kappa and locate the threshold brackets.
 
     kappa0: bracket (width <= 0.05) where the first-type explicit-direction
-    certificate changes sign, refined by bisection; every midpoint adds a
-    first-type row and report, and a midpoint whose pipeline fails adds a
-    failed row and ends the bisection at the bracket certified before it.
+    certificate changes sign, narrowed by a guarded secant search (Brent,
+    1973, ch. 4): the first two new kappa are aimed 0.02 past the secant
+    root of the ends, into the bracket's longer part, and later ones are
+    midpoints, so it takes at most two runs more than bisection.  Every new
+    kappa adds a first-type row and report; one whose pipeline fails adds a
+    failed row and ends the search at the bracket certified before it.
     kappa1: bracket where the downward second-type continuation ends.
     Per-kappa pipeline failures are recorded in the rows, not raised; a kappa
     requested twice gives two rows and one report, and its pipeline runs once.
@@ -328,7 +331,7 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
     def run_pipeline(kappa, saddle_type):
         """Report of one kappa, or None once its failure is recorded as a row."""
         # the pipelines are looked up at call time, so a replaced module
-        # global sees every new kappa, bisection midpoints included
+        # global sees every new kappa, the kappa0 search's included
         report = reports.get((saddle_type, kappa))
         if report is None:
             pipeline = find_first_type if saddle_type == FIRST else find_second_type
@@ -354,14 +357,24 @@ def sweep(kappa_values, types=(FIRST, SECOND), grid=None, estimate_kappa1=True):
         if negative_at_lo != (b.explicit_direction_value < 0):
             kappa0 = (a.kappa, b.kappa)
             break
+    aims = 2    # new kappa aimed past the secant root; the rest are midpoints
     while kappa0 is not None and kappa0[1] - kappa0[0] > _KAPPA0_WIDTH:
         lo, hi = kappa0
-        mid = 0.5 * (lo + hi)
-        report = run_pipeline(mid, FIRST)
+        kappa = 0.5 * (lo + hi)
+        if aims:
+            # a finite secant root lies in [lo, hi], so the aim stays over
+            # 0.005 inside, else the midpoint runs; past a root within 0.02 of
+            # kappa0 it leaves kappa0 in the shorter part, which the next aim crosses
+            aims -= 1
+            f_lo, f_hi = (reports[FIRST, k].explicit_direction_value for k in kappa0)
+            root = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+            aim = root + (0.4 if 2 * root < lo + hi else -0.4) * _KAPPA0_WIDTH
+            kappa = aim if lo < aim < hi else kappa
+        report = run_pipeline(kappa, FIRST)
         if report is None:
             break
         negative = report.explicit_direction_value < 0
-        kappa0 = (mid, hi) if negative == negative_at_lo else (lo, mid)
+        kappa0 = (kappa, hi) if negative == negative_at_lo else (lo, kappa)
 
     kappa1 = None
     if SECOND in types and estimate_kappa1:

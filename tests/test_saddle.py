@@ -297,21 +297,26 @@ class TestSweep:
     def test_rows_and_kappa0_bracket(self):
         grid = make_grid(512)
         result = sweep([5.0, 6.0, 6.5, 7.0], types=("first",), grid=grid)
-        # first-type rows, bisection midpoints among them, come in kappa order
+        # first-type rows, the kappa0 search's among them, come in kappa order
         assert [r.kappa for r in result.rows] == sorted(r.kappa for r in result.rows)
         bracket = result.kappa0_estimate
         assert bracket is not None
         lo, hi = bracket
         assert hi - lo <= 0.05
         assert 6.0 < lo < hi < 7.0
-        # every bisection midpoint is both a first-type row and a report:
-        # (6.5, 7.0) is halved four times down to width 1/32
+        # every new kappa of the search is both a first-type row and a report:
+        # the two aimed past the secant roots of (6.5, 7.0) land on either
+        # side of kappa0, where bisection halved four times
         requested = {5.0, 6.0, 6.5, 7.0}
-        midpoints = [r.kappa for r in result.rows
-                     if r.saddle_type == "first" and r.kappa not in requested]
-        assert len(midpoints) == 4 and {lo, hi} <= requested | set(midpoints)
-        assert sorted(midpoints) == sorted(r.kappa for r in result.reports
-                                           if r.kappa not in requested)
+        new = [r.kappa for r in result.rows
+               if r.saddle_type == "first" and r.kappa not in requested]
+        assert len(new) == 2 and {lo, hi} <= requested | set(new)
+        assert sorted(new) == sorted(r.kappa for r in result.reports
+                                     if r.kappa not in requested)
+        # the ends are certifying reports of opposite sign
+        by_kappa = {r.kappa: r for r in result.reports}
+        assert by_kappa[lo].explicit_direction_value >= 0
+        assert by_kappa[hi].explicit_direction_value < 0
         # reports are ordered like the rows that succeeded
         assert [(r.saddle_type, r.kappa) for r in result.reports] \
             == [(r.saddle_type, r.kappa) for r in result.rows
@@ -326,46 +331,56 @@ class TestSweep:
 
         monkeypatch.setattr(saddle, "find_first_type", counting)
         result = sweep([5.0, 5.0, 7.0], types=("first",), grid=make_grid(512))
-        # (5, 7) is halved six times down to width 1/32: 2 + 6 pipeline runs
-        assert len(kappas) == 8 and len(set(kappas)) == 8
-        assert len(result.rows) == 9
-        assert len(result.reports) == 8
+        # (5, 7) takes two new kappa, where bisection took six: 2 + 2 runs
+        assert len(kappas) == 4 and len(set(kappas)) == 4
+        assert len(result.rows) == 5
+        assert len(result.reports) == 4
         assert [r.kappa for r in result.rows[:2]] == [5.0, 5.0]
         assert result.rows[0] == result.rows[1]
 
     def test_failed_bisection_midpoint_is_a_row(self, monkeypatch):
         real = saddle.find_first_type
+        failed = []
 
-        def failing_at_six(kappa, grid=None):
-            if kappa == 6.0:
-                raise RuntimeError("midpoint pipeline failed")
+        def failing_when_new(kappa, grid=None):
+            if kappa not in (5.0, 7.0):
+                failed.append(kappa)
+                raise RuntimeError("search pipeline failed")
             return real(kappa, grid=grid)
 
-        monkeypatch.setattr(saddle, "find_first_type", failing_at_six)
+        monkeypatch.setattr(saddle, "find_first_type", failing_when_new)
         result = sweep([5.0, 7.0], types=("first",), grid=make_grid(512))
-        # 6.0 is the first midpoint of (5, 7); the bracket stays as certified
+        # the first new kappa fails; the bracket stays as certified
+        assert len(failed) == 1 and 5.0 < failed[0] < 7.0
         assert result.kappa0_estimate == (5.0, 7.0)
         assert [(r.kappa, r.status) for r in result.rows] == [
-            (5.0, "marginal"), (6.0, "failed: midpoint pipeline failed"),
+            (5.0, "marginal"), (failed[0], "failed: search pipeline failed"),
             (7.0, "saddle")]
         assert [r.kappa for r in result.reports] == [5.0, 7.0]
 
     def test_failed_second_midpoint_keeps_the_narrowed_bracket(self, monkeypatch):
         real = saddle.find_first_type
+        new = []
 
-        def failing_at_six_and_a_half(kappa, grid=None):
-            if kappa == 6.5:
-                raise RuntimeError("midpoint pipeline failed")
+        def failing_at_the_second_new(kappa, grid=None):
+            if kappa not in (5.0, 7.0):
+                new.append(kappa)
+                if len(new) == 2:
+                    raise RuntimeError("search pipeline failed")
             return real(kappa, grid=grid)
 
-        monkeypatch.setattr(saddle, "find_first_type", failing_at_six_and_a_half)
+        monkeypatch.setattr(saddle, "find_first_type", failing_at_the_second_new)
         result = sweep([5.0, 7.0], types=("first",), grid=make_grid(512))
-        # the first midpoint narrows (5, 7) to (6, 7); the second, 6.5, fails
-        assert result.kappa0_estimate == (6.0, 7.0)
-        assert [(r.kappa, r.status) for r in result.rows] == [
-            (5.0, "marginal"), (6.0, "marginal"),
-            (6.5, "failed: midpoint pipeline failed"), (7.0, "saddle")]
-        assert [r.kappa for r in result.reports] == [5.0, 6.0, 7.0]
+        # the first new kappa narrows (5, 7); the second, inside it, fails
+        first, second = new
+        report = next(r for r in result.reports if r.kappa == first)
+        narrowed = (5.0, first) if report.explicit_direction_value < 0 else (first, 7.0)
+        assert result.kappa0_estimate == narrowed
+        assert narrowed[0] < second < narrowed[1]
+        assert [(r.kappa, r.status) for r in result.rows] == sorted([
+            (5.0, "marginal"), (first, "marginal" if report.marginal else "saddle"),
+            (second, "failed: search pipeline failed"), (7.0, "saddle")])
+        assert [r.kappa for r in result.reports] == sorted([5.0, first, 7.0])
 
     def test_first_type_skipped_below_four(self):
         grid = make_grid(512)
@@ -382,6 +397,66 @@ class TestSweep:
         assert result.kappa1_estimate is not None
         lo, hi = result.kappa1_estimate
         assert 0 < lo < hi < 4.0
+
+
+CERTIFICATES = {   # dir_value against kappa, changing sign at root: >= 0 up to it
+    "linear": lambda k, root: root - k,
+    "cubic": lambda k, root: (root - k) ** 3,
+    "tanh": lambda k, root: math.tanh(50 * (root - k)),
+    "step": lambda k, root: 1.0 if k <= root else -1.0,
+    "flat_below": lambda k, root: min(root - k, 0.0),
+    "flat_above": lambda k, root: root - k if k <= root else -1.0,
+}
+
+
+def sweep_with_certificate(monkeypatch, report, kappas, certificate):
+    """sweep on first-type reports whose dir_value is certificate(kappa); runs too."""
+    runs = []
+
+    def fake(kappa, grid=None):
+        runs.append(kappa)
+        return replace(report, kappa=kappa, explicit_direction_value=certificate(kappa))
+
+    monkeypatch.setattr(saddle, "find_first_type", fake)
+    return sweep(kappas, types=("first",), grid=report.profile.grid), runs
+
+
+def halvings(width):
+    count = 0
+    while width > saddle._KAPPA0_WIDTH:
+        width, count = 0.5 * width, count + 1
+    return count
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATES))
+@pytest.mark.parametrize("kappas", [(4.0, 8.0), (4.0, 5.0, 6.0, 7.0, 8.0), (6.5, 6.75)])
+def test_kappa0_search_on_model_certificates(monkeypatch, first_type_10, name, kappas):
+    # the search ends at a bracket at most 0.05 wide around the sign change,
+    # with certifying ends, in at most two runs more than bisection takes
+    certificate = CERTIFICATES[name]
+    for root in np.linspace(kappas[0], kappas[-1], 9)[:-1] + 0.0123:
+        result, runs = sweep_with_certificate(
+            monkeypatch, first_type_10, kappas, lambda k: certificate(k, root))
+        lo, hi = result.kappa0_estimate
+        assert hi - lo <= saddle._KAPPA0_WIDTH and lo <= root < hi
+        assert certificate(lo, root) >= 0 > certificate(hi, root)
+        start = max(k for k in kappas if k <= root)
+        end = min(k for k in kappas if k > root)
+        assert len(runs) - len(kappas) <= halvings(end - start) + 2
+        assert not any(r.status.startswith("failed") for r in result.rows)
+
+
+def test_kappa0_search_nan_at_the_lower_end_takes_the_midpoint(monkeypatch,
+                                                              first_type_10):
+    # NaN < 0 is false, so a NaN dir_value at 6.5 opens a bracket with 7.0;
+    # its secant root is NaN, and the midpoint is run in its place
+    result, runs = sweep_with_certificate(
+        monkeypatch, first_type_10, [6.5, 7.0],
+        lambda k: math.nan if k == 6.5 else 6.6656 - k)
+    assert runs[:3] == [6.5, 7.0, 6.75]
+    assert not any(r.status.startswith("failed") for r in result.rows)
+    lo, hi = result.kappa0_estimate
+    assert hi - lo <= saddle._KAPPA0_WIDTH and lo <= 6.6656 < hi
 
 
 def test_probe_second_branch_floor():
